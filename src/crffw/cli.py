@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +27,6 @@ from .simplex import BcdRounding, NearestRounding, decode
 
 METHOD_NAMES = ("mf", "dmf", "fw", "cfw", "l2fw", "efw", "pgd", "pgm", "emd", "admm")
 EXIT_RUNTIME = 1
-
-
-@dataclass
-class RunManifest:
-    """One compare invocation: instances x (method, lambda, schedule)."""
-
-    instance_paths: list
-    runs: list  # parsed (label, name, lambda, schedule) tuples
-    max_iters: int
-    out_dir: str
-    seed: int
 
 
 def _load_instance(path):
@@ -181,35 +170,49 @@ def _parse_method_spec(spec):
     return label, name, lam, schedule
 
 
-def _solve_disc_curve(instance, name, lam, schedule, steps):
-    config = _build_config(name, lam, schedule, steps)
+def _solve_disc_curve(instance, config):
     _, trace = solvers.run_generalized_fw(instance, config)
     return [r.e_disc for r in trace.records]
+
+
+def _lambda_grid(lo, hi, step):
+    finite = all(math.isfinite(v) for v in (lo, hi, step))
+    if not (finite and 0.0 < lo <= hi and step > 0.0):
+        raise ValueError("--lambda-grid needs finite 0 < LO <= HI and STEP > 0")
+    return [float(lam) for lam in np.arange(lo, hi + 0.5 * step, step)]
 
 
 def cmd_compare(args, parser):
     if not args.instances:
         parser.error("at least one instance is required")
+    if args.sweep_at < 1:
+        parser.error("--sweep-at must be >= 1")
+    # a sweep solve stops at the iteration whose energy it reports
+    sweep_steps = min(args.sweep_at, args.steps)
     try:
-        specs = [_parse_method_spec(s) for s in args.methods.split(",") if s.strip()]
+        lam_grid = _lambda_grid(*args.lambda_grid)
+        runs = {}
+        for spec in filter(str.strip, args.methods.split(",")):
+            label, name, lam, schedule = _parse_method_spec(spec)
+            runs[label] = _build_config(name, lam, schedule, args.steps)
+        sweep_runs = {}
+        for name in filter(None, (m.strip().lower() for m in args.sweep_methods.split(","))):
+            sweep_runs[name] = [(lam, _build_config(name, lam, None, sweep_steps))
+                                for lam in lam_grid]
     except ValueError as exc:
         parser.error(str(exc))
-    if not specs:
+    if not runs:
         parser.error("at least one method is required")
-    manifest = RunManifest(instance_paths=list(args.instances), runs=specs,
-                           max_iters=args.steps, out_dir=args.out, seed=args.seed)
-    os.makedirs(manifest.out_dir, exist_ok=True)
-    instances = [_load_instance(p) for p in manifest.instance_paths]
+    instances = [_load_instance(p) for p in args.instances]
+    os.makedirs(args.out, exist_ok=True)
     workers = max(1, int(os.environ.get("CRFFW_THREADS", "1")))
 
-    def curves_for(spec):
-        label, name, lam, schedule = spec
+    def curves_for(config):
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_solve_disc_curve, inst, name, lam, schedule,
-                                   args.steps) for inst in instances]
-            return label, [f.result() for f in futures]
+            futures = [pool.submit(_solve_disc_curve, inst, config) for inst in instances]
+            return [f.result() for f in futures]
 
-    all_curves = dict(curves_for(s) for s in specs)
+    all_curves = {label: curves_for(config) for label, config in runs.items()}
 
     mean_rows = []
     with open(os.path.join(args.out, "energy_vs_iteration.csv"), "w",
@@ -228,18 +231,12 @@ def cmd_compare(args, parser):
         writer.writerow(["method", "k", "mean_e_disc"])
         writer.writerows(mean_rows)
 
-    lam_lo, lam_hi, lam_step = args.lambda_grid
-    lam_grid = np.arange(lam_lo, lam_hi + 0.5 * lam_step, lam_step)
-    sweep_at = min(args.sweep_at, args.steps) - 1
     sweep = {}
-    for name in [m.strip().lower() for m in args.sweep_methods.split(",") if m.strip()]:
+    for name, grid_runs in sweep_runs.items():
         rows = []
-        for lam in lam_grid:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_solve_disc_curve, inst, name, float(lam),
-                                       None, args.steps) for inst in instances]
-                energies = [f.result()[sweep_at] for f in futures]
-            rows.append((float(lam), float(np.mean(energies)), [float(e) for e in energies]))
+        for lam, config in grid_runs:
+            energies = [curve[-1] for curve in curves_for(config)]
+            rows.append((lam, float(np.mean(energies)), [float(e) for e in energies]))
         sweep[name] = rows
     with open(os.path.join(args.out, "lambda_sweep.csv"), "w",
               encoding="utf-8", newline="") as fh:
@@ -250,11 +247,11 @@ def cmd_compare(args, parser):
                 writer.writerow([name, repr(lam), repr(mean_e)])
 
     summary = {
-        "instances": manifest.instance_paths,
-        "steps": manifest.max_iters,
+        "instances": list(args.instances),
+        "steps": args.steps,
         "methods": {label: [list(map(float, c)) for c in curves]
                     for label, curves in all_curves.items()},
-        "lambda_sweep": {name: {"at_iteration": sweep_at + 1,
+        "lambda_sweep": {name: {"at_iteration": sweep_steps,
                                 "rows": [{"lambda": lam, "mean_e_disc": mean_e,
                                           "per_instance": per} for lam, mean_e, per in rows]}
                          for name, rows in sweep.items()},

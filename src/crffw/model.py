@@ -252,8 +252,11 @@ class GaussianKernel:
         return self.kernel_matrix[i] @ (x @ self.compat.T)
 
     def pair_energy(self, labels):
-        mu_ll = self.compat[np.ix_(labels, labels)]
-        return 0.5 * float((self.kernel_matrix * mu_ll).sum())
+        # the n x n array of K[i, j] * compat[l_i, l_j], built in one
+        # buffer; same values, layout and summation as the np.ix_ form
+        prod = self.compat[:, labels].take(labels, axis=0)
+        np.multiply(self.kernel_matrix, prod, out=prod)
+        return 0.5 * float(prod.sum())
 
     def iter_blocks(self):
         K = self.kernel_matrix
@@ -380,10 +383,14 @@ class CrfInstance:
         unary_part = float(self.unary[np.arange(self.n_nodes), labels].sum())
         return unary_part + self.pairwise.pair_energy(labels)
 
-    def energy_relaxed(self, x):
-        """Continuous energy 0.5 * <x, Px> + <u, x>."""
+    def energy_relaxed(self, x, px=None):
+        """Continuous energy 0.5 * <x, Px> + <u, x>.
+
+        `px`, when given, is taken as Px instead of applying P again.
+        """
         x = self._check_point(x)
-        px = self.pairwise.matvec(x)
+        if px is None:
+            px = self.pairwise.matvec(x)
         return float(0.5 * (x * px).sum() + (self.unary * x).sum())
 
     def gradient(self, x):

@@ -292,8 +292,9 @@ def _check_finite(value, trace):
     return value
 
 
-def _energies(instance, x, reg, record_disc):
-    e_cont = instance.energy_relaxed(x)
+def _energies(instance, x, px, reg, record_disc):
+    # px is P x when the caller already has it, else None
+    e_cont = instance.energy_relaxed(x, px)
     e_reg = e_cont + regularizer_value(reg, x)
     e_disc = instance.energy_discrete(round_nearest(x)) if record_disc else math.nan
     return e_cont, e_reg, e_disc
@@ -330,16 +331,17 @@ def run_generalized_fw(instance, config):
     bounds_apply = not is_pgd  # projected-gradient directions fall outside the analysis
 
     x = initial_point(work)
+    px = work.pairwise.matvec(x)
     trace = IterationTrace(method=method.name)
     trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        work, x, reg, config.record_discrete_energy)
+        work, x, px, reg, config.record_discrete_energy)
     if config.record_iterates:
         trace.iterates = [x.copy()]
     f_prev = _check_finite(trace.initial_e_reg, trace)
 
     for k in range(config.max_iters):
         t0 = time.perf_counter()
-        grad = work.gradient(x)
+        grad = px + work.unary
         if is_pgd:
             p = project_feasible(x - grad)
             s_k = _gap(grad, x, lmo_vanilla(grad), None)
@@ -348,11 +350,14 @@ def run_generalized_fw(instance, config):
             s_k = _gap(grad, x, p, reg)
         direction = p - x
         dir_sq = float((direction ** 2).sum())
+        # the one application of P per iteration; P(p - x) = Pp - Px
+        pp = work.pairwise.matvec(p)
+        p_direction = pp - px
 
         ctx = schedules.StepContext(s_k=s_k, dir_norm_sq=dir_sq,
                                     l_f=l_f, sigma_g=sigma)
         if isinstance(sched, schedules.LineSearch):
-            quad_a = float((direction * work.pairwise.matvec(direction)).sum())
+            quad_a = float((direction * p_direction).sum())
             quad_b = float((grad * direction).sum())
             if reg is None:
                 ctx.quad_a, ctx.quad_b = quad_a, quad_b
@@ -363,8 +368,12 @@ def run_generalized_fw(instance, config):
                                          - base)
         alpha = schedules.stepsize(sched, k, ctx)
 
-        x = p if alpha == 1.0 else x + alpha * direction
-        e_cont, e_reg, e_disc = _energies(work, x, reg, config.record_discrete_energy)
+        if alpha == 1.0:
+            x, px = p, pp
+        else:
+            x, px = x + alpha * direction, px + alpha * p_direction
+        e_cont, e_reg, e_disc = _energies(work, x, px, reg,
+                                          config.record_discrete_energy)
         _check_finite(e_cont, trace)
         f_new = _check_finite(e_reg, trace)
 
@@ -401,7 +410,7 @@ def mean_field_run(instance, iters):
     x = initial_point(instance)
     trace = IterationTrace(method="mf")
     trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        instance, x, reg, True)
+        instance, x, None, reg, True)
     trace.iterates = [x.copy()]
     params = diagnostics.convergence_params(instance, reg)
     sched = schedules.Constant(1.0)
@@ -414,7 +423,7 @@ def mean_field_run(instance, iters):
         dir_sq = float(((p - x) ** 2).sum())
         step_norm = math.sqrt(dir_sq)
         x = p
-        e_cont, e_reg, e_disc = _energies(instance, x, reg, True)
+        e_cont, e_reg, e_disc = _energies(instance, x, None, reg, True)
         _check_finite(e_reg, trace)
         delta = diagnostics.decrease_bound(params, sched, k, s_k, dir_sq)
         trace.records.append(IterationRecord(
@@ -439,7 +448,7 @@ def _run_fast_pgm(instance, config):
     t = 1.0
     trace = IterationTrace(method="pgm")
     trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        instance, x, None, config.record_discrete_energy)
+        instance, x, None, None, config.record_discrete_energy)
     _check_finite(trace.initial_e_cont, trace)
     if config.record_iterates:
         trace.iterates = [x.copy()]
@@ -456,7 +465,7 @@ def _run_fast_pgm(instance, config):
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)
         step_norm = float(np.linalg.norm(x_new - x))
         x, t = x_new, t_new
-        e_cont, e_reg, e_disc = _energies(instance, x, None,
+        e_cont, e_reg, e_disc = _energies(instance, x, None, None,
                                           config.record_discrete_energy)
         _check_finite(e_cont, trace)
         trace.records.append(IterationRecord(
@@ -477,15 +486,16 @@ def _run_emd(instance, config):
     eps = 1e-10
     sched = config.schedule
     x = initial_point(instance)
+    px = instance.pairwise.matvec(x)
     trace = IterationTrace(method="emd")
     trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        instance, x, None, config.record_discrete_energy)
+        instance, x, px, None, config.record_discrete_energy)
     _check_finite(trace.initial_e_cont, trace)
     if config.record_iterates:
         trace.iterates = [x.copy()]
     for k in range(config.max_iters):
         t0 = time.perf_counter()
-        grad = instance.gradient(x)
+        grad = px + instance.unary
         s_k = _gap(grad, x, lmo_vanilla(grad), None)
         # alpha is the multiplicative-update learning rate
         alpha = schedules.stepsize(sched, k, schedules.StepContext(
@@ -498,7 +508,8 @@ def _run_emd(instance, config):
         x = x_new
         if not np.all(np.isfinite(x)):
             raise Diverged("non-finite iterate in multiplicative update", trace)
-        e_cont, e_reg, e_disc = _energies(instance, x, None,
+        px = instance.pairwise.matvec(x)
+        e_cont, e_reg, e_disc = _energies(instance, x, px, None,
                                           config.record_discrete_energy)
         _check_finite(e_cont, trace)
         trace.records.append(IterationRecord(
@@ -513,40 +524,40 @@ def _run_emd(instance, config):
 def _run_admm(instance, config):
     """Two-block splitting with dual ascent; rho fixed.
 
-    The two primal projections each cost one pairwise matvec, so each is
-    counted (and recorded) as one iteration.  Both half-iterates are
-    feasible by construction.
+    Each primal projection needs P at the half-iterate before it, which
+    is also the matvec behind that half-iterate's recorded energy, so
+    each half step costs one pairwise matvec and is counted (and
+    recorded) as one iteration.  Both half-iterates are feasible by
+    construction.
     """
     rho = config.method.rho
     u = instance.unary
     z = initial_point(instance)
     y = np.zeros_like(z)
     x = None
+    point = z
+    m = instance.pairwise.matvec(point)  # P at the last recorded point
     trace = IterationTrace(method="admm")
     trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        instance, z, None, config.record_discrete_energy)
+        instance, point, m, None, config.record_discrete_energy)
     _check_finite(trace.initial_e_cont, trace)
     if config.record_iterates:
-        trace.iterates = [z.copy()]
-    prev_point = z
+        trace.iterates = [point.copy()]
     for k in range(config.max_iters):
         t0 = time.perf_counter()
+        grad_at = m + u
+        s_k = _gap(grad_at, point, lmo_vanilla(grad_at), None)
         if k % 2 == 0:
-            m = instance.pairwise.matvec(z)
-            grad_at = m + u
-            s_k = _gap(grad_at, z, lmo_vanilla(grad_at), None)
             x = project_feasible(z - (y + 0.5 * m + u) / rho)
-            point = x
+            new_point = x
         else:
-            m = instance.pairwise.matvec(x)
-            grad_at = m + u
-            s_k = _gap(grad_at, x, lmo_vanilla(grad_at), None)
             z = project_feasible(x - (-y + 0.5 * m) / rho)
             y = y + rho * (x - z)
-            point = z
-        step_norm = float(np.linalg.norm(point - prev_point))
-        prev_point = point
-        e_cont, e_reg, e_disc = _energies(instance, point, None,
+            new_point = z
+        step_norm = float(np.linalg.norm(new_point - point))
+        point = new_point
+        m = instance.pairwise.matvec(point)
+        e_cont, e_reg, e_disc = _energies(instance, point, m, None,
                                           config.record_discrete_energy)
         _check_finite(e_cont, trace)
         trace.records.append(IterationRecord(

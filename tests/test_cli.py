@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from crffw import solvers
 from crffw.cli import main
 
 
@@ -204,6 +205,67 @@ class TestCompare:
             if lams[int(np.argmin(per))] < 1.0:
                 wins += 1
         assert wins >= 2
+
+
+class TestCompareValidation:
+    @pytest.mark.parametrize("flags", [
+        ("--sweep-at", "0"),
+        ("--sweep-at", "-3"),
+        ("--methods", "mf,bogus"),
+        ("--methods", "mf,efw:-1"),
+        ("--sweep-methods", "efw,bogus"),
+        ("--lambda-grid", "-0.5", "0.5", "0.5"),
+        ("--lambda-grid", "0.5", "1.0", "0"),
+        ("--lambda-grid", "1.0", "0.5", "0.5"),
+    ], ids="_".join)
+    def test_usage_error_before_any_output(self, instance_file, tmp_path, flags):
+        out = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("compare", "--instances", str(instance_file), "--steps", "4",
+                    *flags, "--out", str(out))
+        assert exc_info.value.code == 2
+        assert not out.exists()
+
+
+class TestLambdaSweep:
+    def test_sweep_solves_stop_at_sweep_iteration(self, instance_file, tmp_path,
+                                                  monkeypatch):
+        runs = []
+        original = solvers.run_generalized_fw
+
+        def recording(instance, config):
+            x, trace = original(instance, config)
+            runs.append((config.method.name, len(trace)))
+            return x, trace
+
+        monkeypatch.setattr(solvers, "run_generalized_fw", recording)
+        for sweep_at, expect in (("3", 3), ("12", 8)):
+            runs.clear()
+            out = tmp_path / f"cmp{sweep_at}"
+            code = run_cli("compare", "--instances", str(instance_file), str(instance_file),
+                           "--methods", "mf,fw", "--steps", "8", "--sweep-at", sweep_at,
+                           "--sweep-methods", "efw,l2fw",
+                           "--lambda-grid", "0.5", "1.0", "0.5", "--out", str(out))
+            assert code == 0
+            assert runs == ([("mf", 8)] * 2 + [("fw", 8)] * 2
+                            + [("efw", expect)] * 4 + [("l2fw", expect)] * 4)
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["lambda_sweep"]["efw"]["at_iteration"] == expect
+
+    def test_matches_full_length_solve(self, instance_file, tmp_path):
+        out = tmp_path / "cmp"
+        code = run_cli("compare", "--instances", str(instance_file), "--methods", "mf",
+                       "--steps", "8", "--sweep-at", "3", "--sweep-methods", "efw,l2fw",
+                       "--lambda-grid", "0.5", "1.0", "0.5", "--out", str(out))
+        assert code == 0
+        rows = read_trace(out / "lambda_sweep.csv")
+        assert len(rows) == 4
+        for row in rows:
+            trace = tmp_path / f"{row['method']}-{row['lambda']}.csv"
+            assert run_cli("solve", "--instance", str(instance_file),
+                           "--method", row["method"], "--lambda", row["lambda"],
+                           "--steps", "8", "--trace", str(trace)) == 0
+            assert read_trace(trace)[2]["e_disc"] == row["mean_e_disc"]
 
 
 class TestVerify:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (all_labelings, potts_pair, random_feasible,
                       random_instance, zero_instance)
@@ -133,6 +135,25 @@ class TestPairwiseMatvec:
             for i in range(inst.n_nodes):
                 np.testing.assert_allclose(inst.pairwise.matvec_row(i, x), full[i],
                                            atol=1e-12)
+
+
+class TestGaussianPairEnergy:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 60), d=st.integers(1, 6), potts=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_fancy_index_form(self, n, d, potts, seed):
+        rng = np.random.default_rng(seed)
+        if potts:
+            compat = potts_matrix(d, rng.uniform(0.1, 5.0))
+        else:
+            m = rng.standard_normal((d, d))
+            compat = m + m.T
+        backend = GaussianKernel(rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3)),
+                                 compat)
+        labels = rng.integers(0, d, n)
+        mu_ll = backend.compat[np.ix_(labels, labels)]
+        reference = 0.5 * float((backend.kernel_matrix * mu_ll).sum())
+        assert backend.pair_energy(labels).hex() == reference.hex()
 
 
 class TestLipschitzBound:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import potts_pair, random_feasible, random_instance, zero_instance
+from conftest import (potts_pair, random_feasible, random_instance,
+                      random_edge_backend, random_gaussian_backend, zero_instance)
 from crffw import (ADMM, EMD, PGD, Adaptive, Constant, ConvexFW,
                    CrfInstance, DampedMeanField, Diverged, EdgeList,
                    EntropicFW, EntropyRegularizer, FastPGM, Harmonic, L2FW,
@@ -246,6 +247,75 @@ class TestGeneralizedFw:
                 results[name] = trace.records[0].e_reg
             assert results["ls"] <= results["c1"] + 1e-9
             assert results["ls"] <= results["c05"] + 1e-9
+
+
+class CountingBackend:
+    """Delegates to a pairwise backend and counts its matvecs."""
+
+    def __init__(self, base):
+        self.base = base
+        self.matvecs = 0
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def matvec(self, x):
+        self.matvecs += 1
+        return self.base.matvec(x)
+
+
+class TestOperatorWork:
+    """Each iteration applies the pairwise operator once; Px is carried."""
+
+    @pytest.mark.parametrize("make_backend", [random_gaussian_backend, random_edge_backend])
+    @pytest.mark.parametrize("config, uses_lipschitz", [
+        (SolverConfig(MeanField(), max_iters=7), True),
+        (SolverConfig(VanillaFW(), schedule=LineSearch(), max_iters=7), True),
+        (SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.25),
+                      schedule=LineSearch(), max_iters=7), True),
+        (SolverConfig(ADMM(), max_iters=7), False),
+    ], ids=["mf", "fw-linesearch", "efw-linesearch", "admm"])
+    def test_one_matvec_per_iteration(self, rng, make_backend, config, uses_lipschitz):
+        unary = rng.standard_normal((9, 3))
+        base = make_backend(rng, 9, 3)
+        lip = CountingBackend(base)
+        CrfInstance(unary, lip).lipschitz_upper_bound()
+        counting = CountingBackend(base)
+        _, trace = run_generalized_fw(CrfInstance(unary, counting), config)
+        # the Lipschitz estimate, P at the starting point, one per iteration
+        expected = (lip.matvecs if uses_lipschitz else 0) + 1 + len(trace)
+        assert len(trace) == config.max_iters
+        assert counting.matvecs == expected
+
+    @pytest.mark.parametrize("kind", ["dense", "edges", "gaussian"])
+    @pytest.mark.parametrize("method, reg, sched", [
+        (VanillaFW(), None, LineSearch()),
+        (VanillaFW(), None, Harmonic()),
+        (ConvexFW(), None, LineSearch()),
+        (ConvexFW(), None, Harmonic()),
+        (L2FW(), L2Regularizer(0.5), Harmonic()),
+        (L2FW(), L2Regularizer(0.5), LineSearch()),
+        (EntropicFW(), EntropyRegularizer(0.25), LineSearch()),
+        (EntropicFW(), EntropyRegularizer(0.25), Constant(1.0)),
+        (MeanField(), None, None),
+    ])
+    def test_trace_energies_match_fresh_products(self, rng, kind, method, reg, sched):
+        inst = random_instance(rng, n=7, d=3, kind=kind)
+        # cfw runs on the DiagonalShift operator of the convexified energy
+        work = convexify(inst) if isinstance(method, ConvexFW) else inst
+        cfg = SolverConfig(method, regularizer=reg, schedule=sched, max_iters=15,
+                           record_iterates=True)
+        _, trace = run_generalized_fw(inst, cfg)
+        energies = [trace.initial_e_cont] + [r.e_cont for r in trace.records]
+        alphas = [1.0] + [r.alpha for r in trace.records]
+        if isinstance(sched, (LineSearch, Harmonic)):
+            assert any(a != 1.0 for a in alphas)  # the carried update was taken
+        for e_cont, x, alpha in zip(energies, trace.iterates, alphas):
+            fresh = work.energy_relaxed(x)
+            if alpha == 1.0:
+                assert e_cont.hex() == fresh.hex()
+            else:
+                assert math.isclose(e_cont, fresh, rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestMeanFieldRuns:
