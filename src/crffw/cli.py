@@ -212,7 +212,18 @@ def cmd_compare(args, parser):
             futures = [pool.submit(_solve_disc_curve, inst, config) for inst in instances]
             return [f.result() for f in futures]
 
-    all_curves = {label: curves_for(config) for label, config in runs.items()}
+    try:
+        all_curves = {label: curves_for(config) for label, config in runs.items()}
+        sweep = {}
+        for name, grid_runs in sweep_runs.items():
+            rows = []
+            for lam, config in grid_runs:
+                energies = [curve[-1] for curve in curves_for(config)]
+                rows.append((lam, float(np.mean(energies)), [float(e) for e in energies]))
+            sweep[name] = rows
+    except Diverged as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
     mean_rows = []
     with open(os.path.join(args.out, "energy_vs_iteration.csv"), "w",
@@ -231,13 +242,6 @@ def cmd_compare(args, parser):
         writer.writerow(["method", "k", "mean_e_disc"])
         writer.writerows(mean_rows)
 
-    sweep = {}
-    for name, grid_runs in sweep_runs.items():
-        rows = []
-        for lam, config in grid_runs:
-            energies = [curve[-1] for curve in curves_for(config)]
-            rows.append((lam, float(np.mean(energies)), [float(e) for e in energies]))
-        sweep[name] = rows
     with open(os.path.join(args.out, "lambda_sweep.csv"), "w",
               encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

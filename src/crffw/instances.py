@@ -239,10 +239,38 @@ def read_json(path):
 # ---------------------------------------------------------------------------
 # UAI MARKOV subset
 
-def _tokens(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            yield from line.split()
+def _parses(kind, tok):
+    try:
+        kind(tok)
+    except ValueError:
+        return False
+    return True
+
+
+class _Tokens:
+    """Whitespace-separated tokens of a text file, read line by line."""
+
+    def __init__(self, lines):
+        self._lines = lines
+        self._buf = []
+        self._pos = 0
+
+    def take(self, count):
+        """The next `count` tokens; fewer only at the end of the file."""
+        buf, pos = self._buf, self._pos
+        if pos + count <= len(buf):
+            self._pos = pos + count
+            return buf[pos:pos + count]
+        out = buf[pos:]
+        for line in self._lines:
+            buf = line.split()
+            need = count - len(out)
+            if need <= len(buf):
+                self._buf, self._pos = buf, need
+                return out + buf[:need]
+            out += buf
+        self._buf, self._pos = [], 0
+        return out
 
 
 def read_uai(path):
@@ -251,38 +279,39 @@ def read_uai(path):
     The factor tables are probabilities; potentials are their negated
     logs, so minimizing the energy maximizes the factor product.
     """
-    toks = _tokens(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_uai(_Tokens(fh))
 
-    def next_tok(what):
+
+def _parse_uai(toks):
+    def take(count, what, kind):
+        found = toks.take(count)
         try:
-            return next(toks)
-        except StopIteration:
-            raise InstanceFormatError(f"unexpected end of file while reading {what}") from None
+            values = (np.fromiter(map(float, found), float, count=len(found))
+                      if kind is float else list(map(kind, found)))
+        except ValueError:
+            bad = next(t for t in found if not _parses(kind, t))
+            noun = "integer" if kind is int else "number"
+            raise InstanceFormatError(f"expected {noun} for {what}, got {bad!r}") from None
+        if len(values) < count:
+            raise InstanceFormatError(f"unexpected end of file while reading {what}")
+        return values
 
     def next_int(what):
-        tok = next_tok(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise InstanceFormatError(f"expected integer for {what}, got {tok!r}") from None
+        return take(1, what, int)[0]
 
-    def next_float(what):
-        tok = next_tok(what)
-        try:
-            return float(tok)
-        except ValueError:
-            raise InstanceFormatError(f"expected number for {what}, got {tok!r}") from None
-
-    network_type = next_tok("network type")
+    network_type = take(1, "network type", str)[0]
     if network_type.upper() != "MARKOV":
         raise UnsupportedFeatureError(f"unsupported network type {network_type!r}")
     n = next_int("variable count")
-    cards = [next_int(f"cardinality of variable {i}") for i in range(n)]
-    if n == 0:
+    if n < 1:
         raise InstanceFormatError("network has no variables")
+    cards = [next_int(f"cardinality of variable {i}") for i in range(n)]
     d = cards[0]
     if any(c != d for c in cards):
         raise UnsupportedFeatureError("non-uniform label cardinalities are not supported")
+    if d < 1:
+        raise InstanceFormatError("label cardinalities must be positive")
     n_factors = next_int("factor count")
     scopes = []
     for f in range(n_factors):
@@ -290,37 +319,44 @@ def read_uai(path):
         if size not in (1, 2):
             raise UnsupportedFeatureError(
                 f"factor {f} has arity {size}; only unary and pairwise factors are supported")
-        scope = [next_int(f"scope of factor {f}") for _ in range(size)]
+        scope = take(size, f"scope of factor {f}", int)
         if any(not 0 <= v < n for v in scope):
             raise InstanceFormatError(f"factor {f} references an unknown variable")
         if size == 2 and scope[0] == scope[1]:
             raise InstanceFormatError(f"factor {f} repeats a variable in its scope")
         scopes.append(scope)
 
-    unary = np.zeros((n, d))
-    pair_theta = {}
-    for f, scope in enumerate(scopes):
+    sizes = [d ** len(scope) for scope in scopes]
+    tables = []
+    for f, expected in enumerate(sizes):
         n_entries = next_int(f"table size of factor {f}")
-        expected = d ** len(scope)
         if n_entries != expected:
             raise InstanceFormatError(
                 f"factor {f} table has {n_entries} entries, expected {expected}")
-        table = np.array([next_float(f"table entry of factor {f}")
-                          for _ in range(n_entries)])
-        theta = -np.log(np.maximum(table, _PHI_FLOOR))
-        if len(scope) == 1:
-            unary[scope[0]] += theta
-        else:
-            a, b = scope
-            block = theta.reshape(d, d)  # the last scope variable varies fastest
-            if a < b:
-                key = (a, b)
-            else:
-                key, block = (b, a), block.T
-            pair_theta[key] = pair_theta.get(key, 0.0) + block
+        tables.append(take(n_entries, f"table entry of factor {f}", float))
+    # every table in one array, in file order; theta = -log(max(phi, floor))
+    theta = np.concatenate(tables) if tables else np.zeros(0)
+    del tables
+    np.negative(np.log(np.maximum(theta, _PHI_FLOOR, out=theta), out=theta), out=theta)
+    offsets = np.cumsum([0] + sizes[:-1], dtype=int)
 
-    edges = sorted(pair_theta)
-    thetas = (np.array([pair_theta[e] for e in edges]) if edges
-              else np.zeros((0, d, d)))
-    backend = EdgeList(n, d, np.array(edges, dtype=int).reshape(-1, 2), thetas)
-    return CrfInstance(unary, backend)
+    # potentials of repeated scopes add in file order, as a running sum would
+    arity = np.array([len(scope) for scope in scopes], dtype=int)
+    singles = np.flatnonzero(arity == 1)
+    pairs = np.flatnonzero(arity == 2)
+    unary = np.zeros((n, d))
+    np.add.at(unary, np.array([scopes[f][0] for f in singles], dtype=int),
+              theta[offsets[singles, None] + np.arange(d)])
+    # the last scope variable varies fastest: block[s_a, s_b]
+    blocks = theta[offsets[pairs, None] + np.arange(d * d)].reshape(-1, d, d)
+    del theta
+    scope_ab = np.array([scopes[f] for f in pairs], dtype=int).reshape(-1, 2)
+    swapped = scope_ab[:, 0] > scope_ab[:, 1]
+    blocks[swapped] = blocks[swapped].transpose(0, 2, 1)
+    scope_ab.sort(axis=1)
+    keys, slot = np.unique(scope_ab[:, 0] * n + scope_ab[:, 1], return_inverse=True)
+    thetas = np.zeros((len(keys), d, d))
+    np.add.at(thetas, slot, blocks)
+    del blocks
+    edges = np.stack(np.divmod(keys, n), axis=1)
+    return CrfInstance(unary, EdgeList(n, d, edges, thetas))

@@ -46,10 +46,11 @@ class DenseMatrix:
         self.d = int(n_labels)
         self.n = matrix.shape[0] // self.d
         if not allow_diagonal_blocks:
-            for i in range(self.n):
-                blk = matrix[i * self.d:(i + 1) * self.d, i * self.d:(i + 1) * self.d]
-                if np.any(blk != 0.0):
-                    raise ValueError(f"diagonal block of node {i} is not zero")
+            nodes = np.arange(self.n)
+            blocks = matrix.reshape(self.n, self.d, self.n, self.d)[nodes, :, nodes, :]
+            bad = np.flatnonzero((blocks != 0.0).any(axis=(1, 2)))
+            if bad.size:
+                raise ValueError(f"diagonal block of node {bad[0]} is not zero")
         matrix.setflags(write=False)
 
     @property
@@ -101,6 +102,11 @@ class EdgeList:
     Block Theta_ij applies to x_j when accumulating row i, and its
     transpose to x_i when accumulating row j, so the implied operator is
     symmetric by construction.
+
+    An incident-edge index built once in O(n + E) makes `matvec_row`
+    cost O(degree) and `matvec` a segmented sum over precomputed slices;
+    both add in the same order as a plain loop over the edges, so their
+    results do not depend on the index.
     """
 
     def __init__(self, n_nodes, n_labels, edges, thetas):
@@ -110,19 +116,33 @@ class EdgeList:
         thetas = _float_copy(thetas, "edge potentials").reshape(-1, self.d, self.d)
         if thetas.shape[0] != edges.shape[0]:
             raise ValueError("edges and thetas must have the same length")
-        seen = set()
-        for i, j in edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range")
-            if i >= j:
-                raise ValueError(f"edge ({i}, {j}) violates the i < j convention")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+        _check_edges(edges, self.n)
         self.edges = edges
         self.thetas = thetas
         edges.setflags(write=False)
         thetas.setflags(write=False)
+        self._build_index()
+
+    def _build_index(self):
+        n_edges = len(self.edges)
+        ends = self.edges.reshape(-1)  # i0, j0, i1, j1, ...
+        indptr = np.zeros(self.n + 1, dtype=int)
+        np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
+        self._indptr = indptr
+        # each node's incident edges in edge order, as rows of (edge id,
+        # neighbour, 1 if the node is the edge's i)
+        edge, role = np.divmod(np.argsort(ends, kind="stable"), 2)
+        self._incident = np.stack((edge, self.edges[edge, 1 - role], role == 0), axis=1)
+        # matvec adds, per row, the edges where it is i and then those
+        # where it is j, each in edge order; slot e < E is edge e as i,
+        # slot E + e edge e as j.  Round k adds the k-th slot of every
+        # row of degree > k.
+        rows = self.edges.T.reshape(-1)
+        order = np.argsort(rows, kind="stable")
+        rank = np.arange(2 * n_edges) - indptr[rows[order]]
+        self._gather = order[np.argsort(rank, kind="stable")]
+        self._scatter = rows[self._gather]
+        self._rounds = np.concatenate(([0], np.cumsum(np.bincount(rank)))).tolist()
 
     @property
     def n_nodes(self):
@@ -134,20 +154,26 @@ class EdgeList:
 
     def matvec(self, x):
         out = np.zeros_like(x, dtype=float)
-        if len(self.edges) == 0:
+        n_edges = len(self.edges)
+        if n_edges == 0:
             return out
         ii, jj = self.edges[:, 0], self.edges[:, 1]
-        np.add.at(out, ii, np.einsum("est,et->es", self.thetas, x[jj]))
-        np.add.at(out, jj, np.einsum("est,es->et", self.thetas, x[ii]))
+        contrib = np.empty((2 * n_edges, self.d))
+        contrib[:n_edges] = np.einsum("est,et->es", self.thetas, x[jj])
+        contrib[n_edges:] = np.einsum("est,es->et", self.thetas, x[ii])
+        bounds = self._rounds
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out[self._scatter[lo:hi]] += contrib[self._gather[lo:hi]]
         return out
 
     def matvec_row(self, i, x):
         acc = np.zeros(self.d)
-        for e, (a, b) in enumerate(self.edges):
-            if a == i:
-                acc += self.thetas[e] @ x[b]
-            elif b == i:
-                acc += self.thetas[e].T @ x[a]
+        lo, hi = self._indptr[i], self._indptr[i + 1]
+        for e, nb, first in self._incident[lo:hi].tolist():
+            if first:
+                acc += self.thetas[e] @ x[nb]
+            else:
+                acc += self.thetas[e].T @ x[nb]
         return acc
 
     def pair_energy(self, labels):
@@ -173,10 +199,34 @@ class EdgeList:
 
     def inf_norm_bound(self):
         rowsum = np.zeros((self.n, self.d))
-        for e, (i, j) in enumerate(self.edges):
-            rowsum[i] += np.abs(self.thetas[e]).sum(axis=1)
-            rowsum[j] += np.abs(self.thetas[e]).sum(axis=0)
+        mags = np.abs(self.thetas)
+        # rows i0, j0, i1, j1, ...: the order of a loop over the edges
+        sums = np.stack((mags.sum(axis=2), mags.sum(axis=1)), axis=1)
+        np.add.at(rowsum, self.edges.reshape(-1), sums.reshape(-1, self.d))
         return float(rowsum.max()) if rowsum.size else 0.0
+
+
+def _check_edges(edges, n):
+    """Raise for the first edge, in edge order, that is out of range,
+    not ordered i < j, or a repeat of an earlier edge."""
+    ii, jj = edges[:, 0], edges[:, 1]
+    out_of_range = (ii < 0) | (ii >= n) | (jj < 0) | (jj >= n)
+    misordered = ii >= jj
+    # lexsort is stable: the first copy of a pair leads its run
+    order = np.lexsort((jj, ii))
+    si, sj = ii[order], jj[order]
+    repeat = np.zeros(len(edges), dtype=bool)
+    repeat[order[1:]] = (si[1:] == si[:-1]) & (sj[1:] == sj[:-1])
+    bad = np.flatnonzero(out_of_range | misordered | repeat)
+    if bad.size == 0:
+        return
+    e = bad[0]
+    i, j = ii[e], jj[e]
+    if out_of_range[e]:
+        raise ValueError(f"edge ({i}, {j}) out of range")
+    if misordered[e]:
+        raise ValueError(f"edge ({i}, {j}) violates the i < j convention")
+    raise ValueError(f"duplicate edge ({i}, {j})")
 
 
 class GaussianKernel:

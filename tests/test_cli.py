@@ -163,6 +163,22 @@ class TestCompare:
             outs.append((out / "mean_energy_vs_iteration.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_divergence_is_runtime_error(self, tmp_path, capsys):
+        from crffw import CrfInstance, EdgeList, write_json
+        inst = CrfInstance(np.full((2, 2), 1e308),
+                           EdgeList(2, 2, np.zeros((0, 2), int), np.zeros((0, 2, 2))))
+        path = tmp_path / "huge.json"
+        write_json(inst, path)
+        out = tmp_path / "cmp"
+        code = run_cli("compare", "--instances", str(path), "--methods", "mf",
+                       "--steps", "3", "--sweep-methods", "", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: ")
+        assert "Traceback" not in err
+        assert not (out / "summary.json").exists()
+
     def test_ten_instance_suite_within_budget(self, tmp_path):
         import time
         paths = []

@@ -237,3 +237,93 @@ class TestReadUai:
         path = write_uai(tmp_path / "h.uai", "BAYES\n1\n2\n0\n")
         with pytest.raises(UnsupportedFeatureError):
             read_uai(path)
+
+
+class TestReadUaiBulkTables:
+    """Potentials must equal a running sum, in file order, of the
+    per-table -log(max(phi, 1e-300)) values."""
+
+    TEXT = """MARKOV
+3
+3 3 3
+7
+1 2
+2 0 1
+2 1 0
+1 2
+2 2 1
+1 0
+2 0 1
+
+3 0.3 0.5
+ 0.2
+9 0.11 0.22 0.33
+0.44 0.55
+0.66 0.77 0.88 0.99
+9 1.5 0.5 0.25 0.125 1.0 0.0 3.0 0.7 0.9
+3
+0.9 1.0 0.1
+9 0.01 0.02 0.03 0.04 0.05 0.06 0.07 0.08 0.09
+3 0.6 0.6 0.6
+9 1 2 3 4 5 6 7 8 9
+"""
+
+    def test_potentials_are_bitwise_running_sums(self, tmp_path):
+        path = write_uai(tmp_path / "bulk.uai", self.TEXT)
+        inst = read_uai(path)
+
+        def pot(values):
+            return -np.log(np.maximum(np.array(values), 1e-300))
+
+        unary = np.zeros((3, 3))
+        unary[2] += pot([0.3, 0.5, 0.2])
+        unary[2] += pot([0.9, 1.0, 0.1])
+        unary[0] += pot([0.6, 0.6, 0.6])
+        t01 = pot([0.11, 0.22, 0.33, 0.44, 0.55, 0.66, 0.77, 0.88, 0.99]).reshape(3, 3)
+        t10 = pot([1.5, 0.5, 0.25, 0.125, 1.0, 0.0, 3.0, 0.7, 0.9]).reshape(3, 3)
+        t21 = pot([0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09]).reshape(3, 3)
+        t01b = pot([1, 2, 3, 4, 5, 6, 7, 8, 9]).reshape(3, 3)
+        theta01 = 0.0 + t01 + t10.T + t01b
+        theta12 = 0.0 + t21.T
+        assert inst.unary.tobytes() == unary.tobytes()
+        assert inst.pairwise.edges.tolist() == [[0, 1], [1, 2]]
+        assert inst.pairwise.thetas.tobytes() == np.stack([theta01, theta12]).tobytes()
+
+    @pytest.mark.parametrize("body, message", [
+        ("4\n0.5 0.5\nnope 0.5\n", r"^expected number for table entry of factor 0, "
+                                    r"got 'nope'$"),
+        ("4\n0.5 0.5\n", r"^unexpected end of file while reading table entry of factor 0$"),
+        ("3\n0.5 0.5 0.5\n", r"^factor 0 table has 3 entries, expected 4$"),
+        ("4\n0.5 0.5 0.5 0.5\n2\n1 x\n", r"^expected number for table entry of factor 1, "
+                                         r"got 'x'$"),
+        ("4\n0.5 0.5 0.5 0.5\n", r"^unexpected end of file while reading table size "
+                                 r"of factor 1$"),
+    ], ids=["non-numeric", "truncated", "size-mismatch", "second-table", "missing-table"])
+    def test_table_errors(self, tmp_path, body, message):
+        path = write_uai(tmp_path / "bad.uai", "MARKOV\n2\n2 2\n2\n2 0 1\n1 1\n" + body)
+        with pytest.raises(InstanceFormatError, match=message):
+            read_uai(path)
+
+    def test_scope_errors(self, tmp_path):
+        path = write_uai(tmp_path / "s.uai", "MARKOV\n2\n2 2\n1\n2 0 y\n")
+        with pytest.raises(InstanceFormatError,
+                           match=r"^expected integer for scope of factor 0, got 'y'$"):
+            read_uai(path)
+        path = write_uai(tmp_path / "t.uai", "MARKOV\n2\n2 2\n1\n2 0")
+        with pytest.raises(InstanceFormatError,
+                           match=r"^unexpected end of file while reading scope of factor 0$"):
+            read_uai(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("MARKOV\n0\n0\n", "network has no variables"),
+        ("MARKOV\n-1\n0\n", "network has no variables"),
+        ("MARKOV\n2\n0 0\n1\n2 0 1\n0\n\n", "label cardinalities must be positive"),
+    ], ids=["zero", "negative", "zero-labels"])
+    def test_empty_sizes_rejected(self, tmp_path, text, message):
+        with pytest.raises(InstanceFormatError, match=message):
+            read_uai(write_uai(tmp_path / "e.uai", text))
+
+    def test_no_factors(self, tmp_path):
+        inst = read_uai(write_uai(tmp_path / "z.uai", "MARKOV\n2\n3 3\n0\n"))
+        assert inst.unary.shape == (2, 3) and not inst.unary.any()
+        assert inst.pairwise.edges.shape == (0, 2)
