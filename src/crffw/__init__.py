@@ -23,16 +23,15 @@ from .regularizers import (EntropyRegularizer, L2Regularizer, Regularizer,
 from .schedules import (Adaptive, Constant, ConstantLength, Harmonic, InvSqrt,
                         LineSearch, HarmonicRamp, StepContext,
                         StepsizeSchedule, stepsize)
-from .simplex import (BcdRounding, NearestRounding, RoundingScheme,
-                      check_feasible, decode, is_feasible, project_feasible,
-                      project_simplex, round_bcd, round_nearest,
-                      rounding_constant, softmax_rows)
-from .solvers import (ADMM, EMD, PGD, ConvexFW, DampedMeanField, EntropicFW,
-                      FastPGM, IterationRecord, IterationTrace, L2FW,
-                      MeanField, SolverConfig, SolverMethod, VanillaFW,
-                      admm_run, conditional_gradient_norm, convexify,
-                      direction_efw, direction_l2fw, emd_run, fpgm_run,
-                      initial_point, lmo_vanilla, mean_field_run, pgd_run,
-                      run_generalized_fw)
+from .simplex import (BcdRounding, NearestRounding, RoundingScheme, decode,
+                      is_feasible, project_feasible, project_simplex,
+                      round_bcd, round_nearest, rounding_constant,
+                      softmax_rows)
+from .solvers import (ADMM, EMD, METHODS, PGD, ConvexFW, DampedMeanField,
+                      EntropicFW, FastPGM, IterationRecord, IterationTrace,
+                      L2FW, MeanField, SolverConfig, SolverMethod, VanillaFW,
+                      conditional_gradient_norm, convexify, direction_efw,
+                      direction_l2fw, initial_point, lmo_vanilla,
+                      mean_field_run, run_generalized_fw)
 
 __version__ = "0.1.0"

@@ -22,10 +22,8 @@ from . import schedules, solvers, verification
 from .errors import Diverged, InstanceFormatError
 from .instances import (RandomDense, RandomEdgeList, RandomGrid, generate,
                         read_json, read_uai, write_json)
-from .regularizers import EntropyRegularizer, L2Regularizer
 from .simplex import BcdRounding, NearestRounding, decode
 
-METHOD_NAMES = ("mf", "dmf", "fw", "cfw", "l2fw", "efw", "pgd", "pgm", "emd", "admm")
 EXIT_RUNTIME = 1
 
 
@@ -55,35 +53,18 @@ def _parse_schedule(text):
 
 
 def _build_config(method_name, lam, schedule, steps, check_bounds=False):
-    method_name = method_name.lower()
     if lam is not None and lam <= 0.0:
         raise ValueError("regularization weight must be > 0")
-    lam = 1.0 if lam is None else lam
-    if method_name == "mf":
-        method, reg = solvers.MeanField(), None
-        schedule = None
-    elif method_name == "dmf":
-        alpha = schedule.alpha if isinstance(schedule, schedules.Constant) else 0.5
-        method, reg = solvers.DampedMeanField(alpha), None
-        schedule = None
-    elif method_name == "fw":
-        method, reg = solvers.VanillaFW(), None
-    elif method_name == "cfw":
-        method, reg = solvers.ConvexFW(), None
-    elif method_name == "l2fw":
-        method, reg = solvers.L2FW(), L2Regularizer(lam)
-    elif method_name == "efw":
-        method, reg = solvers.EntropicFW(), EntropyRegularizer(lam)
-    elif method_name == "pgd":
-        method, reg = solvers.PGD(), None
-    elif method_name == "pgm":
-        method, reg = solvers.FastPGM(), None
-    elif method_name == "emd":
-        method, reg = solvers.EMD(), None
-    elif method_name == "admm":
-        method, reg = solvers.ADMM(), None
-    else:
+    method_cls = solvers.METHODS.get(method_name.lower())
+    if method_cls is None:
         raise ValueError(f"unknown method {method_name!r}")
+    if method_cls is solvers.DampedMeanField:
+        # the damping factor comes from constant:A
+        method = method_cls(schedule.alpha if isinstance(schedule, schedules.Constant) else 0.5)
+    else:
+        method = method_cls()
+    reg_cls = method_cls.regularizer
+    reg = None if reg_cls is None else reg_cls(1.0 if lam is None else lam)
     return solvers.SolverConfig(method, regularizer=reg, schedule=schedule,
                                 max_iters=steps, decrease_bound_check=check_bounds)
 
@@ -124,8 +105,6 @@ def cmd_generate(args, parser):
 # solve
 
 def cmd_solve(args, parser):
-    if args.lam is not None and args.lam <= 0.0:
-        parser.error("--lambda must be > 0")
     try:
         schedule = _parse_schedule(args.stepsize) if args.stepsize else None
     except ValueError as exc:
@@ -313,7 +292,7 @@ def build_parser():
 
     s = sub.add_parser("solve", help="run one solver, write a trace CSV")
     s.add_argument("--instance", required=True)
-    s.add_argument("--method", choices=METHOD_NAMES, required=True)
+    s.add_argument("--method", choices=tuple(solvers.METHODS), required=True)
     s.add_argument("--lambda", dest="lam", type=float, default=None)
     s.add_argument("--stepsize", default=None,
                    help="constant:A | constlength:A | harmonic | ramp | "
@@ -338,7 +317,6 @@ def build_parser():
     c.add_argument("--lambda-grid", type=float, nargs=3,
                    default=(0.1, 2.5, 0.1), metavar=("LO", "HI", "STEP"))
     c.add_argument("--out", required=True)
-    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_compare)
 
     v = sub.add_parser("verify", help="run a built-in verification suite")

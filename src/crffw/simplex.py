@@ -40,18 +40,6 @@ def decode(instance, x, scheme=NearestRounding()):
     raise TypeError(f"unknown rounding scheme: {scheme!r}")
 
 
-def check_feasible(x, atol=1e-9):
-    """Raise if x is not (approximately) row-stochastic and nonnegative."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expected an (n, d) matrix")
-    if np.any(x < -1e-12):
-        raise ValueError("negative entries beyond tolerance")
-    if np.any(np.abs(x.sum(axis=1) - 1.0) > atol):
-        raise ValueError("row sums deviate from 1 beyond tolerance")
-    return x
-
-
 def is_feasible(x, atol=1e-9):
     x = np.asarray(x, dtype=float)
     return bool(np.all(x >= -1e-12) and np.all(np.abs(x.sum(axis=1) - 1.0) <= atol))

@@ -14,17 +14,19 @@ Direction oracles:
     pgd:        p = Pi_X(x - (Px + u))
 
 Entropic directions with lam = 1 and unit stepsize reproduce parallel
-mean-field updates exactly.  The module also implements the remaining
-comparison methods (FISTA-style accelerated projections, multiplicative
-entropy updates, and a two-block splitting scheme) which do not fit the
-direction/stepsize template.
+mean-field updates exactly.  The remaining comparison methods
+(FISTA-style accelerated projections, multiplicative entropy updates,
+and a two-block splitting scheme) do not fit the direction/stepsize
+template, but run in the same loop: every method is a step generator
+and `run_generalized_fw` owns the energies, checks and trace.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,35 +42,97 @@ _BOUND_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
-# method and config types
+# methods and config
+#
+# A method's `steps(instance, x, px, config)` is a generator that starts
+# at x (px = P x) and yields, once per iteration,
+#
+#     (x, P x or None, alpha, s_k, step_norm, ||p - x||^2 or None)
+#
+# keeping its own state (momentum, duals) between iterations.
+
+class _Method:
+    regularizer = None     # regularizer class the method takes, if any
+    bounded = False        # whether the decrease-bound table covers its steps
+    uses_lipschitz = True  # estimated before the loop, outside iteration times
+
+
+class _FrankWolfe(_Method):
+    """x <- x + alpha_k (p - x); one application of P per iteration."""
+
+    bounded = True
+
+    def direction(self, grad, x, reg):
+        p = _direction_from_gradient(grad, reg)
+        return p, _gap(grad, x, p, reg)
+
+    def steps(self, instance, x, px, config):
+        reg, sched = config.regularizer, config.schedule
+        l_f = instance.lipschitz_upper_bound()
+        sigma = strong_convexity(reg)
+        for k in itertools.count():
+            grad = px + instance.unary
+            p, s_k = self.direction(grad, x, reg)
+            direction = p - x
+            dir_sq = float((direction ** 2).sum())
+            # the one application of P per iteration; P(p - x) = Pp - Px
+            pp = instance.pairwise.matvec(p)
+            p_direction = pp - px
+
+            ctx = schedules.StepContext(s_k=s_k, dir_norm_sq=dir_sq,
+                                        l_f=l_f, sigma_g=sigma)
+            if isinstance(sched, schedules.LineSearch):
+                quad_a = float((direction * p_direction).sum())
+                quad_b = float((grad * direction).sum())
+                if reg is None:
+                    ctx.quad_a, ctx.quad_b = quad_a, quad_b
+                else:
+                    base = regularizer_value(reg, x)
+                    ctx.f_along = lambda a: (0.5 * quad_a * a * a + quad_b * a
+                                             + regularizer_value(reg, x + a * direction)
+                                             - base)
+            alpha = schedules.stepsize(sched, k, ctx)
+
+            if alpha == 1.0:
+                x, px = p, pp
+            else:
+                x, px = x + alpha * direction, px + alpha * p_direction
+            yield x, px, alpha, s_k, alpha * math.sqrt(dir_sq), dir_sq
+
 
 @dataclass(frozen=True)
-class VanillaFW:
+class VanillaFW(_FrankWolfe):
     name = "fw"
 
 
 @dataclass(frozen=True)
-class ConvexFW:
+class ConvexFW(_FrankWolfe):
     name = "cfw"
 
 
 @dataclass(frozen=True)
-class L2FW:
+class L2FW(_FrankWolfe):
     name = "l2fw"
+    regularizer = L2Regularizer
 
 
 @dataclass(frozen=True)
-class EntropicFW:
+class EntropicFW(_FrankWolfe):
     name = "efw"
+    regularizer = EntropyRegularizer
 
 
 @dataclass(frozen=True)
-class MeanField:
+class MeanField(_FrankWolfe):
+    """Entropic Frank-Wolfe at lam = 1 with the constant step alpha."""
+
     name = "mf"
+    regularizer = EntropyRegularizer
+    alpha = 1.0
 
 
 @dataclass(frozen=True)
-class DampedMeanField:
+class DampedMeanField(MeanField):
     alpha: float = 0.5
     name = "dmf"
 
@@ -78,34 +142,115 @@ class DampedMeanField:
 
 
 @dataclass(frozen=True)
-class PGD:
+class PGD(_FrankWolfe):
     name = "pgd"
+    bounded = False  # projected-gradient directions fall outside the analysis
+
+    def direction(self, grad, x, reg):
+        return project_feasible(x - grad), _gap(grad, x, lmo_vanilla(grad), None)
+
+
+def _gradient_stepsize(instance, sched, k, s_k):
+    # alpha scales the gradient here, not a convex combination
+    return schedules.stepsize(sched, k, schedules.StepContext(
+        s_k=s_k, dir_norm_sq=1.0, l_f=instance.lipschitz_upper_bound(), sigma_g=0.0))
 
 
 @dataclass(frozen=True)
-class FastPGM:
+class FastPGM(_Method):
+    """Accelerated projected gradient with the usual momentum sequence
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2.
+
+    The gradient point y is not an iterate, so each iteration applies P
+    twice: at y, and at the new iterate for its energy.
+    """
+
     name = "pgm"
 
+    def steps(self, instance, x, px, config):
+        del px  # the gradient is taken at y; do not hold P x0 for the run
+        y, t = x, 1.0
+        for k in itertools.count():
+            grad = instance.gradient(y)
+            s_k = _gap(grad, y, lmo_vanilla(grad), None)
+            alpha = _gradient_stepsize(instance, config.schedule, k, s_k)
+            x_new = project_feasible(y - alpha * grad)
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            step_norm = float(np.linalg.norm(x_new - x))
+            x, t = x_new, t_new
+            yield x, None, alpha, s_k, step_norm, None
+
 
 @dataclass(frozen=True)
-class EMD:
+class EMD(_Method):
+    """Multiplicative (entropy-geometry) updates, numerically stabilized.
+
+    x_is <- (x_is + eps) * exp(-alpha_k g_is + m_i), renormalized per
+    row, with m_i = alpha_k * min_s g_is so every exponent is <= 0.
+    """
+
     name = "emd"
 
+    def steps(self, instance, x, px, config):
+        eps = 1e-10
+        for k in itertools.count():
+            grad = px + instance.unary
+            s_k = _gap(grad, x, lmo_vanilla(grad), None)
+            alpha = _gradient_stepsize(instance, config.schedule, k, s_k)
+            shift = alpha * grad.min(axis=1, keepdims=True)
+            weights = (x + eps) * np.exp(-alpha * grad + shift)
+            x_new = weights / weights.sum(axis=1, keepdims=True)
+            step_norm = float(np.linalg.norm(x_new - x))
+            x = x_new
+            px = instance.pairwise.matvec(x)
+            yield x, px, alpha, s_k, step_norm, None
+
 
 @dataclass(frozen=True)
-class ADMM:
+class ADMM(_Method):
+    """Two-block splitting with dual ascent; rho fixed.
+
+    Each primal projection needs P at the half-iterate before it, which
+    is also the matvec behind that half-iterate's recorded energy, so
+    each half step costs one pairwise matvec and is counted (and
+    recorded) as one iteration.  Both half-iterates are feasible by
+    construction.
+    """
+
     rho: float = 1.0
     name = "admm"
+    uses_lipschitz = False
 
     def __post_init__(self):
         if not self.rho > 0.0:
             raise ValueError("penalty parameter rho must be > 0")
 
+    def steps(self, instance, point, m, config):
+        # m is P at the last yielded point
+        rho, u = self.rho, instance.unary
+        x, y, z = None, np.zeros_like(point), point
+        for k in itertools.count():
+            grad_at = m + u
+            s_k = _gap(grad_at, point, lmo_vanilla(grad_at), None)
+            if k % 2 == 0:
+                x = project_feasible(z - (y + 0.5 * m + u) / rho)
+                new_point = x
+            else:
+                z = project_feasible(x - (-y + 0.5 * m) / rho)
+                y = y + rho * (x - z)
+                new_point = z
+            step_norm = float(np.linalg.norm(new_point - point))
+            point = new_point
+            m = instance.pairwise.matvec(point)
+            yield point, m, math.nan, s_k, step_norm, None
+
+
+METHODS = {m.name: m for m in (MeanField, DampedMeanField, VanillaFW, ConvexFW,
+                               L2FW, EntropicFW, PGD, FastPGM, EMD, ADMM)}
 
 SolverMethod = (VanillaFW | ConvexFW | L2FW | EntropicFW | MeanField
                 | DampedMeanField | PGD | FastPGM | EMD | ADMM)
-
-_NO_REG_METHODS = (VanillaFW, ConvexFW, PGD, FastPGM, EMD, ADMM)
 
 
 @dataclass
@@ -121,18 +266,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if isinstance(self.method, _NO_REG_METHODS):
-            self.regularizer = None
-        elif isinstance(self.method, (MeanField, DampedMeanField)):
+        reg_cls = self.method.regularizer
+        if isinstance(self.method, MeanField):
             self.regularizer = EntropyRegularizer(1.0)
-            alpha = self.method.alpha if isinstance(self.method, DampedMeanField) else 1.0
-            self.schedule = schedules.Constant(alpha)
-        elif isinstance(self.method, L2FW):
-            if not isinstance(self.regularizer, L2Regularizer):
-                raise ValueError("l2 Frank-Wolfe requires an L2Regularizer")
-        elif isinstance(self.method, EntropicFW):
-            if not isinstance(self.regularizer, EntropyRegularizer):
-                raise ValueError("entropic Frank-Wolfe requires an EntropyRegularizer")
+            self.schedule = schedules.Constant(self.method.alpha)
+        elif reg_cls is None:
+            self.regularizer = None
+        elif not isinstance(self.regularizer, reg_cls):
+            raise ValueError(f"{self.method.name} requires an {reg_cls.__name__}")
         if self.schedule is None:
             self.schedule = schedules.Constant(1.0)
 
@@ -232,16 +373,12 @@ def lmo_vanilla(grad):
 
 def direction_l2fw(instance, x, lam):
     """Direction point for l2-regularized linearization."""
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
-    return project_feasible(-instance.gradient(x) / lam)
+    return _direction_from_gradient(instance.gradient(x), L2Regularizer(lam))
 
 
 def direction_efw(instance, x, lam):
     """Direction point for entropy-regularized linearization."""
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
-    return softmax_rows(-instance.gradient(x) / lam)
+    return _direction_from_gradient(instance.gradient(x), EntropyRegularizer(lam))
 
 
 def _direction_from_gradient(grad, reg):
@@ -286,10 +423,10 @@ def convexify(instance):
     return CrfInstance(instance.unary - c, backend)
 
 
-def _check_finite(value, trace):
-    if not math.isfinite(value):
-        raise Diverged("non-finite energy encountered", trace)
-    return value
+def _check_finite(trace, where, **energies):
+    for name, value in energies.items():
+        if not math.isfinite(value):
+            raise Diverged(f"non-finite {name} {where}", trace)
 
 
 def _energies(instance, x, px, reg, record_disc):
@@ -301,11 +438,10 @@ def _energies(instance, x, px, reg, record_disc):
 
 
 # ---------------------------------------------------------------------------
-# the generalized Frank-Wolfe family (vanilla / convexified / l2 /
-# entropic / mean field / pgd all share this loop)
+# the solver loop shared by every method
 
 def run_generalized_fw(instance, config):
-    """Run a direction-plus-stepsize solver; returns (point, trace).
+    """Run a solver; returns (point, trace).
 
     Raises Diverged (carrying the partial trace) on non-finite energy.
     When `decrease_bound_check` is set, every iteration asserts the
@@ -313,22 +449,9 @@ def run_generalized_fw(instance, config):
     schedule/regularizer combination.
     """
     method = config.method
-    if isinstance(method, FastPGM):
-        return _run_fast_pgm(instance, config)
-    if isinstance(method, EMD):
-        return _run_emd(instance, config)
-    if isinstance(method, ADMM):
-        return _run_admm(instance, config)
-
     work = convexify(instance) if isinstance(method, ConvexFW) else instance
     reg = config.regularizer
-    sched = config.schedule
-    is_pgd = isinstance(method, PGD)
-
-    l_f = work.lipschitz_upper_bound()
-    sigma = strong_convexity(reg)
-    params = diagnostics.convergence_params(work, reg)
-    bounds_apply = not is_pgd  # projected-gradient directions fall outside the analysis
+    params = diagnostics.convergence_params(work, reg) if method.uses_lipschitz else None
 
     x = initial_point(work)
     px = work.pairwise.matvec(x)
@@ -337,52 +460,23 @@ def run_generalized_fw(instance, config):
         work, x, px, reg, config.record_discrete_energy)
     if config.record_iterates:
         trace.iterates = [x.copy()]
-    f_prev = _check_finite(trace.initial_e_reg, trace)
+    _check_finite(trace, "at the starting point",
+                  e_cont=trace.initial_e_cont, e_reg=trace.initial_e_reg)
+    f_prev = trace.initial_e_reg
 
+    steps = method.steps(work, x, px, config)
     for k in range(config.max_iters):
         t0 = time.perf_counter()
-        grad = px + work.unary
-        if is_pgd:
-            p = project_feasible(x - grad)
-            s_k = _gap(grad, x, lmo_vanilla(grad), None)
-        else:
-            p = _direction_from_gradient(grad, reg)
-            s_k = _gap(grad, x, p, reg)
-        direction = p - x
-        dir_sq = float((direction ** 2).sum())
-        # the one application of P per iteration; P(p - x) = Pp - Px
-        pp = work.pairwise.matvec(p)
-        p_direction = pp - px
-
-        ctx = schedules.StepContext(s_k=s_k, dir_norm_sq=dir_sq,
-                                    l_f=l_f, sigma_g=sigma)
-        if isinstance(sched, schedules.LineSearch):
-            quad_a = float((direction * p_direction).sum())
-            quad_b = float((grad * direction).sum())
-            if reg is None:
-                ctx.quad_a, ctx.quad_b = quad_a, quad_b
-            else:
-                base = regularizer_value(reg, x)
-                ctx.f_along = lambda a: (0.5 * quad_a * a * a + quad_b * a
-                                         + regularizer_value(reg, x + a * direction)
-                                         - base)
-        alpha = schedules.stepsize(sched, k, ctx)
-
-        if alpha == 1.0:
-            x, px = p, pp
-        else:
-            x, px = x + alpha * direction, px + alpha * p_direction
+        x, px, alpha, s_k, step_norm, dir_sq = next(steps)
         e_cont, e_reg, e_disc = _energies(work, x, px, reg,
                                           config.record_discrete_energy)
-        _check_finite(e_cont, trace)
-        f_new = _check_finite(e_reg, trace)
+        _check_finite(trace, f"at iteration {k}", e_cont=e_cont, e_reg=e_reg)
 
-        if bounds_apply:
-            delta = diagnostics.decrease_bound(params, sched, k, s_k, dir_sq)
-            held = (f_prev - f_new) >= (delta - _BOUND_TOL)
+        if method.bounded:
+            delta = diagnostics.decrease_bound(params, config.schedule, k, s_k, dir_sq)
+            held = (f_prev - e_reg) >= (delta - _BOUND_TOL)
         else:
             delta, held = math.nan, None
-        step_norm = alpha * math.sqrt(dir_sq)
         trace.records.append(IterationRecord(
             k=k, alpha=alpha, e_cont=e_cont, e_reg=e_reg, e_disc=e_disc,
             s_k=s_k, step_norm=step_norm, bound_delta=delta, bound_held=held,
@@ -392,8 +486,8 @@ def run_generalized_fw(instance, config):
         if config.decrease_bound_check and held is False:
             raise AssertionError(
                 f"decrease bound violated at iteration {k}: "
-                f"F_k - F_k+1 = {f_prev - f_new:.3e} < delta_k = {delta:.3e}")
-        f_prev = f_new
+                f"F_k - F_k+1 = {f_prev - e_reg:.3e} < delta_k = {delta:.3e}")
+        f_prev = e_reg
     return x, trace
 
 
@@ -424,7 +518,7 @@ def mean_field_run(instance, iters):
         step_norm = math.sqrt(dir_sq)
         x = p
         e_cont, e_reg, e_disc = _energies(instance, x, None, reg, True)
-        _check_finite(e_reg, trace)
+        _check_finite(trace, f"at iteration {k}", e_reg=e_reg)
         delta = diagnostics.decrease_bound(params, sched, k, s_k, dir_sq)
         trace.records.append(IterationRecord(
             k=k, alpha=1.0, e_cont=e_cont, e_reg=e_reg, e_disc=e_disc,
@@ -434,167 +528,3 @@ def mean_field_run(instance, iters):
         trace.iterates.append(x.copy())
         f_prev = e_reg
     return x, trace
-
-
-# ---------------------------------------------------------------------------
-# comparison methods outside the direction/stepsize template
-
-def _run_fast_pgm(instance, config):
-    """Accelerated projected gradient with the usual momentum sequence
-    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2."""
-    sched = config.schedule
-    x = initial_point(instance)
-    y = x
-    t = 1.0
-    trace = IterationTrace(method="pgm")
-    trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        instance, x, None, None, config.record_discrete_energy)
-    _check_finite(trace.initial_e_cont, trace)
-    if config.record_iterates:
-        trace.iterates = [x.copy()]
-    for k in range(config.max_iters):
-        t0 = time.perf_counter()
-        grad = instance.gradient(y)
-        s_k = _gap(grad, y, lmo_vanilla(grad), None)
-        # alpha scales the gradient here, not a convex combination
-        alpha = schedules.stepsize(sched, k, schedules.StepContext(
-            s_k=s_k, dir_norm_sq=1.0,
-            l_f=instance.lipschitz_upper_bound(), sigma_g=0.0))
-        x_new = project_feasible(y - alpha * grad)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        step_norm = float(np.linalg.norm(x_new - x))
-        x, t = x_new, t_new
-        e_cont, e_reg, e_disc = _energies(instance, x, None, None,
-                                          config.record_discrete_energy)
-        _check_finite(e_cont, trace)
-        trace.records.append(IterationRecord(
-            k=k, alpha=alpha, e_cont=e_cont, e_reg=e_reg, e_disc=e_disc,
-            s_k=s_k, step_norm=step_norm, bound_delta=math.nan, bound_held=None,
-            time_ms=(time.perf_counter() - t0) * 1e3))
-        if config.record_iterates:
-            trace.iterates.append(x.copy())
-    return x, trace
-
-
-def _run_emd(instance, config):
-    """Multiplicative (entropy-geometry) updates, numerically stabilized.
-
-    x_is <- (x_is + eps) * exp(-alpha_k g_is + m_i), renormalized per
-    row, with m_i = alpha_k * min_s g_is so every exponent is <= 0.
-    """
-    eps = 1e-10
-    sched = config.schedule
-    x = initial_point(instance)
-    px = instance.pairwise.matvec(x)
-    trace = IterationTrace(method="emd")
-    trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        instance, x, px, None, config.record_discrete_energy)
-    _check_finite(trace.initial_e_cont, trace)
-    if config.record_iterates:
-        trace.iterates = [x.copy()]
-    for k in range(config.max_iters):
-        t0 = time.perf_counter()
-        grad = px + instance.unary
-        s_k = _gap(grad, x, lmo_vanilla(grad), None)
-        # alpha is the multiplicative-update learning rate
-        alpha = schedules.stepsize(sched, k, schedules.StepContext(
-            s_k=s_k, dir_norm_sq=1.0,
-            l_f=instance.lipschitz_upper_bound(), sigma_g=0.0))
-        shift = alpha * grad.min(axis=1, keepdims=True)
-        weights = (x + eps) * np.exp(-alpha * grad + shift)
-        x_new = weights / weights.sum(axis=1, keepdims=True)
-        step_norm = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if not np.all(np.isfinite(x)):
-            raise Diverged("non-finite iterate in multiplicative update", trace)
-        px = instance.pairwise.matvec(x)
-        e_cont, e_reg, e_disc = _energies(instance, x, px, None,
-                                          config.record_discrete_energy)
-        _check_finite(e_cont, trace)
-        trace.records.append(IterationRecord(
-            k=k, alpha=alpha, e_cont=e_cont, e_reg=e_reg, e_disc=e_disc,
-            s_k=s_k, step_norm=step_norm, bound_delta=math.nan, bound_held=None,
-            time_ms=(time.perf_counter() - t0) * 1e3))
-        if config.record_iterates:
-            trace.iterates.append(x.copy())
-    return x, trace
-
-
-def _run_admm(instance, config):
-    """Two-block splitting with dual ascent; rho fixed.
-
-    Each primal projection needs P at the half-iterate before it, which
-    is also the matvec behind that half-iterate's recorded energy, so
-    each half step costs one pairwise matvec and is counted (and
-    recorded) as one iteration.  Both half-iterates are feasible by
-    construction.
-    """
-    rho = config.method.rho
-    u = instance.unary
-    z = initial_point(instance)
-    y = np.zeros_like(z)
-    x = None
-    point = z
-    m = instance.pairwise.matvec(point)  # P at the last recorded point
-    trace = IterationTrace(method="admm")
-    trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        instance, point, m, None, config.record_discrete_energy)
-    _check_finite(trace.initial_e_cont, trace)
-    if config.record_iterates:
-        trace.iterates = [point.copy()]
-    for k in range(config.max_iters):
-        t0 = time.perf_counter()
-        grad_at = m + u
-        s_k = _gap(grad_at, point, lmo_vanilla(grad_at), None)
-        if k % 2 == 0:
-            x = project_feasible(z - (y + 0.5 * m + u) / rho)
-            new_point = x
-        else:
-            z = project_feasible(x - (-y + 0.5 * m) / rho)
-            y = y + rho * (x - z)
-            new_point = z
-        step_norm = float(np.linalg.norm(new_point - point))
-        point = new_point
-        m = instance.pairwise.matvec(point)
-        e_cont, e_reg, e_disc = _energies(instance, point, m, None,
-                                          config.record_discrete_energy)
-        _check_finite(e_cont, trace)
-        trace.records.append(IterationRecord(
-            k=k, alpha=math.nan, e_cont=e_cont, e_reg=e_reg, e_disc=e_disc,
-            s_k=s_k, step_norm=step_norm, bound_delta=math.nan, bound_held=None,
-            time_ms=(time.perf_counter() - t0) * 1e3))
-        if config.record_iterates:
-            trace.iterates.append(point.copy())
-    return point, trace
-
-
-# ---------------------------------------------------------------------------
-# convenience entry points
-
-def pgd_run(instance, config=None, **kwargs):
-    config = _coerce_config(config, PGD(), **kwargs)
-    return run_generalized_fw(instance, config)
-
-
-def fpgm_run(instance, config=None, **kwargs):
-    config = _coerce_config(config, FastPGM(), **kwargs)
-    return run_generalized_fw(instance, config)
-
-
-def emd_run(instance, config=None, **kwargs):
-    config = _coerce_config(config, EMD(), **kwargs)
-    return run_generalized_fw(instance, config)
-
-
-def admm_run(instance, config=None, rho=1.0, **kwargs):
-    config = _coerce_config(config, ADMM(rho=rho), **kwargs)
-    return run_generalized_fw(instance, config)
-
-
-def _coerce_config(config, method, **kwargs):
-    if config is None:
-        return SolverConfig(method=method, **kwargs)
-    if not isinstance(config.method, type(method)):
-        config = replace(config, method=method)
-    return config

@@ -130,6 +130,39 @@ class TestSolve:
         assert code == 1
         assert trace.exists()  # partial trace still written
 
+    def test_divergence_message_names_iteration(self, tmp_path, capsys):
+        from crffw import CrfInstance, EdgeList, write_json
+        # attractive same-label couplings: the second half step towards a
+        # vertex overflows the energy
+        thetas = np.stack([-5e307 * np.eye(4)] * 3)
+        inst = CrfInstance(np.zeros((3, 4)),
+                           EdgeList(3, 4, np.array([[0, 1], [0, 2], [1, 2]]), thetas))
+        path = tmp_path / "attractive.json"
+        write_json(inst, path)
+        trace = tmp_path / "t.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("solve", "--instance", str(path), "--method", "fw",
+                           "--stepsize", "constant:0.5", "--steps", "3",
+                           "--trace", str(trace))
+        assert code == 1
+        assert capsys.readouterr().err == "diverged: non-finite e_cont at iteration 1\n"
+        assert len(read_trace(trace)) == 1
+
+
+class TestMethodRegistry:
+    def test_solve_choices_are_the_registry(self):
+        from crffw.cli import build_parser
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        method = next(a for a in sub.choices["solve"]._actions if a.dest == "method")
+        assert method.choices == tuple(solvers.METHODS)
+
+    @pytest.mark.parametrize("name", list(solvers.METHODS))
+    def test_every_method_solves(self, instance_file, tmp_path, name):
+        trace = tmp_path / "t.csv"
+        assert run_cli("solve", "--instance", str(instance_file), "--method", name,
+                       "--steps", "2", "--trace", str(trace)) == 0
+        assert len(read_trace(trace)) == 2
+
 
 class TestCompare:
     def test_outputs_exist(self, instance_file, tmp_path):

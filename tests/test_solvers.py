@@ -140,6 +140,21 @@ class TestConditionalGradientNorm:
                 assert s >= -1e-9
 
 
+# golden traces in tests/data, all on RandomDense(n=40, d=5, seed=0)
+GOLDEN_CONFIGS = {
+    "l2fw": SolverConfig(L2FW(), regularizer=L2Regularizer(1.0),
+                         schedule=Constant(1.0), max_iters=5),
+    "pgd": SolverConfig(PGD(), max_iters=5),
+    "pgm": SolverConfig(FastPGM(), max_iters=5),
+    "emd": SolverConfig(EMD(), max_iters=5),
+    "admm": SolverConfig(ADMM(), max_iters=5),
+    "cfw_linesearch": SolverConfig(ConvexFW(), schedule=LineSearch(), max_iters=5),
+    "efw_0.25_linesearch": SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.25),
+                                        schedule=LineSearch(), max_iters=5),
+    "dmf": SolverConfig(DampedMeanField(0.5), max_iters=5),
+}
+
+
 class TestGeneralizedFw:
     def test_mean_field_identity(self, rng):
         for _ in range(50):
@@ -172,19 +187,18 @@ class TestGeneralizedFw:
         diffs = np.diff(np.concatenate([[trace.initial_e_disc], trace.e_disc]))
         assert (diffs <= 1e-9).mean() >= 0.9
 
-    def test_l2fw_golden_trace_regression(self, tmp_path):
+    @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
+    def test_golden_trace_regression(self, tmp_path, name):
         import csv
         import pathlib
 
         from crffw import RandomDense, generate
         inst = generate(RandomDense(n=40, d=5, seed=0, image_size=16.0,
                                     unary_scale=2.0))
-        cfg = SolverConfig(L2FW(), regularizer=L2Regularizer(1.0),
-                           schedule=Constant(1.0), max_iters=5)
-        _, trace = run_generalized_fw(inst, cfg)
+        _, trace = run_generalized_fw(inst, GOLDEN_CONFIGS[name])
         out = tmp_path / "trace.csv"
         trace.write_csv(out, include_times=False)
-        golden = pathlib.Path(__file__).parent / "data" / "golden_l2fw_trace.csv"
+        golden = pathlib.Path(__file__).parent / "data" / f"golden_{name}_trace.csv"
         with open(golden, newline="") as fa, open(out, newline="") as fb:
             rows_golden = list(csv.DictReader(fa))
             rows_new = list(csv.DictReader(fb))
@@ -193,9 +207,10 @@ class TestGeneralizedFw:
             for col in ("k", "alpha", "e_cont", "e_reg", "e_disc", "s_k",
                         "step_norm", "bound_delta", "bound_held"):
                 assert a[col] == b[col], f"column {col} drifted from golden trace"
-        e_disc = [float(r["e_disc"]) for r in rows_new]
-        diffs = np.diff([trace.initial_e_disc] + e_disc)
-        assert (diffs <= 1e-9).mean() >= 0.9
+        if name == "l2fw":
+            e_disc = [float(r["e_disc"]) for r in rows_new]
+            diffs = np.diff([trace.initial_e_disc] + e_disc)
+            assert (diffs <= 1e-9).mean() >= 0.9
 
     def test_all_iterates_feasible(self, rng):
         methods = [
@@ -231,7 +246,8 @@ class TestGeneralizedFw:
 
     def test_divergence_carries_trace(self):
         inst = zero_pairwise(np.full((2, 2), 1e308))
-        with np.errstate(over="ignore"), pytest.raises(Diverged) as exc_info:
+        with np.errstate(over="ignore"), pytest.raises(
+                Diverged, match="non-finite e_cont at the starting point") as exc_info:
             run_generalized_fw(inst, SolverConfig(MeanField(), max_iters=3))
         assert exc_info.value.trace is not None
 
@@ -274,7 +290,9 @@ class TestOperatorWork:
         (SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.25),
                       schedule=LineSearch(), max_iters=7), True),
         (SolverConfig(ADMM(), max_iters=7), False),
-    ], ids=["mf", "fw-linesearch", "efw-linesearch", "admm"])
+        (SolverConfig(EMD(), max_iters=7), True),
+        (SolverConfig(PGD(), max_iters=7), True),
+    ], ids=["mf", "fw-linesearch", "efw-linesearch", "admm", "emd", "pgd"])
     def test_one_matvec_per_iteration(self, rng, make_backend, config, uses_lipschitz):
         unary = rng.standard_normal((9, 3))
         base = make_backend(rng, 9, 3)
