@@ -58,6 +58,12 @@ def _build_config(method_name, lam, schedule, steps, check_bounds=False):
     method_cls = solvers.METHODS.get(method_name.lower())
     if method_cls is None:
         raise ValueError(f"unknown method {method_name!r}")
+    # mf and dmf force lambda = 1 (and mf its unit step); refuse what they would ignore
+    forced = issubclass(method_cls, solvers.MeanField)
+    if lam is not None and (forced or method_cls.regularizer is None):
+        raise ValueError(f"{method_cls.name} takes no regularization weight")
+    if schedule is not None and method_cls is solvers.MeanField:
+        raise ValueError("mf takes no stepsize schedule")
     if method_cls is solvers.DampedMeanField:
         # the damping factor comes from constant:A
         method = method_cls(schedule.alpha if isinstance(schedule, schedules.Constant) else 0.5)

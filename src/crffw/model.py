@@ -12,11 +12,19 @@ which at one-hot x equals the discrete energy
 
 P is never materialized for the fully-connected Gaussian backend; it is
 applied exactly through a cached n x n kernel matrix.
+
+Every backend's `spectral_norm_bound()` is a certified upper bound on
+||P||_2, the Lipschitz constant L_f of the energy's gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import CapacityError
+
+MAX_DENSE_ENTRIES = 1 << 26  # to_dense() refuses larger operators (512 MiB)
+CW_RTOL, CW_MAX_PRODUCTS = 1e-3, 100  # when the Collatz-Wielandt bound stops
 
 
 def _float_copy(a, name):
@@ -94,6 +102,8 @@ class DenseMatrix:
         if self.matrix.size == 0:
             return 0.0
         return float(np.abs(self.matrix).sum(axis=1).max())
+
+    spectral_norm_bound = inf_norm_bound  # ||P||_2 <= ||P||_inf for a symmetric P
 
 
 class EdgeList:
@@ -204,6 +214,8 @@ class EdgeList:
         sums = np.stack((mags.sum(axis=2), mags.sum(axis=1)), axis=1)
         np.add.at(rowsum, self.edges.reshape(-1), sums.reshape(-1, self.d))
         return float(rowsum.max()) if rowsum.size else 0.0
+
+    spectral_norm_bound = inf_norm_bound  # ||P||_2 <= ||P||_inf for a symmetric P
 
 
 def _check_edges(edges, n):
@@ -319,12 +331,39 @@ class GaussianKernel:
         return None
 
     def to_dense(self):
+        n, d = self.n_nodes, self.n_labels
+        if (n * d) ** 2 > MAX_DENSE_ENTRIES:
+            raise CapacityError(f"a dense operator of order {n * d} is too large")
         return np.kron(self.kernel_matrix, self.compat)
 
-    def inf_norm_bound(self):
-        row_mass = np.abs(self.kernel_matrix).sum(axis=1).max() if self.n_nodes else 0.0
-        label_mass = np.abs(self.compat).sum(axis=1).max() if self.n_labels else 0.0
-        return float(row_mass * label_mass)
+    def spectral_norm_bound(self):
+        """||K (x) compat||_2 = ||K||_2 ||compat||_2, with ||compat||_2 exact.
+
+        For w1, w2 >= 0, K >= 0, and by Collatz-Wielandt the ratios
+        (Kv)_i / v_i bracket rho(K) = ||K||_2 for every v > 0.  v takes
+        shifted power steps v <- Kv + s v from v = 1: K's spectrum lies in
+        [-min(w1 + w2, rho), rho], and s = min((w1 + w2) / 2, bound / 8)
+        keeps its negative end from dominating at any kernel scale.
+        """
+        n, d = self.n_nodes, self.n_labels
+        if n == 0 or d == 0:
+            return 0.0
+        K = self.kernel_matrix
+        # allowance for rounding in the n-term sums and the d x d norm
+        scale = np.linalg.norm(self.compat, 2) * (1.0 + 4.0 * (n + d * d) * np.finfo(float).eps)
+        if min(self.w1, self.w2) < 0.0:  # ||K||_2 <= ||K||_inf
+            return float(np.abs(K).sum(axis=1).max() * scale)
+        v, bound = np.ones(n), np.inf
+        for _ in range(CW_MAX_PRODUCTS):
+            kv = K @ v
+            ratios = kv / v
+            bound = min(bound, float(ratios.max()))
+            if ratios.max() <= (1.0 + CW_RTOL) * ratios.min():
+                break
+            v = kv + min(0.5 * (self.w1 + self.w2), bound / 8.0) * v
+            # any v > 0 certifies: rescale, and keep decaying entries positive
+            np.maximum(v / v.max(), np.finfo(float).tiny, out=v)
+        return float(bound * scale)
 
 
 class DiagonalShift:
@@ -373,10 +412,10 @@ class DiagonalShift:
     def to_dense(self):
         return self.base.to_dense() + np.diag(self.diag.reshape(-1))
 
-    def inf_norm_bound(self):
-        # row sums of the two parts add, so the maxima bound their sum
+    def spectral_norm_bound(self):
+        # ||P + D||_2 <= ||P||_2 + max |D|
         extra = float(np.abs(self.diag).max()) if self.diag.size else 0.0
-        return self.base.inf_norm_bound() + extra
+        return self.base.spectral_norm_bound() + extra
 
 
 def pairwise_matvec(backend, x):
@@ -449,32 +488,10 @@ class CrfInstance:
         return self.pairwise.matvec(x) + self.unary
 
     def lipschitz_upper_bound(self):
-        """Upper bound on the spectral norm of the pairwise operator.
-
-        Minimum of a power-iteration estimate (x1.05 safety factor) and
-        the row-sum infinity-norm bound; the latter branch is a
-        guaranteed upper bound for the symmetric operator.
-        """
+        """Certified upper bound on the spectral norm of the pairwise
+        operator (L_f): the backend's `spectral_norm_bound()`, cached."""
         if self._lipschitz is None:
-            inf_bound = self.pairwise.inf_norm_bound()
-            if inf_bound == 0.0:
-                self._lipschitz = 0.0
-            else:
-                rng = np.random.default_rng(0)
-                v = rng.standard_normal((self.n_nodes, self.n_labels))
-                est = 0.0
-                for _ in range(100):
-                    w = self.pairwise.matvec(v)
-                    nrm = float(np.linalg.norm(w))
-                    if nrm == 0.0:
-                        break
-                    new_est = nrm / float(np.linalg.norm(v))
-                    v = w / nrm
-                    if abs(new_est - est) <= 1e-12 * max(1.0, est):
-                        est = new_est
-                        break
-                    est = new_est
-                self._lipschitz = float(min(est * 1.05, inf_bound))
+            self._lipschitz = float(self.pairwise.spectral_norm_bound())
         return self._lipschitz
 
     def one_hot(self, labels):

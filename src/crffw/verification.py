@@ -145,13 +145,21 @@ def suite_oracle(seed=0):
 
     ok = True
     detail = ""
-    for _ in range(20):
-        inst = small_instance(rng)
-        exact = float(np.linalg.norm(inst.pairwise.to_dense(), 2))
+    cases = [(inst, float(np.linalg.norm(inst.pairwise.to_dense(), 2)))
+             for inst in (small_instance(rng) for _ in range(20))]
+    # a real size, ||K (x) compat||_2 = lambda_max(K) ||compat||_2 for K >= 0;
+    # its own generator leaves the later checks' draws as they were
+    big_rng = np.random.default_rng(seed + 1)
+    m = big_rng.standard_normal((4, 4))
+    big = GaussianKernel(big_rng.uniform(0, 32, (300, 2)), big_rng.uniform(0, 255, (300, 3)),
+                         m + m.T)
+    cases.append((CrfInstance(np.zeros((300, 4)), big), float(
+        np.linalg.eigvalsh(big.kernel_matrix)[-1] * np.linalg.norm(big.compat, 2))))
+    for inst, exact in cases:
         bound = inst.lipschitz_upper_bound()
         if bound < exact - 1e-9:
             ok = False
-            detail = f"bound {bound:.6f} < exact spectral norm {exact:.6f}"
+            detail = f"bound {bound:.6f} < exact spectral norm {exact:.6f} at n={inst.n_nodes}"
     checks.append(CheckResult("spectral_norm_bound", ok, detail))
 
     ok = True

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from crffw import solvers
+from crffw import solvers, verification
 from crffw.cli import main
 
 
@@ -276,6 +276,42 @@ class TestCompareValidation:
         assert not out.exists()
 
 
+IGNORES_LAMBDA = ("fw", "cfw", "pgd", "pgm", "emd", "admm", "mf", "dmf")
+
+
+class TestIgnoredFlags:
+    """A flag the chosen method would ignore is a usage error, raised
+    before the instance is read or any output is written."""
+
+    @pytest.mark.parametrize("flags", [("--method", m, "--lambda", "0.3") for m in IGNORES_LAMBDA]
+                             + [("--method", "mf", "--stepsize", "linesearch")], ids="_".join)
+    def test_solve(self, tmp_path, flags):
+        trace, labels = tmp_path / "t.csv", tmp_path / "l.json"
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("solve", "--instance", str(tmp_path / "missing.json"), *flags,
+                    "--trace", str(trace), "--labels-out", str(labels))
+        assert exc_info.value.code == 2
+        assert not trace.exists() and not labels.exists()
+
+    @pytest.mark.parametrize("flags", [("--methods", f"efw:0.25,{m}:0.3") for m in IGNORES_LAMBDA]
+                             + [("--methods", "mf::linesearch"), ("--sweep-methods", "efw,mf")],
+                             ids="_".join)
+    def test_compare(self, tmp_path, flags):
+        out = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("compare", "--instances", str(tmp_path / "missing.json"), *flags,
+                    "--out", str(out))
+        assert exc_info.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [("efw", "--lambda", "0.25"),
+                                       ("fw", "--stepsize", "linesearch"),
+                                       ("dmf", "--stepsize", "constant:0.3")], ids="_".join)
+    def test_flags_a_method_reads_stay_valid(self, instance_file, tmp_path, flags):
+        assert run_cli("solve", "--instance", str(instance_file), "--method", *flags,
+                       "--steps", "2", "--trace", str(tmp_path / "t.csv")) == 0
+
+
 class TestLambdaSweep:
     def test_sweep_solves_stop_at_sweep_iteration(self, instance_file, tmp_path,
                                                   monkeypatch):
@@ -318,8 +354,9 @@ class TestLambdaSweep:
 
 
 class TestVerify:
-    def test_oracle_suite_passes(self, capsys):
-        assert run_cli("verify", "--suite", "oracle", "--seed", "0") == 0
+    @pytest.mark.parametrize("suite", list(verification.SUITES))
+    def test_suite_passes(self, capsys, suite):
+        assert run_cli("verify", "--suite", suite, "--seed", "0") == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])

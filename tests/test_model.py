@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_labelings, potts_pair, random_feasible,
-                      random_instance, zero_instance)
-from crffw import (CrfInstance, DenseMatrix, EdgeList, GaussianKernel,
-                   finite_diff_gradient, pairwise_matvec, potts_matrix)
+from conftest import (all_labelings, potts_pair, random_dense_backend,
+                      random_edge_backend, random_feasible, random_instance,
+                      zero_instance)
+from crffw import (CapacityError, CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
+                   GaussianKernel, finite_diff_gradient, pairwise_matvec,
+                   potts_matrix)
 
 
 class TestEnergyDiscrete:
@@ -173,6 +175,99 @@ class TestLipschitzBound:
         exact = float(np.linalg.norm(backend.to_dense(), 2))
         assert exact >= 1.0
         assert inst.lipschitz_upper_bound() >= 1.0
+
+
+def _features(rng, n, layout):
+    """Positions and colors: spread over a small image, all coincident,
+    so far apart that every kernel entry underflows to 0, or clusters
+    far from one another (a reducible kernel)."""
+    if layout == "spread":
+        return rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3))
+    if layout == "coincident":
+        return np.full((n, 2), 5.0), np.full((n, 3), 100.0)
+    if layout == "far":
+        return np.arange(2.0 * n).reshape(n, 2) * 1e4, np.zeros((n, 3))
+    centers = rng.integers(0, 3, n)[:, None] * 1e4
+    return centers + rng.uniform(0, 6, (n, 2)), rng.uniform(0, 30, (n, 3))
+
+
+class CountingKernel(GaussianKernel):
+    """Counts every matvec, including calls the backend makes itself."""
+
+    matvecs = 0
+
+    def matvec(self, x):
+        self.matvecs += 1
+        return super().matvec(x)
+
+
+class TestSpectralNormBound:
+    """spectral_norm_bound() >= ||P||_2 on every backend; for a Gaussian
+    kernel with nonnegative weights it is also within 2e-3 of it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), d=st.integers(1, 5),
+           w1=st.sampled_from([0.0, 0.3, 1.0, 20.0, 500.0, -0.7]),
+           w2=st.sampled_from([0.0, 1.0, 4.0, -2.0]),
+           layout=st.sampled_from(["spread", "coincident", "far", "clusters"]),
+           potts=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_gaussian(self, n, d, w1, w2, layout, potts, seed):
+        rng = np.random.default_rng(seed)
+        if potts:
+            compat = potts_matrix(d, rng.uniform(0.1, 5.0))
+        else:
+            m = rng.standard_normal((d, d))
+            compat = m + m.T
+        positions, colors = _features(rng, n, layout)
+        backend = GaussianKernel(positions, colors, compat, w1=w1, w2=w2,
+                                 alpha=8.0, beta=40.0, gamma=4.0)
+        exact = float(np.linalg.norm(backend.to_dense(), 2))
+        bound = backend.spectral_norm_bound()
+        assert bound >= exact - 1e-9
+        if min(w1, w2) >= 0.0:
+            assert bound <= (1.0 + 2e-3) * exact
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 8), d=st.integers(1, 4),
+           kind=st.sampled_from(["edges", "dense", "gaussian"]),
+           shift=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_backend(self, n, d, kind, shift, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            backend = GaussianKernel(*_features(rng, n, "spread"), potts_matrix(d))
+        else:
+            maker = random_edge_backend if kind == "edges" else random_dense_backend
+            backend = maker(rng, n, d)
+        if shift:
+            backend = DiagonalShift(backend, rng.standard_normal((n, d)) * 3.0)
+        exact = float(np.linalg.norm(backend.to_dense(), 2))
+        assert backend.spectral_norm_bound() >= exact - 1e-9
+
+    def test_gaussian_bound_applies_no_matvec(self, rng):
+        backend = CountingKernel(rng.uniform(0, 32, (60, 2)), rng.uniform(0, 255, (60, 3)),
+                                 potts_matrix(4))
+        inst = CrfInstance(np.zeros((60, 4)), backend)
+        bound = inst.lipschitz_upper_bound()
+        assert backend.matvecs == 0
+        assert bound >= float(np.linalg.norm(backend.to_dense(), 2))
+        inst.gradient(np.zeros((60, 4)))
+        assert backend.matvecs == 1  # the counter does see the backend's matvecs
+
+    def test_grid_bound_is_the_row_sum_bound(self, rng):
+        backend = random_edge_backend(rng, 12, 3, p=0.3)
+        inst = CrfInstance(np.zeros((12, 3)), backend)
+        assert inst.lipschitz_upper_bound() == backend.inf_norm_bound()
+
+
+class TestDenseCapacity:
+    def test_large_gaussian_refuses_before_allocating(self):
+        n, d = 2000, 21
+        backend = GaussianKernel(np.zeros((n, 2)), np.zeros((n, 3)), potts_matrix(d))
+        with pytest.raises(CapacityError):
+            backend.to_dense()
+        with pytest.raises(CapacityError):
+            DiagonalShift(backend, np.zeros((n, d))).to_dense()
+        assert backend._kernel is None  # no n x n kernel was built
 
 
 class TestOperatorSymmetry:
