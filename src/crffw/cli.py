@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import schedules, solvers, verification
-from .errors import Diverged, InstanceFormatError
+from .errors import CapacityError, Diverged, InstanceFormatError
 from .instances import (RandomDense, RandomEdgeList, RandomGrid, generate,
                         read_json, read_uai, write_json)
 from .simplex import BcdRounding, NearestRounding, decode
@@ -341,7 +341,7 @@ def main(argv=None):
         parser.error("--steps must be >= 1")
     try:
         return args.func(args, parser)
-    except (InstanceFormatError, FileNotFoundError) as exc:
+    except (InstanceFormatError, FileNotFoundError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except AssertionError as exc:

@@ -24,6 +24,8 @@ import numpy as np
 from .errors import CapacityError
 
 MAX_DENSE_ENTRIES = 1 << 26  # to_dense() refuses larger operators (512 MiB)
+MAX_KERNEL_ENTRIES = 1 << 28  # a kernel build holds 2 n^2 doubles: at most 2 GiB
+BLOCK = 1 << 16  # entries per row block, and per pair_energy summation leaf
 CW_RTOL, CW_MAX_PRODUCTS = 1e-3, 100  # when the Collatz-Wielandt bound stops
 
 
@@ -201,6 +203,8 @@ class EdgeList:
 
     def to_dense(self):
         n, d = self.n, self.d
+        if (n * d) ** 2 > MAX_DENSE_ENTRIES:
+            raise CapacityError(f"a dense operator of order {n * d} is too large")
         P = np.zeros((n * d, n * d))
         for e, (i, j) in enumerate(self.edges):
             P[i * d:(i + 1) * d, j * d:(j + 1) * d] = self.thetas[e]
@@ -216,6 +220,20 @@ class EdgeList:
         return float(rowsum.max()) if rowsum.size else 0.0
 
     spectral_norm_bound = inf_norm_bound  # ||P||_2 <= ||P||_inf for a symmetric P
+
+
+def _row_blocks(n):
+    step = max(1, BLOCK // max(n, 1))  # rows of an n-column array per block
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _pairwise_sum(run_sum, lo, m):
+    """numpy's pairwise sum of entries [lo, lo + m) of a flat array, with
+    `run_sum(lo, m)` summing each node of at most BLOCK entries."""
+    if m <= BLOCK:
+        return run_sum(lo, m)
+    h = m // 2 - (m // 2) % 8
+    return _pairwise_sum(run_sum, lo, h) + _pairwise_sum(run_sum, lo + h, m - h)
 
 
 def _check_edges(edges, n):
@@ -289,23 +307,27 @@ class GaussianKernel:
 
     @property
     def kernel_matrix(self):
-        """n x n kernel values with zeroed diagonal, computed once."""
+        """n x n kernel values with zeroed diagonal, computed once.
+
+        Both Gram products are taken whole (row-blocked ones can differ in
+        the last bits) and turned in place, by row blocks, into squared
+        distances and kernel values: the build holds 2 n^2 doubles.
+        """
         if self._kernel is None:
-            pos_sq = self._sq_dists(self.positions)
-            col_sq = self._sq_dists(self.colors)
-            K = (self.w1 * np.exp(-pos_sq / (2.0 * self.alpha ** 2)
-                                  - col_sq / (2.0 * self.beta ** 2))
-                 + self.w2 * np.exp(-pos_sq / (2.0 * self.gamma ** 2)))
+            n, feats = self.n_nodes, (self.positions, self.colors)
+            if 2 * n * n > MAX_KERNEL_ENTRIES:
+                raise CapacityError(f"a Gaussian kernel over {n} nodes is too large")
+            sq_pos, sq_col = ((f ** 2).sum(axis=1) for f in feats)
+            pos_sq, K = (f @ f.T for f in feats)
+            for rows in _row_blocks(n):
+                p, c = pos_sq[rows], K[rows]
+                np.maximum(sq_pos[rows, None] + sq_pos - 2.0 * p, 0.0, out=p)
+                np.maximum(sq_col[rows, None] + sq_col - 2.0 * c, 0.0, out=c)
+                c[...] = self.w1 * np.exp(-p / (2.0 * self.alpha ** 2) - c / (2.0 * self.beta ** 2))
+                c += self.w2 * np.exp(-p / (2.0 * self.gamma ** 2))
             np.fill_diagonal(K, 0.0)
             self._kernel = K
         return self._kernel
-
-    @staticmethod
-    def _sq_dists(feats):
-        sq = (feats ** 2).sum(axis=1)
-        out = sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T)
-        np.maximum(out, 0.0, out=out)
-        return out
 
     def matvec(self, x):
         return self.kernel_matrix @ (x @ self.compat.T)
@@ -314,11 +336,28 @@ class GaussianKernel:
         return self.kernel_matrix[i] @ (x @ self.compat.T)
 
     def pair_energy(self, labels):
-        # the n x n array of K[i, j] * compat[l_i, l_j], built in one
-        # buffer; same values, layout and summation as the np.ix_ form
-        prod = self.compat[:, labels].take(labels, axis=0)
-        np.multiply(self.kernel_matrix, prod, out=prod)
-        return 0.5 * float(prod.sum())
+        """0.5 * sum_ij K[i, j] compat[l_i, l_j], bitwise equal to numpy's
+        sum over the n x n array of terms, without building that array.
+
+        numpy sums a contiguous run of m > 128 entries as the sum of its
+        first h = m // 2 - (m // 2) % 8 entries plus the sum of the rest.
+        `_pairwise_sum` follows that tree down to runs of at most BLOCK
+        entries, each built from the rows that cover it in one scratch of
+        BLOCK + 2n entries: a run's `.sum()` is numpy's value at its node.
+        """
+        K, n = self.kernel_matrix, self.n_nodes
+        cols = self.compat[:, labels]  # cols[a, j] = compat[a, l_j]; checks the labels
+        scratch = np.empty(BLOCK + 2 * n)
+
+        def run_sum(lo, m):
+            r0, r1 = lo // n, -(-(lo + m) // n)
+            rows = scratch[:(r1 - r0) * n].reshape(r1 - r0, n)
+            # mode="raise" would copy through a buffer; `cols` checked the labels
+            cols.take(labels[r0:r1], axis=0, out=rows, mode="wrap")
+            np.multiply(K[r0:r1], rows, out=rows)
+            return rows.reshape(-1)[lo - r0 * n:][:m].sum()
+
+        return 0.5 * float(_pairwise_sum(run_sum, 0, n * n)) if n else 0.0
 
     def iter_blocks(self):
         K = self.kernel_matrix
@@ -351,8 +390,8 @@ class GaussianKernel:
         K = self.kernel_matrix
         # allowance for rounding in the n-term sums and the d x d norm
         scale = np.linalg.norm(self.compat, 2) * (1.0 + 4.0 * (n + d * d) * np.finfo(float).eps)
-        if min(self.w1, self.w2) < 0.0:  # ||K||_2 <= ||K||_inf
-            return float(np.abs(K).sum(axis=1).max() * scale)
+        if min(self.w1, self.w2) < 0.0:  # ||K||_2 <= ||K||_inf, by row blocks
+            return float(max(np.abs(K[r]).sum(axis=1).max() for r in _row_blocks(n)) * scale)
         v, bound = np.ones(n), np.inf
         for _ in range(CW_MAX_PRODUCTS):
             kv = K @ v

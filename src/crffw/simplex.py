@@ -46,25 +46,22 @@ def is_feasible(x, atol=1e-9):
 
 
 def project_simplex(v):
-    """Euclidean projection of a vector onto the probability simplex.
-
-    Sort the entries in decreasing order as a_1 >= ... >= a_d, set
-    gamma_k = (a_1 + ... + a_k - 1) / k, pick the largest k with
-    a_k > gamma_k, and return max(v - gamma_k, 0).
-    """
+    """Euclidean projection of a vector onto the probability simplex."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("input contains non-finite entries")
-    a = np.sort(v)[::-1]
-    gammas = (np.cumsum(a) - 1.0) / np.arange(1, v.size + 1)
-    k = int(np.nonzero(a > gammas)[0].max())
-    return np.maximum(v - gammas[k], 0.0)
+    return project_feasible(v[None])[0]
 
 
+@np.errstate(over="ignore")
 def project_feasible(v):
-    """Row-wise simplex projection of an (n, d) matrix."""
+    """Row-wise simplex projection of an (n, d) matrix.
+
+    Per row max(v - gamma_k, 0), gamma_k = (a_1 + ... + a_k - 1) / k for
+    the largest k with a_k > gamma_k, a_1 >= ... >= a_d the sorted row.
+    A row that rounding leaves without an active set, or off sum 1, is
+    projected again from max(v - max(v), -1): the same projection, as its
+    threshold is at least max(v) - 1."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[1] == 0:
         raise ValueError("expected an (n, d) matrix with d >= 1")
@@ -76,7 +73,12 @@ def project_feasible(v):
     # the active-set condition a_k > gamma_k holds exactly for k <= k*
     k = (a > gammas).sum(axis=1) - 1
     thresh = gammas[np.arange(v.shape[0]), k]
-    return np.maximum(v - thresh[:, None], 0.0)
+    out = np.maximum(v - thresh[:, None], 0.0)
+    redo = (k < 0) | ~(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
+    if redo.any():  # the shifted rows pass: one level of recursion
+        w = v[redo]
+        out[redo] = project_feasible(np.maximum(w - w.max(axis=1, keepdims=True), -1.0))
+    return out
 
 
 def softmax_rows(v):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from crffw import solvers, verification
+from crffw import model, solvers, verification
 from crffw.cli import main
 
 
@@ -147,6 +147,31 @@ class TestSolve:
         assert code == 1
         assert capsys.readouterr().err == "diverged: non-finite e_cont at iteration 1\n"
         assert len(read_trace(trace)) == 1
+
+
+class TestCapacity:
+    """A kernel over the build guard ends in `error: ...` and exit 1,
+    with no output written."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(model, "MAX_KERNEL_ENTRIES", 2 * 29 * 29)
+
+    def test_solve(self, instance_file, tmp_path, capsys):
+        trace, labels = tmp_path / "t.csv", tmp_path / "labels.json"
+        code = run_cli("solve", "--instance", str(instance_file), "--method", "mf",
+                       "--trace", str(trace), "--labels-out", str(labels))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: a Gaussian kernel over 30 nodes")
+        assert not trace.exists() and not labels.exists()
+
+    def test_compare(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = run_cli("compare", "--instances", str(instance_file), "--methods", "mf",
+                       "--steps", "3", "--sweep-methods", "", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out.iterdir()) == []
 
 
 class TestMethodRegistry:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from conftest import (all_labelings, potts_pair, random_dense_backend,
                       random_edge_backend, random_feasible, random_instance,
                       zero_instance)
 from crffw import (CapacityError, CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
-                   GaussianKernel, finite_diff_gradient, pairwise_matvec,
+                   GaussianKernel, finite_diff_gradient, model, pairwise_matvec,
                    potts_matrix)
 
 
@@ -139,23 +141,115 @@ class TestPairwiseMatvec:
                                            atol=1e-12)
 
 
+def _random_compat(rng, d, potts):
+    if potts:
+        return potts_matrix(d, rng.uniform(0.1, 5.0))
+    m = rng.standard_normal((d, d))
+    return m + m.T
+
+
+def _pair_energy_reference(backend, labels):
+    """The whole n x n array of terms, summed by numpy in one call."""
+    mu_ll = backend.compat[np.ix_(labels, labels)]
+    return 0.5 * float((backend.kernel_matrix * mu_ll).sum())
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while fn() runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestGaussianPairEnergy:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 60), d=st.integers(1, 6), potts=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_bitwise_equal_to_fancy_index_form(self, n, d, potts, seed):
+           block=st.sampled_from([128, 200, model.BLOCK]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_fancy_index_form(self, n, d, potts, block, seed):
         rng = np.random.default_rng(seed)
-        if potts:
-            compat = potts_matrix(d, rng.uniform(0.1, 5.0))
-        else:
-            m = rng.standard_normal((d, d))
-            compat = m + m.T
         backend = GaussianKernel(rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3)),
-                                 compat)
+                                 _random_compat(rng, d, potts))
         labels = rng.integers(0, d, n)
-        mu_ll = backend.compat[np.ix_(labels, labels)]
-        reference = 0.5 * float((backend.kernel_matrix * mu_ll).sum())
-        assert backend.pair_energy(labels).hex() == reference.hex()
+        with pytest.MonkeyPatch.context() as mp:  # small leaves: a deep summation tree
+            mp.setattr(model, "BLOCK", block)
+            energy = backend.pair_energy(labels)
+        assert energy.hex() == _pair_energy_reference(backend, labels).hex()
+
+    @pytest.mark.parametrize("n", [0, 3, 255, 256, 257, 500, 777])
+    @pytest.mark.parametrize("potts", [True, False])
+    def test_bitwise_equal_across_leaves(self, n, potts):
+        # n * n past one leaf, with leaves that start mid-row, and n * n
+        # not a multiple of 8 (3, 255, 257, 777)
+        rng = np.random.default_rng(n)
+        backend = GaussianKernel(rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3)),
+                                 _random_compat(rng, 21, potts))
+        for _ in range(3):
+            labels = rng.integers(0, 21, n)
+            assert (backend.pair_energy(labels).hex()
+                    == _pair_energy_reference(backend, labels).hex())
+
+    def test_transient_memory_is_one_leaf(self, rng):
+        n, d = 1000, 21
+        backend = GaussianKernel(rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3)),
+                                 potts_matrix(d))
+        backend.kernel_matrix
+        labels = rng.integers(0, d, n)
+        assert _traced_peak(lambda: backend.pair_energy(labels)) < 1 << 20
+
+
+def _one_shot_kernel(backend):
+    """The kernel as one expression over whole n x n arrays."""
+    def sq_dists(feats):
+        sq = (feats ** 2).sum(axis=1)
+        out = sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T)
+        np.maximum(out, 0.0, out=out)
+        return out
+
+    b = backend
+    pos_sq, col_sq = sq_dists(b.positions), sq_dists(b.colors)
+    K = (b.w1 * np.exp(-pos_sq / (2.0 * b.alpha ** 2) - col_sq / (2.0 * b.beta ** 2))
+         + b.w2 * np.exp(-pos_sq / (2.0 * b.gamma ** 2)))
+    np.fill_diagonal(K, 0.0)
+    return K
+
+
+class TestKernelBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([*range(1, 9), 63, 64, 65, 300, 500, 700, 1000]),
+           w1=st.sampled_from([0.0, 1.0, 3.5, -0.7]), w2=st.sampled_from([0.0, 1.0, 0.4]),
+           layout=st.sampled_from(["spread", "coincident", "near", "far", "clusters"]),
+           block=st.sampled_from([1, 1000, model.BLOCK]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_one_shot_formula(self, n, w1, w2, layout, block, seed):
+        rng = np.random.default_rng(seed)
+        backend = GaussianKernel(*_features(rng, n, layout), potts_matrix(3), w1=w1, w2=w2)
+        with pytest.MonkeyPatch.context() as mp:  # block of one row, and a short tail
+            mp.setattr(model, "BLOCK", block)
+            K = backend.kernel_matrix
+        assert K.tobytes() == _one_shot_kernel(backend).tobytes()
+
+    def test_build_holds_two_n_by_n_arrays(self, rng):
+        n = 1000
+        backend = GaussianKernel(rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3)),
+                                 potts_matrix(21))
+        assert _traced_peak(lambda: backend.kernel_matrix) <= 2.2 * 8 * n * n
+
+    def test_guard_refuses_before_allocating(self, monkeypatch):
+        n = 1000
+        monkeypatch.setattr(model, "MAX_KERNEL_ENTRIES", 2 * n * n - 1)
+        backend = GaussianKernel(np.zeros((n, 2)), np.zeros((n, 3)), potts_matrix(4))
+
+        def build():
+            with pytest.raises(CapacityError, match="1000 nodes"):
+                backend.kernel_matrix
+
+        assert _traced_peak(build) < 8 * n * n
+        assert backend._kernel is None
+        monkeypatch.setattr(model, "MAX_KERNEL_ENTRIES", 2 * n * n)
+        assert backend.kernel_matrix.shape == (n, n)
 
 
 class TestLipschitzBound:
@@ -179,12 +273,16 @@ class TestLipschitzBound:
 
 def _features(rng, n, layout):
     """Positions and colors: spread over a small image, all coincident,
-    so far apart that every kernel entry underflows to 0, or clusters
-    far from one another (a reducible kernel)."""
+    distinct but too close for the Gram-product distances to resolve (so
+    some come out negative and are clamped), so far apart that every
+    kernel entry underflows to 0, or clusters far from one another (a
+    reducible kernel)."""
     if layout == "spread":
         return rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3))
     if layout == "coincident":
         return np.full((n, 2), 5.0), np.full((n, 3), 100.0)
+    if layout == "near":
+        return 5.0 + rng.uniform(0, 1e-7, (n, 2)), 100.0 + rng.uniform(0, 1e-6, (n, 3))
     if layout == "far":
         return np.arange(2.0 * n).reshape(n, 2) * 1e4, np.zeros((n, 3))
     centers = rng.integers(0, 3, n)[:, None] * 1e4
@@ -243,6 +341,17 @@ class TestSpectralNormBound:
         exact = float(np.linalg.norm(backend.to_dense(), 2))
         assert backend.spectral_norm_bound() >= exact - 1e-9
 
+    @pytest.mark.parametrize("n", [257, 700])
+    @pytest.mark.parametrize("w1, w2", [(-0.7, 1.0), (500.0, -2.0), (-0.7, -2.0)])
+    def test_negative_weight_row_sums_by_blocks(self, n, w1, w2):
+        # n > 256: the row sums run over several row blocks
+        rng = np.random.default_rng(n)
+        backend = GaussianKernel(*_features(rng, n, "spread"), potts_matrix(4), w1=w1, w2=w2,
+                                 alpha=8.0, beta=40.0, gamma=4.0)
+        row_sum = np.abs(backend.kernel_matrix).sum(axis=1).max()
+        scale = np.linalg.norm(backend.compat, 2) * (1.0 + 4.0 * (n + 16) * np.finfo(float).eps)
+        assert backend.spectral_norm_bound() == float(row_sum * scale)
+
     def test_gaussian_bound_applies_no_matvec(self, rng):
         backend = CountingKernel(rng.uniform(0, 32, (60, 2)), rng.uniform(0, 255, (60, 3)),
                                  potts_matrix(4))
@@ -268,6 +377,17 @@ class TestDenseCapacity:
         with pytest.raises(CapacityError):
             DiagonalShift(backend, np.zeros((n, d))).to_dense()
         assert backend._kernel is None  # no n x n kernel was built
+
+    def test_edge_list_refuses_before_allocating(self, rng, monkeypatch):
+        backend = random_edge_backend(rng, 6, 3)
+        expected = backend.to_dense()
+        monkeypatch.setattr(model, "MAX_DENSE_ENTRIES", 18 * 18 - 1)
+        with pytest.raises(CapacityError, match="order 18"):
+            backend.to_dense()
+        with pytest.raises(CapacityError):
+            DiagonalShift(backend, np.zeros((6, 3))).to_dense()
+        monkeypatch.setattr(model, "MAX_DENSE_ENTRIES", 18 * 18)
+        np.testing.assert_array_equal(backend.to_dense(), expected)
 
 
 class TestOperatorSymmetry:

@@ -2,17 +2,37 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_labelings, potts_pair, random_feasible,
                       random_instance, zero_instance)
 from crffw import (CrfInstance, EdgeList, EntropyRegularizer, L2Regularizer,
-                   project_feasible, project_simplex, regularizer_bounds,
+                   is_feasible, project_feasible, project_simplex, regularizer_bounds,
                    round_bcd, round_nearest, rounding_constant, softmax_rows)
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scaled_matrices(draw):
+    """(n, d) matrices whose rows have magnitudes from 1e-300 to 1e308."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entries = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 1.0, 10.0]))
+    mantissas = np.array(draw(st.lists(entries, min_size=n * d, max_size=n * d)))
+    scales = st.one_of(st.integers(-300, 307), st.integers(-2, 17))
+    exponents = np.array(draw(st.lists(scales, min_size=n, max_size=n)))
+    return mantissas.reshape(n, d) * 10.0 ** exponents[:, None]
+
+
+def projection_formula(v):
+    """project_feasible's sort-and-threshold formula alone, without the
+    second pass for rows that lose the 1 at large magnitudes."""
+    a = np.sort(v, axis=1)[:, ::-1]
+    gammas = (np.cumsum(a, axis=1) - 1.0) / np.arange(1, v.shape[1] + 1)
+    k = (a > gammas).sum(axis=1) - 1
+    return np.maximum(v - gammas[np.arange(v.shape[0]), k][:, None], 0.0)
 
 
 def grid_search_projection(v, step=1e-3):
@@ -88,6 +108,31 @@ class TestProjectFeasible:
         out = project_feasible(np.array([[2.0, 0.0], [0.5, 0.5]]))
         np.testing.assert_allclose(out, [[1.0, 0.0], [0.5, 0.5]], atol=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_matrices())
+    @example(np.full((1, 3), 1e200))
+    @example(np.array([[1e17, 1e17, 0.0]]))
+    @example(np.array([[1e308, -1e308, 0.0]]))
+    @example(np.array([[0.0, 0.0, 0.0, 6e307]]))  # unclipped, v - max(v) overflows cumsum
+    def test_feasible_at_every_magnitude(self, v):
+        out = project_feasible(v)
+        assert is_feasible(out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            formula = projection_formula(v)
+        # rows the formula already gets right keep its bits; up to 1e3
+        # that is every row
+        mag = np.abs(v).max(axis=1)
+        kept = (mag <= 1e15) & (np.abs(formula.sum(axis=1) - 1.0) <= 1e-9)
+        assert kept[mag <= 1e3].all()
+        assert out[kept].tobytes() == formula[kept].tobytes()
+
+    def test_large_ties(self):
+        np.testing.assert_array_equal(project_feasible(np.full((1, 3), 1e200)),
+                                      np.full((1, 3), 1.0 / 3.0))
+        np.testing.assert_array_equal(project_feasible(np.array([[1e17, 1e17, 0.0]])),
+                                      [[0.5, 0.5, 0.0]])
+        np.testing.assert_array_equal(project_simplex(np.array([1e308, 1e308])), [0.5, 0.5])
+
     def test_matches_vector_version(self, rng):
         v = rng.standard_normal((6, 4)) * 3.0
         out = project_feasible(v)
@@ -117,6 +162,17 @@ class TestSoftmaxRows:
         assert np.all(s > 0.0)
         assert s.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(softmax_rows(v + shift), s, atol=1e-12)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_matrices())
+    def test_stochastic_at_every_magnitude(self, v):
+        with np.errstate(over="ignore"):  # v - max(v) may overflow to -inf
+            s = softmax_rows(v)
+        assert np.all(s >= 0.0)
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        # the largest entry has weight at least 1/d
+        assert np.all(s[np.arange(len(v)), v.argmax(axis=1)] >= 1.0 / v.shape[1])
 
 
 class TestRoundNearest:
