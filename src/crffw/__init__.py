@@ -16,22 +16,21 @@ from .errors import (CapacityError, Diverged, InstanceFormatError,
 from .instances import (GeneratorSpec, RandomDense, RandomEdgeList, RandomGrid,
                         generate, potts_matrix, read_json, read_uai, write_json)
 from .model import (CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
-                    GaussianKernel, pairwise_matvec)
+                    GaussianKernel)
 from .regularizers import (EntropyRegularizer, L2Regularizer, Regularizer,
                            regularizer_bounds, regularizer_value,
                            strong_convexity)
 from .schedules import (Adaptive, Constant, ConstantLength, Harmonic, InvSqrt,
                         LineSearch, HarmonicRamp, StepContext,
                         StepsizeSchedule, stepsize)
-from .simplex import (BcdRounding, NearestRounding, RoundingScheme, decode,
-                      is_feasible, project_feasible, project_simplex,
+from .simplex import (is_feasible, project_feasible, project_simplex,
                       round_bcd, round_nearest, rounding_constant,
                       softmax_rows)
 from .solvers import (ADMM, EMD, METHODS, PGD, ConvexFW, DampedMeanField,
                       EntropicFW, FastPGM, IterationRecord, IterationTrace,
                       L2FW, MeanField, SolverConfig, SolverMethod, VanillaFW,
-                      conditional_gradient_norm, convexify, direction_efw,
-                      direction_l2fw, initial_point, lmo_vanilla,
-                      mean_field_run, run_generalized_fw)
+                      conditional_gradient_norm, convexify, direction_point,
+                      initial_point, lmo_vanilla, mean_field_run,
+                      run_generalized_fw)
 
 __version__ = "0.1.0"

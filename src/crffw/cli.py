@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from . import schedules, solvers, verification
 from .errors import CapacityError, Diverged, InstanceFormatError
 from .instances import (RandomDense, RandomEdgeList, RandomGrid, generate,
                         read_json, read_uai, write_json)
-from .simplex import BcdRounding, NearestRounding, decode
+from .simplex import round_bcd, round_nearest
 
 EXIT_RUNTIME = 1
 
@@ -64,14 +63,10 @@ def _build_config(method_name, lam, schedule, steps, check_bounds=False):
         raise ValueError(f"{method_cls.name} takes no regularization weight")
     if schedule is not None and method_cls is solvers.MeanField:
         raise ValueError("mf takes no stepsize schedule")
-    if method_cls is solvers.DampedMeanField:
-        # the damping factor comes from constant:A
-        method = method_cls(schedule.alpha if isinstance(schedule, schedules.Constant) else 0.5)
-    else:
-        method = method_cls()
     reg_cls = method_cls.regularizer
     reg = None if reg_cls is None else reg_cls(1.0 if lam is None else lam)
-    return solvers.SolverConfig(method, regularizer=reg, schedule=schedule,
+    # dmf's damping is its Constant schedule; SolverConfig rejects any other
+    return solvers.SolverConfig(method_cls(), regularizer=reg, schedule=schedule,
                                 max_iters=steps, decrease_bound_check=check_bounds)
 
 
@@ -130,8 +125,7 @@ def cmd_solve(args, parser):
         return EXIT_RUNTIME
     if args.trace:
         trace.write_csv(args.trace, include_times=args.times)
-    scheme = BcdRounding() if args.round == "bcd" else NearestRounding()
-    labels = decode(instance, x, scheme)
+    labels = round_bcd(instance, x) if args.round == "bcd" else round_nearest(x)
     e_final = instance.energy_discrete(labels)
     if args.labels_out:
         with open(args.labels_out, "w", encoding="utf-8") as fh:
@@ -146,18 +140,16 @@ def cmd_solve(args, parser):
 # compare
 
 def _parse_method_spec(spec):
-    # "name", "name:lambda", or "name:lambda:schedule"
-    parts = spec.split(":")
+    # "name", "name:lambda", or "name:lambda:schedule"; the schedule may
+    # itself hold a colon (constant:A), and the label keeps it
+    parts = spec.split(":", 2)
     name = parts[0].strip().lower()
     lam = float(parts[1]) if len(parts) > 1 and parts[1] else None
     schedule = _parse_schedule(parts[2]) if len(parts) > 2 and parts[2] else None
     label = name if lam is None else f"{name}:{parts[1]}"
+    if schedule is not None:
+        label = f"{name}:{parts[1]}:{parts[2].strip().lower()}"
     return label, name, lam, schedule
-
-
-def _solve_disc_curve(instance, config):
-    _, trace = solvers.run_generalized_fw(instance, config)
-    return [r.e_disc for r in trace.records]
 
 
 def _lambda_grid(lo, hi, step):
@@ -179,6 +171,8 @@ def cmd_compare(args, parser):
         runs = {}
         for spec in filter(str.strip, args.methods.split(",")):
             label, name, lam, schedule = _parse_method_spec(spec)
+            if label in runs:
+                parser.error(f"method spec {label!r} given twice")
             runs[label] = _build_config(name, lam, schedule, args.steps)
         sweep_runs = {}
         for name in filter(None, (m.strip().lower() for m in args.sweep_methods.split(","))):
@@ -190,12 +184,10 @@ def cmd_compare(args, parser):
         parser.error("at least one method is required")
     instances = [_load_instance(p) for p in args.instances]
     os.makedirs(args.out, exist_ok=True)
-    workers = max(1, int(os.environ.get("CRFFW_THREADS", "1")))
 
     def curves_for(config):
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_solve_disc_curve, inst, config) for inst in instances]
-            return [f.result() for f in futures]
+        return [[r.e_disc for r in solvers.run_generalized_fw(inst, config)[1].records]
+                for inst in instances]
 
     try:
         all_curves = {label: curves_for(config) for label, config in runs.items()}

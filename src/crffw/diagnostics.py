@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,14 +34,12 @@ class ConvergenceParams:
 
     omega = sigma_g / (L_f + sigma_g); diameter = sqrt(2 n) is the
     diameter of the product of n simplices (each row pair differs by at
-    most sqrt(2)); delta0_hat is the computable surrogate F_0 - min_i F_i
-    for the unknowable F_0 - F*.
+    most sqrt(2)).
     """
 
     l_f: float
     sigma_g: float
     diameter: float
-    delta0_hat: Optional[float] = None
 
     @property
     def omega(self):
@@ -56,12 +53,11 @@ def feasible_set_diameter(n_nodes):
     return math.sqrt(2.0 * n_nodes)
 
 
-def convergence_params(instance, reg, delta0_hat=None):
+def convergence_params(instance, reg):
     return ConvergenceParams(
         l_f=instance.lipschitz_upper_bound(),
         sigma_g=strong_convexity(reg),
         diameter=feasible_set_diameter(instance.n_nodes),
-        delta0_hat=delta0_hat,
     )
 
 

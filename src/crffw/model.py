@@ -457,15 +457,6 @@ class DiagonalShift:
         return self.base.spectral_norm_bound() + extra
 
 
-def pairwise_matvec(backend, x):
-    """Apply the pairwise operator: (Px)_i = sum_{j != i} Theta_ij x_j."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (backend.n_nodes, backend.n_labels):
-        raise ValueError(
-            f"point must have shape ({backend.n_nodes}, {backend.n_labels}), got {x.shape}")
-    return backend.matvec(x)
-
-
 class CrfInstance:
     """Immutable CRF instance: unary costs plus a pairwise backend."""
 

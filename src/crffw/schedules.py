@@ -58,18 +58,10 @@ class InvSqrt:
 class Adaptive:
     """alpha_k = min(1, (S_k / ||p - x||^2 + sigma_g / 2) / (L_f + sigma_g)).
 
-    Unset constants are resolved at run time from the instance's
-    spectral-norm bound and the regularizer's strong convexity.
+    The solver loop passes L_f (the instance's spectral-norm bound) and
+    sigma_g (the regularizer's strong convexity) in the StepContext, so
+    the step and the decrease bound of a row read the same constants.
     """
-
-    l_f: Optional[float] = None
-    sigma_g: Optional[float] = None
-
-    def __post_init__(self):
-        if self.l_f is not None and self.l_f < 0.0:
-            raise ValueError("L_f must be >= 0")
-        if self.sigma_g is not None and self.sigma_g < 0.0:
-            raise ValueError("sigma_g must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -163,8 +155,7 @@ def stepsize(schedule, k, ctx=None):
     if isinstance(schedule, InvSqrt):
         return min(1.0, 1.0 / math.sqrt(k + 1.0))
     if isinstance(schedule, Adaptive):
-        l_f = ctx.l_f if schedule.l_f is None else schedule.l_f
-        sig = ctx.sigma_g if schedule.sigma_g is None else schedule.sigma_g
+        l_f, sig = ctx.l_f, ctx.sigma_g
         if l_f is None or sig is None:
             raise ValueError("adaptive stepsize needs resolved L_f and sigma_g")
         if not ctx.dir_norm_sq or ctx.dir_norm_sq <= 0.0:

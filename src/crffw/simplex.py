@@ -7,37 +7,8 @@ node; points are (n, d) row-stochastic matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class NearestRounding:
-    """Per-node argmax decoding."""
-
-
-@dataclass(frozen=True)
-class BcdRounding:
-    """Coordinate-descent decoding; never increases the energy."""
-
-    max_sweeps: int = 100
-
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-
-
-RoundingScheme = NearestRounding | BcdRounding
-
-
-def decode(instance, x, scheme=NearestRounding()):
-    """Round a relaxed point to a labeling under the given scheme."""
-    if isinstance(scheme, NearestRounding):
-        return round_nearest(x)
-    if isinstance(scheme, BcdRounding):
-        return round_bcd(instance, x, max_sweeps=scheme.max_sweeps)
-    raise TypeError(f"unknown rounding scheme: {scheme!r}")
 
 
 def is_feasible(x, atol=1e-9):

@@ -39,6 +39,7 @@ from .regularizers import (EntropyRegularizer, L2Regularizer,
 from .simplex import project_feasible, round_nearest, softmax_rows
 
 _BOUND_TOL = 1e-7
+_ADMM_RHO = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +64,7 @@ class _FrankWolfe(_Method):
     bounded = True
 
     def direction(self, grad, x, reg):
-        p = _direction_from_gradient(grad, reg)
+        p = direction_point(grad, reg)
         return p, _gap(grad, x, p, reg)
 
     def steps(self, instance, x, px, config):
@@ -124,21 +125,17 @@ class EntropicFW(_FrankWolfe):
 
 @dataclass(frozen=True)
 class MeanField(_FrankWolfe):
-    """Entropic Frank-Wolfe at lam = 1 with the constant step alpha."""
+    """Entropic Frank-Wolfe at lam = 1 with a unit step."""
 
     name = "mf"
     regularizer = EntropyRegularizer
-    alpha = 1.0
 
 
 @dataclass(frozen=True)
 class DampedMeanField(MeanField):
-    alpha: float = 0.5
-    name = "dmf"
+    """Mean field damped by a Constant schedule, Constant(0.5) by default."""
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("damping factor must lie in (0, 1]")
+    name = "dmf"
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ class EMD(_Method):
 
 @dataclass(frozen=True)
 class ADMM(_Method):
-    """Two-block splitting with dual ascent; rho fixed.
+    """Two-block splitting with dual ascent at the penalty rho = 1.
 
     Each primal projection needs P at the half-iterate before it, which
     is also the matvec behind that half-iterate's recorded energy, so
@@ -218,17 +215,12 @@ class ADMM(_Method):
     construction.
     """
 
-    rho: float = 1.0
     name = "admm"
     uses_lipschitz = False
 
-    def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ValueError("penalty parameter rho must be > 0")
-
     def steps(self, instance, point, m, config):
         # m is P at the last yielded point
-        rho, u = self.rho, instance.unary
+        rho, u = _ADMM_RHO, instance.unary
         x, y, z = None, np.zeros_like(point), point
         for k in itertools.count():
             grad_at = m + u
@@ -259,7 +251,6 @@ class SolverConfig:
     regularizer: object = None
     schedule: object = None
     max_iters: int = 20
-    record_discrete_energy: bool = True
     decrease_bound_check: bool = False
     record_iterates: bool = False
 
@@ -268,8 +259,14 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         reg_cls = self.method.regularizer
         if isinstance(self.method, MeanField):
+            # efw at lam = 1: mf at a unit step, dmf damped by its Constant schedule
             self.regularizer = EntropyRegularizer(1.0)
-            self.schedule = schedules.Constant(self.method.alpha)
+            if not isinstance(self.method, DampedMeanField):
+                self.schedule = schedules.Constant(1.0)
+            elif self.schedule is None:
+                self.schedule = schedules.Constant(0.5)
+            elif not isinstance(self.schedule, schedules.Constant):
+                raise ValueError("dmf takes only a constant stepsize schedule")
         elif reg_cls is None:
             self.regularizer = None
         elif not isinstance(self.regularizer, reg_cls):
@@ -335,9 +332,6 @@ class IterationTrace:
     def s_k(self):
         return np.array([r.s_k for r in self.records])
 
-    def reg_energies_with_initial(self):
-        return np.concatenate([[self.initial_e_reg], self.e_reg])
-
     def write_csv(self, path, include_times=True):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
@@ -371,24 +365,25 @@ def lmo_vanilla(grad):
     return p
 
 
-def direction_l2fw(instance, x, lam):
-    """Direction point for l2-regularized linearization."""
-    return _direction_from_gradient(instance.gradient(x), L2Regularizer(lam))
+def direction_point(grad, reg):
+    """Direction point p = argmin_p <grad, p> + r(p) over the feasible set.
 
-
-def direction_efw(instance, x, lam):
-    """Direction point for entropy-regularized linearization."""
-    return _direction_from_gradient(instance.gradient(x), EntropyRegularizer(lam))
-
-
-def _direction_from_gradient(grad, reg):
+    No regularizer: the vertex of lmo_vanilla; l2: Pi_X(-grad / lam);
+    entropic: softmax(-grad / lam).  Raises Diverged when -grad / lam is
+    not finite.
+    """
     if reg is None:
         return lmo_vanilla(grad)
     if isinstance(reg, L2Regularizer):
-        return project_feasible(-grad / reg.lam)
-    if isinstance(reg, EntropyRegularizer):
-        return softmax_rows(-grad / reg.lam)
-    raise TypeError(f"no direction oracle for regularizer {reg!r}")
+        oracle = project_feasible
+    elif isinstance(reg, EntropyRegularizer):
+        oracle = softmax_rows
+    else:
+        raise TypeError(f"no direction oracle for regularizer {reg!r}")
+    scaled = -grad / reg.lam
+    if not np.all(np.isfinite(scaled)):
+        raise Diverged("non-finite scaled gradient -grad / lam")
+    return oracle(scaled)
 
 
 def _gap(grad, x, p, reg):
@@ -404,7 +399,7 @@ def conditional_gradient_norm(instance, x, reg=None):
     """
     x = np.asarray(x, dtype=float)
     grad = instance.gradient(x)
-    p = _direction_from_gradient(grad, reg)
+    p = direction_point(grad, reg)
     return _gap(grad, x, p, reg)
 
 
@@ -429,24 +424,26 @@ def _check_finite(trace, where, **energies):
             raise Diverged(f"non-finite {name} {where}", trace)
 
 
-def _energies(instance, x, px, reg, record_disc):
+def _energies(instance, x, px, reg):
     # px is P x when the caller already has it, else None
     e_cont = instance.energy_relaxed(x, px)
     e_reg = e_cont + regularizer_value(reg, x)
-    e_disc = instance.energy_discrete(round_nearest(x)) if record_disc else math.nan
-    return e_cont, e_reg, e_disc
+    return e_cont, e_reg, instance.energy_discrete(round_nearest(x))
 
 
 # ---------------------------------------------------------------------------
 # the solver loop shared by every method
 
+@np.errstate(all="ignore")
 def run_generalized_fw(instance, config):
     """Run a solver; returns (point, trace).
 
-    Raises Diverged (carrying the partial trace) on non-finite energy.
-    When `decrease_bound_check` is set, every iteration asserts the
-    guaranteed decrease F_k - F_{k+1} >= delta_k - 1e-7 for the active
-    schedule/regularizer combination.
+    Raises Diverged (carrying the partial trace) on a non-finite energy
+    or direction-oracle input; numpy's floating-point warnings are off,
+    as these checks report what they would.  When `decrease_bound_check`
+    is set, every iteration asserts the guaranteed decrease
+    F_k - F_{k+1} >= delta_k - 1e-7 for the active schedule/regularizer
+    combination.
     """
     method = config.method
     work = convexify(instance) if isinstance(method, ConvexFW) else instance
@@ -457,7 +454,7 @@ def run_generalized_fw(instance, config):
     px = work.pairwise.matvec(x)
     trace = IterationTrace(method=method.name)
     trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        work, x, px, reg, config.record_discrete_energy)
+        work, x, px, reg)
     if config.record_iterates:
         trace.iterates = [x.copy()]
     _check_finite(trace, "at the starting point",
@@ -467,9 +464,11 @@ def run_generalized_fw(instance, config):
     steps = method.steps(work, x, px, config)
     for k in range(config.max_iters):
         t0 = time.perf_counter()
-        x, px, alpha, s_k, step_norm, dir_sq = next(steps)
-        e_cont, e_reg, e_disc = _energies(work, x, px, reg,
-                                          config.record_discrete_energy)
+        try:
+            x, px, alpha, s_k, step_norm, dir_sq = next(steps)
+        except Diverged as exc:
+            raise Diverged(f"{exc} at iteration {k}", trace) from None
+        e_cont, e_reg, e_disc = _energies(work, x, px, reg)
         _check_finite(trace, f"at iteration {k}", e_cont=e_cont, e_reg=e_reg)
 
         if method.bounded:
@@ -504,7 +503,7 @@ def mean_field_run(instance, iters):
     x = initial_point(instance)
     trace = IterationTrace(method="mf")
     trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        instance, x, None, reg, True)
+        instance, x, None, reg)
     trace.iterates = [x.copy()]
     params = diagnostics.convergence_params(instance, reg)
     sched = schedules.Constant(1.0)
@@ -517,7 +516,7 @@ def mean_field_run(instance, iters):
         dir_sq = float(((p - x) ** 2).sum())
         step_norm = math.sqrt(dir_sq)
         x = p
-        e_cont, e_reg, e_disc = _energies(instance, x, None, reg, True)
+        e_cont, e_reg, e_disc = _energies(instance, x, None, reg)
         _check_finite(trace, f"at iteration {k}", e_reg=e_reg)
         delta = diagnostics.decrease_bound(params, sched, k, s_k, dir_sq)
         trace.records.append(IterationRecord(

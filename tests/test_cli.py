@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import crffw
 from crffw import model, solvers, verification
 from crffw.cli import main
 
@@ -106,6 +110,23 @@ class TestSolve:
         assert len(doc["labels"]) == 30
         assert np.isfinite(doc["energy"])
 
+    @pytest.mark.parametrize("rounding", ["nearest", "bcd"])
+    def test_labels_are_the_rounded_final_point(self, instance_file, tmp_path, rounding):
+        labels = tmp_path / "labels.json"
+        assert run_cli("solve", "--instance", str(instance_file), "--method", "efw",
+                       "--lambda", "0.25", "--steps", "1", "--labels-out", str(labels),
+                       "--round", rounding) == 0
+        inst = crffw.read_json(instance_file)
+        config = solvers.SolverConfig(solvers.EntropicFW(),
+                                      regularizer=crffw.EntropyRegularizer(0.25), max_iters=1)
+        x, _ = solvers.run_generalized_fw(inst, config)
+        nearest, bcd = crffw.round_nearest(x), crffw.round_bcd(inst, x)
+        assert not np.array_equal(nearest, bcd)  # so the two flags are told apart
+        expect = bcd if rounding == "bcd" else nearest
+        doc = json.loads(labels.read_text())
+        assert doc["labels"] == expect.tolist()
+        assert doc["energy"] == inst.energy_discrete(expect)
+
     def test_check_bounds_flag(self, instance_file, tmp_path):
         code = run_cli("solve", "--instance", str(instance_file), "--method", "efw",
                        "--lambda", "0.5", "--stepsize", "adaptive", "--steps", "15",
@@ -147,6 +168,25 @@ class TestSolve:
         assert code == 1
         assert capsys.readouterr().err == "diverged: non-finite e_cont at iteration 1\n"
         assert len(read_trace(trace)) == 1
+
+
+@pytest.mark.parametrize("method", ["efw", "l2fw"])
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_overflowing_direction_is_divergence(instance_file, tmp_path, command, method):
+    # -grad / lam overflows; no numpy warning may reach stderr before the message
+    if command == "solve":
+        args = ["solve", "--instance", str(instance_file), "--method", method,
+                "--lambda", "1e-310", "--steps", "3"]
+    else:
+        args = ["compare", "--instances", str(instance_file), "--methods",
+                f"{method}:1e-310", "--steps", "3", "--sweep-methods", "",
+                "--out", str(tmp_path / "cmp")]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crffw.__file__)))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "crffw.cli",
+                           *args], capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("diverged: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestCapacity:
@@ -221,7 +261,6 @@ class TestCompare:
             outs.append((out / "mean_energy_vs_iteration.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_is_runtime_error(self, tmp_path, capsys):
         from crffw import CrfInstance, EdgeList, write_json
         inst = CrfInstance(np.full((2, 2), 1e308),
@@ -281,12 +320,41 @@ class TestCompare:
         assert wins >= 2
 
 
+class TestCompareSpecs:
+    def test_schedule_specs_match_solve_traces(self, instance_file, tmp_path):
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--instances", str(instance_file),
+                       "--methods", "efw:0.5:constant:0.3,dmf::constant:0.3", "--steps", "4",
+                       "--sweep-methods", "", "--out", str(out)) == 0
+        curves = json.loads((out / "summary.json").read_text())["methods"]
+        assert set(curves) == {"efw:0.5:constant:0.3", "dmf::constant:0.3"}
+        for label, flags in (("efw:0.5:constant:0.3", ("efw", "--lambda", "0.5")),
+                             ("dmf::constant:0.3", ("dmf",))):
+            trace = tmp_path / "t.csv"
+            assert run_cli("solve", "--instance", str(instance_file), "--method", *flags,
+                           "--stepsize", "constant:0.3", "--steps", "4",
+                           "--trace", str(trace)) == 0
+            assert [repr(e) for e in curves[label][0]] == [
+                r["e_disc"] for r in read_trace(trace)]
+
+    def test_schedules_keep_their_own_curves(self, instance_file, tmp_path):
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--instances", str(instance_file),
+                       "--methods", "efw:0.5,efw:0.5:linesearch,efw:0.5:harmonic",
+                       "--steps", "4", "--sweep-methods", "", "--out", str(out)) == 0
+        curves = json.loads((out / "summary.json").read_text())["methods"]
+        assert list(curves) == ["efw:0.5", "efw:0.5:linesearch", "efw:0.5:harmonic"]
+        assert curves["efw:0.5"] != curves["efw:0.5:harmonic"]
+
+
 class TestCompareValidation:
     @pytest.mark.parametrize("flags", [
         ("--sweep-at", "0"),
         ("--sweep-at", "-3"),
         ("--methods", "mf,bogus"),
         ("--methods", "mf,efw:-1"),
+        ("--methods", "efw:0.5,efw:0.5"),
+        ("--methods", "mf,efw:0.5:constant:0.3,efw:0.5:constant:0.3"),
         ("--sweep-methods", "efw,bogus"),
         ("--lambda-grid", "-0.5", "0.5", "0.5"),
         ("--lambda-grid", "0.5", "1.0", "0"),
@@ -309,7 +377,9 @@ class TestIgnoredFlags:
     before the instance is read or any output is written."""
 
     @pytest.mark.parametrize("flags", [("--method", m, "--lambda", "0.3") for m in IGNORES_LAMBDA]
-                             + [("--method", "mf", "--stepsize", "linesearch")], ids="_".join)
+                             + [("--method", "mf", "--stepsize", "linesearch"),
+                                ("--method", "dmf", "--stepsize", "harmonic"),
+                                ("--method", "dmf", "--stepsize", "linesearch")], ids="_".join)
     def test_solve(self, tmp_path, flags):
         trace, labels = tmp_path / "t.csv", tmp_path / "l.json"
         with pytest.raises(SystemExit) as exc_info:
@@ -319,7 +389,8 @@ class TestIgnoredFlags:
         assert not trace.exists() and not labels.exists()
 
     @pytest.mark.parametrize("flags", [("--methods", f"efw:0.25,{m}:0.3") for m in IGNORES_LAMBDA]
-                             + [("--methods", "mf::linesearch"), ("--sweep-methods", "efw,mf")],
+                             + [("--methods", "mf::linesearch"), ("--methods", "dmf::harmonic"),
+                                ("--sweep-methods", "efw,mf")],
                              ids="_".join)
     def test_compare(self, tmp_path, flags):
         out = tmp_path / "cmp"

@@ -35,7 +35,7 @@ class TestGenerate:
                    SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.5),
                                 max_iters=20),
                    SolverConfig(MeanField(), max_iters=20),
-                   SolverConfig(DampedMeanField(0.5), max_iters=20),
+                   SolverConfig(DampedMeanField(), max_iters=20),
                    SolverConfig(PGD(), max_iters=20),
                    SolverConfig(FastPGM(), max_iters=20),
                    SolverConfig(EMD(), max_iters=20),

@@ -9,8 +9,7 @@ from conftest import (all_labelings, potts_pair, random_dense_backend,
                       random_edge_backend, random_feasible, random_instance,
                       zero_instance)
 from crffw import (CapacityError, CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
-                   GaussianKernel, finite_diff_gradient, model, pairwise_matvec,
-                   potts_matrix)
+                   GaussianKernel, finite_diff_gradient, model, potts_matrix)
 
 
 class TestEnergyDiscrete:
@@ -107,7 +106,7 @@ class TestGradient:
 class TestPairwiseMatvec:
     def test_zero_point(self, rng):
         inst = random_instance(rng)
-        out = pairwise_matvec(inst.pairwise, np.zeros((inst.n_nodes, inst.n_labels)))
+        out = inst.pairwise.matvec(np.zeros((inst.n_nodes, inst.n_labels)))
         assert np.all(out == 0.0)
 
     def test_single_edge_identity_block(self):

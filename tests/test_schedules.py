@@ -35,24 +35,25 @@ class TestPlainSchedules:
 
 class TestAdaptive:
     def test_formula(self):
-        ctx = StepContext(s_k=1.0, dir_norm_sq=1.0)
-        assert stepsize(Adaptive(l_f=2.0, sigma_g=1.0), 0, ctx) == pytest.approx(0.5)
+        # (S_k / ||p - x||^2 + sigma_g / 2) / (L_f + sigma_g) = (0.5 + 0.5) / 3
+        ctx = StepContext(s_k=1.0, dir_norm_sq=2.0, l_f=2.0, sigma_g=1.0)
+        assert stepsize(Adaptive(), 0, ctx) == pytest.approx(1.0 / 3.0)
 
     def test_zero_direction_returns_one(self):
-        ctx = StepContext(s_k=1.0, dir_norm_sq=0.0)
-        assert stepsize(Adaptive(l_f=2.0, sigma_g=1.0), 0, ctx) == 1.0
+        ctx = StepContext(s_k=1.0, dir_norm_sq=0.0, l_f=2.0, sigma_g=1.0)
+        assert stepsize(Adaptive(), 0, ctx) == 1.0
 
     def test_concave_case_returns_one(self):
-        ctx = StepContext(s_k=1.0, dir_norm_sq=1.0)
-        assert stepsize(Adaptive(l_f=0.0, sigma_g=0.0), 0, ctx) == 1.0
+        ctx = StepContext(s_k=1.0, dir_norm_sq=1.0, l_f=0.0, sigma_g=0.0)
+        assert stepsize(Adaptive(), 0, ctx) == 1.0
 
     def test_resolved_from_context(self):
         ctx = StepContext(s_k=1.0, dir_norm_sq=1.0, l_f=2.0, sigma_g=1.0)
         assert stepsize(Adaptive(), 0, ctx) == pytest.approx(0.5)
 
     def test_clamped_to_one(self):
-        ctx = StepContext(s_k=100.0, dir_norm_sq=1.0)
-        assert stepsize(Adaptive(l_f=1.0, sigma_g=1.0), 0, ctx) == 1.0
+        ctx = StepContext(s_k=100.0, dir_norm_sq=1.0, l_f=1.0, sigma_g=1.0)
+        assert stepsize(Adaptive(), 0, ctx) == 1.0
 
 
 class TestLineSearch:

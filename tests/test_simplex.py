@@ -233,19 +233,6 @@ class TestRoundBcd:
             round_bcd(potts_pair(), np.full((2, 2), 0.5), max_sweeps=0)
 
 
-class TestDecode:
-    def test_scheme_dispatch(self, rng):
-        from crffw import BcdRounding, NearestRounding, decode
-        inst = random_instance(rng)
-        x = random_feasible(rng, inst.n_nodes, inst.n_labels)
-        np.testing.assert_array_equal(decode(inst, x, NearestRounding()),
-                                      round_nearest(x))
-        np.testing.assert_array_equal(decode(inst, x, BcdRounding(max_sweeps=7)),
-                                      round_bcd(inst, x, max_sweeps=7))
-        with pytest.raises(ValueError):
-            BcdRounding(max_sweeps=0)
-
-
 class TestRoundingConstant:
     def test_formula_single_node(self):
         inst = CrfInstance(np.array([[3.0, 4.0]]),

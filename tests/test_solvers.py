@@ -10,10 +10,9 @@ from crffw import (ADMM, EMD, PGD, Adaptive, Constant, ConvexFW,
                    EntropicFW, EntropyRegularizer, FastPGM, Harmonic, L2FW,
                    L2Regularizer, LineSearch, MeanField, HarmonicRamp,
                    SolverConfig, VanillaFW, conditional_gradient_norm,
-                   convergence_params, convexify, direction_efw,
-                   direction_l2fw, initial_point, is_feasible, lmo_vanilla,
-                   mean_field_run, project_feasible, run_generalized_fw,
-                   softmax_rows)
+                   convergence_params, convexify, direction_point,
+                   initial_point, is_feasible, lmo_vanilla, mean_field_run,
+                   project_feasible, run_generalized_fw, softmax_rows)
 
 
 def zero_pairwise(u):
@@ -73,41 +72,47 @@ class TestDirectionOracles:
     def test_l2_zero_pairwise(self):
         inst = zero_pairwise([[-2.0, 0.0]])
         x = np.array([[0.5, 0.5]])
-        np.testing.assert_allclose(direction_l2fw(inst, x, 1.0), [[1.0, 0.0]],
-                                   atol=1e-12)
+        np.testing.assert_allclose(direction_point(inst.gradient(x), L2Regularizer(1.0)),
+                                   [[1.0, 0.0]], atol=1e-12)
 
     def test_l2_huge_weight_gives_uniform(self, rng):
         inst = random_instance(rng)
         x = random_feasible(rng, inst.n_nodes, inst.n_labels)
-        p = direction_l2fw(inst, x, 1e12)
+        p = direction_point(inst.gradient(x), L2Regularizer(1e12))
         np.testing.assert_allclose(p, np.full_like(p, 1.0 / inst.n_labels), atol=1e-9)
 
     def test_l2_output_feasible(self, rng):
         for _ in range(20):
             inst = random_instance(rng)
             x = random_feasible(rng, inst.n_nodes, inst.n_labels)
-            assert is_feasible(direction_l2fw(inst, x, float(rng.uniform(0.1, 3.0))))
+            reg = L2Regularizer(float(rng.uniform(0.1, 3.0)))
+            assert is_feasible(direction_point(inst.gradient(x), reg))
 
     def test_efw_unit_weight_zero_pairwise_is_initial_point(self, rng):
         inst = zero_pairwise(rng.standard_normal((4, 3)))
         x = random_feasible(rng, 4, 3)
-        np.testing.assert_allclose(direction_efw(inst, x, 1.0), initial_point(inst),
-                                   atol=1e-15)
+        np.testing.assert_allclose(direction_point(inst.gradient(x), EntropyRegularizer(1.0)),
+                                   initial_point(inst), atol=1e-15)
 
     def test_efw_low_temperature_approaches_lmo(self, rng):
         inst = random_instance(rng)
         x = random_feasible(rng, inst.n_nodes, inst.n_labels)
-        p_cold = direction_efw(inst, x, 1e-6)
+        p_cold = direction_point(inst.gradient(x), EntropyRegularizer(1e-6))
         p_lmo = lmo_vanilla(inst.gradient(x))
         assert float(np.abs(p_cold - p_lmo).max()) < 1e-3
 
-    def test_lambda_validation(self, rng):
-        inst = random_instance(rng)
-        x = random_feasible(rng, inst.n_nodes, inst.n_labels)
+    def test_lambda_validation(self):
+        # the weight is checked where the regularizer is built
         with pytest.raises(ValueError):
-            direction_l2fw(inst, x, 0.0)
+            L2Regularizer(0.0)
         with pytest.raises(ValueError):
-            direction_efw(inst, x, -1.0)
+            EntropyRegularizer(-1.0)
+
+    @pytest.mark.parametrize("reg", [L2Regularizer(1e-310), EntropyRegularizer(1e-310)],
+                             ids=["l2", "entropic"])
+    def test_non_finite_scaled_gradient_diverges(self, reg):
+        with np.errstate(over="ignore"), pytest.raises(Diverged, match="scaled gradient"):
+            direction_point(np.array([[1.0, -2.0]]), reg)
 
 
 class TestConditionalGradientNorm:
@@ -132,10 +137,7 @@ class TestConditionalGradientNorm:
             x = random_feasible(rng, inst.n_nodes, inst.n_labels)
             for reg in (L2Regularizer(0.6), EntropyRegularizer(0.6)):
                 s = conditional_gradient_norm(inst, x, reg)
-                if isinstance(reg, L2Regularizer):
-                    p = direction_l2fw(inst, x, reg.lam)
-                else:
-                    p = direction_efw(inst, x, reg.lam)
+                p = direction_point(inst.gradient(x), reg)
                 assert s >= 0.5 * reg.lam * float(((x - p) ** 2).sum()) - 1e-9
                 assert s >= -1e-9
 
@@ -151,7 +153,7 @@ GOLDEN_CONFIGS = {
     "cfw_linesearch": SolverConfig(ConvexFW(), schedule=LineSearch(), max_iters=5),
     "efw_0.25_linesearch": SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.25),
                                         schedule=LineSearch(), max_iters=5),
-    "dmf": SolverConfig(DampedMeanField(0.5), max_iters=5),
+    "dmf": SolverConfig(DampedMeanField(), max_iters=5),
 }
 
 
@@ -220,7 +222,7 @@ class TestGeneralizedFw:
             SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.5),
                          schedule=HarmonicRamp(), max_iters=10),
             SolverConfig(MeanField(), max_iters=10),
-            SolverConfig(DampedMeanField(0.5), max_iters=10),
+            SolverConfig(DampedMeanField(), max_iters=10),
             SolverConfig(PGD(), max_iters=10),
             SolverConfig(FastPGM(), max_iters=10),
             SolverConfig(EMD(), max_iters=10),
@@ -345,7 +347,7 @@ class TestMeanFieldRuns:
 
     def test_damped_equals_efw_half_step(self, rng):
         inst = random_instance(rng)
-        cfg_dmf = SolverConfig(DampedMeanField(0.5), max_iters=10, record_iterates=True)
+        cfg_dmf = SolverConfig(DampedMeanField(), max_iters=10, record_iterates=True)
         _, tr_dmf = run_generalized_fw(inst, cfg_dmf)
         cfg_efw = SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(1.0),
                                schedule=Constant(0.5), max_iters=10,
@@ -353,6 +355,13 @@ class TestMeanFieldRuns:
         _, tr_efw = run_generalized_fw(inst, cfg_efw)
         for a, b in zip(tr_dmf.iterates, tr_efw.iterates):
             np.testing.assert_array_equal(a, b)
+
+    def test_dmf_damping_is_a_constant_schedule(self):
+        assert SolverConfig(DampedMeanField()).schedule == Constant(0.5)
+        cfg = SolverConfig(DampedMeanField(), schedule=Constant(0.3))
+        assert cfg.schedule == Constant(0.3)
+        with pytest.raises(ValueError, match="constant"):
+            SolverConfig(DampedMeanField(), schedule=Harmonic())
 
     def test_single_node_constant_after_first_step(self, rng):
         inst = zero_pairwise(rng.standard_normal((1, 3)))
@@ -517,10 +526,6 @@ class TestAdmm:
                 shrinks += 1
         assert shrinks >= 0.8 * total
 
-    def test_rho_validation(self):
-        with pytest.raises(ValueError):
-            ADMM(rho=0.0)
-
 
 class TestDecreaseBounds:
     def test_adaptive_and_constant_rows_hold(self, rng):
@@ -549,10 +554,10 @@ class TestDecreaseBounds:
             cfg = SolverConfig(EntropicFW(), regularizer=reg,
                                schedule=Adaptive(), max_iters=25)
             _, trace = run_generalized_fw(inst, cfg)
-            f_all = trace.reg_energies_with_initial()
-            delta0_hat = float(f_all[0] - f_all.min())
+            f_all = [trace.initial_e_reg, *trace.e_reg]
+            f0_excess = float(f_all[0] - min(f_all))
             omega = convergence_params(inst, reg).omega
             running_min = math.inf
             for k, rec in enumerate(trace.records):
                 running_min = min(running_min, rec.s_k)
-                assert running_min <= delta0_hat / (omega * (k + 1)) + 1e-7
+                assert running_min <= f0_excess / (omega * (k + 1)) + 1e-7
