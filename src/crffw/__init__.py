@@ -20,15 +20,15 @@ from .model import (CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
 from .regularizers import (EntropyRegularizer, L2Regularizer, Regularizer,
                            regularizer_bounds, regularizer_value,
                            strong_convexity)
-from .schedules import (Adaptive, Constant, ConstantLength, Harmonic, InvSqrt,
-                        LineSearch, HarmonicRamp, StepContext,
+from .schedules import (SCHEDULES, Adaptive, Constant, ConstantLength, Harmonic,
+                        InvSqrt, LineSearch, HarmonicRamp, StepContext,
                         StepsizeSchedule, stepsize)
 from .simplex import (is_feasible, project_feasible, project_simplex,
                       round_bcd, round_nearest, rounding_constant,
                       softmax_rows)
 from .solvers import (ADMM, EMD, METHODS, PGD, ConvexFW, DampedMeanField,
                       EntropicFW, FastPGM, IterationRecord, IterationTrace,
-                      L2FW, MeanField, SolverConfig, SolverMethod, VanillaFW,
+                      L2FW, MeanField, SolverConfig, VanillaFW,
                       conditional_gradient_norm, convexify, direction_point,
                       initial_point, lmo_vanilla, mean_field_run,
                       run_generalized_fw)

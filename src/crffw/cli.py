@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,41 +34,20 @@ def _load_instance(path):
 
 
 def _parse_schedule(text):
-    text = text.strip().lower()
-    if text.startswith("constant:"):
-        return schedules.Constant(float(text.split(":", 1)[1]))
-    if text.startswith("constlength:"):
-        return schedules.ConstantLength(float(text.split(":", 1)[1]))
-    if text == "harmonic":
-        return schedules.Harmonic()
-    if text == "ramp":
-        return schedules.HarmonicRamp()
-    if text == "invsqrt":
-        return schedules.InvSqrt()
-    if text == "adaptive":
-        return schedules.Adaptive()
-    if text == "linesearch":
-        return schedules.LineSearch()
-    raise ValueError(f"unknown stepsize schedule {text!r}")
+    # "name" or, for a schedule with a field, "name:value"
+    name, _, value = text.strip().lower().partition(":")
+    cls = schedules.SCHEDULES.get(name)
+    if cls is None or bool(fields(cls)) != bool(value):
+        raise ValueError(f"unknown stepsize schedule {text!r}")
+    return cls(float(value)) if value else cls()
 
 
 def _build_config(method_name, lam, schedule, steps, check_bounds=False):
-    if lam is not None and lam <= 0.0:
-        raise ValueError("regularization weight must be > 0")
-    method_cls = solvers.METHODS.get(method_name.lower())
+    method_cls = solvers.METHODS.get(method_name)
     if method_cls is None:
         raise ValueError(f"unknown method {method_name!r}")
-    # mf and dmf force lambda = 1 (and mf its unit step); refuse what they would ignore
-    forced = issubclass(method_cls, solvers.MeanField)
-    if lam is not None and (forced or method_cls.regularizer is None):
-        raise ValueError(f"{method_cls.name} takes no regularization weight")
-    if schedule is not None and method_cls is solvers.MeanField:
-        raise ValueError("mf takes no stepsize schedule")
-    reg_cls = method_cls.regularizer
-    reg = None if reg_cls is None else reg_cls(1.0 if lam is None else lam)
-    # dmf's damping is its Constant schedule; SolverConfig rejects any other
-    return solvers.SolverConfig(method_cls(), regularizer=reg, schedule=schedule,
-                                max_iters=steps, decrease_bound_check=check_bounds)
+    return solvers.SolverConfig(method_cls(), lam=lam, schedule=schedule, max_iters=steps,
+                                decrease_bound_check=check_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -75,26 +55,23 @@ def _build_config(method_name, lam, schedule, steps, check_bounds=False):
 
 def cmd_generate(args, parser):
     if args.kind == "dense":
-        if args.nodes < 1 or args.labels < 1:
-            parser.error("--nodes and --labels must be positive")
         spec = RandomDense(n=args.nodes, d=args.labels, seed=args.seed,
                            image_size=args.image_size, w1=args.w1, w2=args.w2,
                            alpha=args.kernel_alpha, beta=args.kernel_beta,
                            gamma=args.kernel_gamma, compat=args.compat,
                            potts_w=args.potts_w, unary_scale=args.unary_scale)
     elif args.kind == "grid":
-        if args.rows < 1 or args.cols < 1 or args.labels < 1:
-            parser.error("--rows, --cols and --labels must be positive")
         spec = RandomGrid(rows=args.rows, cols=args.cols, d=args.labels,
                           seed=args.seed, potts_w=args.potts_w,
                           unary_scale=args.unary_scale)
     else:
-        if args.nodes < 1 or args.labels < 1:
-            parser.error("--nodes and --labels must be positive")
         spec = RandomEdgeList(n=args.nodes, d=args.labels, seed=args.seed,
                               edge_prob=args.edge_prob,
                               unary_scale=args.unary_scale)
-    instance = generate(spec)
+    try:
+        instance = generate(spec)
+    except ValueError as exc:
+        parser.error(str(exc))
     write_json(instance, args.out)
     backend = type(instance.pairwise).__name__
     print(f"wrote {args.out}: n={instance.n_nodes} d={instance.n_labels} "
@@ -108,9 +85,6 @@ def cmd_generate(args, parser):
 def cmd_solve(args, parser):
     try:
         schedule = _parse_schedule(args.stepsize) if args.stepsize else None
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
         config = _build_config(args.method, args.lam, schedule, args.steps,
                                check_bounds=args.check_bounds)
     except ValueError as exc:
@@ -248,10 +222,7 @@ def cmd_compare(args, parser):
 # verify
 
 def cmd_verify(args, parser):
-    try:
-        results = verification.run_suite(args.suite, seed=args.seed)
-    except KeyError:
-        parser.error(f"unknown suite {args.suite!r}")
+    results = verification.SUITES[args.suite](seed=args.seed)
     report = {"suite": args.suite, "seed": args.seed,
               "passed": all(r.passed for r in results),
               "checks": [r.as_dict() for r in results]}
@@ -292,9 +263,8 @@ def build_parser():
     s.add_argument("--instance", required=True)
     s.add_argument("--method", choices=tuple(solvers.METHODS), required=True)
     s.add_argument("--lambda", dest="lam", type=float, default=None)
-    s.add_argument("--stepsize", default=None,
-                   help="constant:A | constlength:A | harmonic | ramp | "
-                        "invsqrt | adaptive | linesearch")
+    s.add_argument("--stepsize", default=None, help=" | ".join(
+        name + ":A" * bool(fields(cls)) for name, cls in schedules.SCHEDULES.items()))
     s.add_argument("--steps", type=int, default=20)
     s.add_argument("--trace", default=None, help="trace CSV output path")
     s.add_argument("--labels-out", default=None, help="final labeling JSON path")
@@ -318,7 +288,7 @@ def build_parser():
     c.set_defaults(func=cmd_compare)
 
     v = sub.add_parser("verify", help="run a built-in verification suite")
-    v.add_argument("--suite", required=True)
+    v.add_argument("--suite", choices=tuple(verification.SUITES), required=True)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
     return parser
@@ -327,10 +297,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.suite not in verification.SUITES:
-        parser.error(f"unknown suite {args.suite!r}")
-    if getattr(args, "steps", 1) < 1:
-        parser.error("--steps must be >= 1")
+    if getattr(args, "seed", 0) < 0:
+        parser.error("--seed must be >= 0")
     try:
         return args.func(args, parser)
     except (InstanceFormatError, FileNotFoundError, CapacityError) as exc:

@@ -209,11 +209,11 @@ def decrease_bound(params, schedule, k, s_k, step_sq):
     raise ValueError(f"unsupported schedule for decrease bounds: {schedule!r}")
 
 
-def vertex_regularizer_constancy(reg, n, d, tol=1e-12, rng=None):
+def vertex_regularizer_constancy(reg, n, d):
     """True iff the regularizer value is constant across one-hot points.
 
     Evaluates every one-hot point when d^n <= 2^16, otherwise a random
-    sample of 256 of them.
+    sample of 256 of them, and allows a spread of 1e-12.
     """
     total = d ** n
     x = np.zeros((n, d))
@@ -230,7 +230,7 @@ def vertex_regularizer_constancy(reg, n, d, tol=1e-12, rng=None):
             for labels in _decode_labelings(idx, n, d):
                 values.append(value_at(labels))
     else:
-        rng = np.random.default_rng(0) if rng is None else rng
+        rng = np.random.default_rng(0)
         for _ in range(256):
             values.append(value_at(rng.integers(0, d, size=n)))
-    return (max(values) - min(values)) <= tol
+    return (max(values) - min(values)) <= 1e-12

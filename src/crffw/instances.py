@@ -13,6 +13,7 @@ Two on-disk formats are supported:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,6 @@ class RandomEdgeList:
     seed: int
     edge_prob: float = 0.3
     unary_scale: float = 1.0
-    pairwise_scale: float = 1.0
 
 
 GeneratorSpec = RandomDense | RandomGrid | RandomEdgeList
@@ -94,6 +94,8 @@ def generate(spec):
 def _generate_dense(spec):
     if spec.n < 1 or spec.d < 1:
         raise ValueError("n and d must be positive")
+    if not 0.0 <= spec.image_size < math.inf:
+        raise ValueError("image_size must be finite and >= 0")
     rng = np.random.default_rng(spec.seed)
     positions = rng.uniform(0.0, spec.image_size, size=(spec.n, 2))
     colors = rng.uniform(0.0, 255.0, size=(spec.n, 3))
@@ -143,7 +145,7 @@ def _generate_edges(spec):
         for j in range(i + 1, spec.n):
             if rng.uniform() < spec.edge_prob:
                 edges.append((i, j))
-                thetas.append(rng.standard_normal((spec.d, spec.d)) * spec.pairwise_scale)
+                thetas.append(rng.standard_normal((spec.d, spec.d)))
     thetas = np.array(thetas) if thetas else np.zeros((0, spec.d, spec.d))
     return CrfInstance(unary, EdgeList(spec.n, spec.d,
                                        np.array(edges, dtype=int).reshape(-1, 2), thetas))

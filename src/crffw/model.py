@@ -283,8 +283,10 @@ class GaussianKernel:
             raise ValueError("compat must be a square matrix")
         if not np.allclose(compat, compat.T, atol=1e-12, rtol=0.0):
             raise ValueError("compat must be symmetric")
-        if min(alpha, beta, gamma) <= 0.0:
+        if not all(v > 0.0 for v in (alpha, beta, gamma)):
             raise ValueError("kernel bandwidths must be strictly positive")
+        if not np.all(np.isfinite((w1, w2))):
+            raise ValueError("kernel weights must be finite")
         self.positions = positions
         self.colors = colors
         self.compat = compat

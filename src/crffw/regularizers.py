@@ -22,8 +22,8 @@ class L2Regularizer:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("regularization weight must be > 0")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("regularization weight must be finite and > 0")
 
     @property
     def strong_convexity(self):
@@ -47,8 +47,8 @@ class EntropyRegularizer:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("regularization weight must be > 0")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError("regularization weight must be finite and > 0")
 
     @property
     def strong_convexity(self):

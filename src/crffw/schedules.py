@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 129
@@ -69,8 +69,12 @@ class LineSearch:
     """alpha_k = argmin over [0, 1] of the objective along the segment."""
 
 
-StepsizeSchedule = (Constant | ConstantLength | Harmonic | HarmonicRamp
-                    | InvSqrt | Adaptive | LineSearch)
+# by CLI name; a schedule with a field takes it as "name:value"
+SCHEDULES = {"constant": Constant, "constlength": ConstantLength,
+             "harmonic": Harmonic, "ramp": HarmonicRamp, "invsqrt": InvSqrt,
+             "adaptive": Adaptive, "linesearch": LineSearch}
+
+StepsizeSchedule = Union[tuple(SCHEDULES.values())]
 
 
 @dataclass

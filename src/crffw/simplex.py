@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+_MAX_SWEEPS = 100
+
 
 def is_feasible(x, atol=1e-9):
     x = np.asarray(x, dtype=float)
@@ -68,21 +70,19 @@ def round_nearest(x):
     return np.argmax(x, axis=1)
 
 
-def round_bcd(instance, x, max_sweeps=100):
+def round_bcd(instance, x):
     """Coordinate-descent decoding that never increases the energy.
 
     Sweeps nodes in ascending order, replacing each row of the working
     point by the one-hot minimizer of its node-conditional energy given
     the current (mixed) point.  Stops after a sweep with no change or
-    after `max_sweeps` sweeps.
+    after 100 sweeps.
     """
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
     x = np.array(x, dtype=float, copy=True)
     n, d = x.shape
     unary = instance.unary
     backend = instance.pairwise
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         changed = False
         for i in range(n):
             cost = unary[i] + backend.matvec_row(i, x)

@@ -54,6 +54,10 @@ _ADMM_RHO = 1.0
 
 class _Method:
     regularizer = None     # regularizer class the method takes, if any
+    # the schedules it reads; a line search needs a Frank-Wolfe segment
+    schedule_types = tuple(s for s in schedules.SCHEDULES.values()
+                           if s is not schedules.LineSearch)
+    default_schedule = schedules.Constant(1.0)
     bounded = False        # whether the decrease-bound table covers its steps
     uses_lipschitz = True  # estimated before the loop, outside iteration times
 
@@ -61,6 +65,7 @@ class _Method:
 class _FrankWolfe(_Method):
     """x <- x + alpha_k (p - x); one application of P per iteration."""
 
+    schedule_types = tuple(schedules.SCHEDULES.values())
     bounded = True
 
     def direction(self, grad, x, reg):
@@ -129,6 +134,7 @@ class MeanField(_FrankWolfe):
 
     name = "mf"
     regularizer = EntropyRegularizer
+    schedule_types = ()
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,8 @@ class DampedMeanField(MeanField):
     """Mean field damped by a Constant schedule, Constant(0.5) by default."""
 
     name = "dmf"
+    schedule_types = (schedules.Constant,)
+    default_schedule = schedules.Constant(0.5)
 
 
 @dataclass(frozen=True)
@@ -216,6 +224,8 @@ class ADMM(_Method):
     """
 
     name = "admm"
+    schedule_types = ()
+    default_schedule = None
     uses_lipschitz = False
 
     def steps(self, instance, point, m, config):
@@ -241,38 +251,40 @@ class ADMM(_Method):
 METHODS = {m.name: m for m in (MeanField, DampedMeanField, VanillaFW, ConvexFW,
                                L2FW, EntropicFW, PGD, FastPGM, EMD, ADMM)}
 
-SolverMethod = (VanillaFW | ConvexFW | L2FW | EntropicFW | MeanField
-                | DampedMeanField | PGD | FastPGM | EMD | ADMM)
-
 
 @dataclass
 class SolverConfig:
-    method: SolverMethod
-    regularizer: object = None
+    """A method, its regularizer weight `lam` (1 if omitted) and schedule
+    (the method's own if omitted); a setting the method does not read,
+    including any `lam` for mf and dmf (entropic at lam = 1), raises."""
+
+    method: _Method
+    lam: Optional[float] = None
     schedule: object = None
     max_iters: int = 20
     decrease_bound_check: bool = False
     record_iterates: bool = False
+    regularizer: object = field(init=False)
 
     def __post_init__(self):
+        method, name = self.method, self.method.name
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        reg_cls = self.method.regularizer
-        if isinstance(self.method, MeanField):
-            # efw at lam = 1: mf at a unit step, dmf damped by its Constant schedule
-            self.regularizer = EntropyRegularizer(1.0)
-            if not isinstance(self.method, DampedMeanField):
-                self.schedule = schedules.Constant(1.0)
-            elif self.schedule is None:
-                self.schedule = schedules.Constant(0.5)
-            elif not isinstance(self.schedule, schedules.Constant):
-                raise ValueError("dmf takes only a constant stepsize schedule")
-        elif reg_cls is None:
-            self.regularizer = None
-        elif not isinstance(self.regularizer, reg_cls):
-            raise ValueError(f"{self.method.name} requires an {reg_cls.__name__}")
+        if self.lam is not None and (method.regularizer is None
+                                     or isinstance(method, MeanField)):
+            raise ValueError(f"{name} takes no regularization weight")
         if self.schedule is None:
-            self.schedule = schedules.Constant(1.0)
+            self.schedule = method.default_schedule
+        elif not isinstance(self.schedule, method.schedule_types):
+            takes = [s for s, cls in schedules.SCHEDULES.items()
+                     if cls in method.schedule_types]
+            raise ValueError(f"{name} does not read {self.schedule!r}; "
+                             f"{name} takes: {', '.join(takes) or 'none'}")
+        if self.decrease_bound_check and not method.bounded:
+            raise ValueError(f"{name} has no decrease bound to check")
+        reg_cls = method.regularizer
+        self.regularizer = None if reg_cls is None else reg_cls(
+            1.0 if self.lam is None else self.lam)
 
 
 # ---------------------------------------------------------------------------

@@ -327,8 +327,8 @@ def suite_invariants(seed=0):
     configs = [
         solvers.SolverConfig(solvers.VanillaFW(), schedule=schedules.LineSearch(), max_iters=15),
         solvers.SolverConfig(solvers.ConvexFW(), schedule=schedules.Harmonic(), max_iters=15),
-        solvers.SolverConfig(solvers.L2FW(), regularizer=L2Regularizer(1.0), max_iters=15),
-        solvers.SolverConfig(solvers.EntropicFW(), regularizer=EntropyRegularizer(0.5),
+        solvers.SolverConfig(solvers.L2FW(), lam=1.0, max_iters=15),
+        solvers.SolverConfig(solvers.EntropicFW(), lam=0.5,
                              schedule=schedules.HarmonicRamp(), max_iters=15),
         solvers.SolverConfig(solvers.MeanField(), max_iters=15),
         solvers.SolverConfig(solvers.DampedMeanField(), max_iters=15),
@@ -351,7 +351,7 @@ def suite_invariants(seed=0):
     for _ in range(50):
         inst = small_instance(rng)
         x_mf, tr_mf = solvers.mean_field_run(inst, 20)
-        cfg = solvers.SolverConfig(solvers.EntropicFW(), regularizer=EntropyRegularizer(1.0),
+        cfg = solvers.SolverConfig(solvers.EntropicFW(), lam=1.0,
                                    schedule=schedules.Constant(1.0), max_iters=20,
                                    record_iterates=True)
         x_efw, tr_efw = solvers.run_generalized_fw(inst, cfg)
@@ -386,9 +386,8 @@ def suite_bounds(seed=0):
     violations = 0
     for i in range(50):
         inst = small_instance(rng)
-        reg = L2Regularizer(1.0) if i % 2 == 0 else EntropyRegularizer(1.0)
         method = solvers.L2FW() if i % 2 == 0 else solvers.EntropicFW()
-        cfg = solvers.SolverConfig(method, regularizer=reg,
+        cfg = solvers.SolverConfig(method, lam=1.0,
                                    schedule=schedules.Adaptive(), max_iters=20)
         _, trace = solvers.run_generalized_fw(inst, cfg)
         violations += sum(1 for r in trace.records if r.bound_held is False)
@@ -402,7 +401,7 @@ def suite_bounds(seed=0):
         method = solvers.L2FW() if i % 2 == 0 else solvers.EntropicFW()
         omega = diagnostics.convergence_params(inst, reg).omega
         alpha = min(1.0, 0.9 * 2.0 * omega)
-        cfg = solvers.SolverConfig(method, regularizer=reg,
+        cfg = solvers.SolverConfig(method, lam=reg.lam,
                                    schedule=schedules.Constant(alpha), max_iters=20)
         _, trace = solvers.run_generalized_fw(inst, cfg)
         violations += sum(1 for r in trace.records if r.bound_held is False)
@@ -415,11 +414,10 @@ def suite_bounds(seed=0):
               schedules.LineSearch(), schedules.Adaptive()]
     for i in range(12):
         inst = small_instance(rng)
-        for reg, method in ((L2Regularizer(0.8), solvers.L2FW()),
-                            (EntropyRegularizer(0.8), solvers.EntropicFW()),
+        for lam, method in ((0.8, solvers.L2FW()), (0.8, solvers.EntropicFW()),
                             (None, solvers.VanillaFW())):
             for sched in scheds:
-                cfg = solvers.SolverConfig(method, regularizer=reg,
+                cfg = solvers.SolverConfig(method, lam=lam,
                                            schedule=sched, max_iters=10)
                 _, trace = solvers.run_generalized_fw(inst, cfg)
                 violations += sum(1 for r in trace.records if r.bound_held is False)
@@ -429,14 +427,13 @@ def suite_bounds(seed=0):
     ok = True
     for _ in range(25):
         inst = small_instance(rng)
-        reg = EntropyRegularizer(1.0)
-        cfg = solvers.SolverConfig(solvers.EntropicFW(), regularizer=reg,
+        cfg = solvers.SolverConfig(solvers.EntropicFW(), lam=1.0,
                                    schedule=schedules.Adaptive(), max_iters=25)
         _, trace = solvers.run_generalized_fw(inst, cfg)
         # F_0 - min_i F_i, a computable surrogate for F_0 - F*
         f_all = [trace.initial_e_reg, *trace.e_reg]
         f0_excess = float(f_all[0] - min(f_all))
-        omega = diagnostics.convergence_params(inst, reg).omega
+        omega = diagnostics.convergence_params(inst, cfg.regularizer).omega
         running_min = math.inf
         for k, rec in enumerate(trace.records):
             running_min = min(running_min, rec.s_k)
@@ -493,9 +490,3 @@ def suite_bounds(seed=0):
 
 
 SUITES = {"oracle": suite_oracle, "invariants": suite_invariants, "bounds": suite_bounds}
-
-
-def run_suite(name, seed=0):
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](seed)

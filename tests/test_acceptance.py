@@ -76,7 +76,7 @@ def test_criterion_03_mean_field_identity():
         for _ in range(50):
             inst = random_instance(rng)
             _, tr_mf = mean_field_run(inst, 20)
-            cfg = SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(1.0),
+            cfg = SolverConfig(EntropicFW(), lam=1.0,
                                schedule=Constant(1.0), max_iters=20,
                                record_iterates=True)
             _, tr_efw = run_generalized_fw(inst, cfg)
@@ -123,7 +123,7 @@ def test_criterion_05_decrease_bounds():
             method = L2FW() if i % 2 == 0 else EntropicFW()
             omega = convergence_params(inst, reg).omega
             for sched in (Adaptive(), Constant(min(1.0, 0.9 * 2.0 * omega))):
-                cfg = SolverConfig(method, regularizer=reg, schedule=sched,
+                cfg = SolverConfig(method, lam=reg.lam, schedule=sched,
                                    max_iters=20, decrease_bound_check=True)
                 _, trace = run_generalized_fw(inst, cfg)  # raises on violation
                 assert all(r.bound_held for r in trace.records)
@@ -180,10 +180,10 @@ def test_criterion_08_dense_benchmark_ordering():
             runs = {
                 "fw": SolverConfig(VanillaFW(), schedule=LineSearch(),
                                    max_iters=iters),
-                "l2fw": SolverConfig(L2FW(), regularizer=L2Regularizer(1.0),
+                "l2fw": SolverConfig(L2FW(), lam=1.0,
                                      schedule=LineSearch(), max_iters=iters),
                 "efw": SolverConfig(EntropicFW(),
-                                    regularizer=EntropyRegularizer(0.25),
+                                    lam=0.25,
                                     schedule=LineSearch(), max_iters=iters),
                 "mf": SolverConfig(MeanField(), max_iters=iters),
                 "pgd": SolverConfig(PGD(), max_iters=iters),

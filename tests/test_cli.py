@@ -16,6 +16,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def exit_code(*argv):
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def read_trace(path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -52,6 +59,30 @@ class TestGenerate:
         with pytest.raises(SystemExit) as exc_info:
             run_cli("generate", "--nodes", "0", "--out", str(tmp_path / "x.json"))
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--seed", "-1"),
+        ("--kind", "edges", "--edge-prob", "1.5"),
+        ("--compat", "random", "--potts-w", "nan"),
+        ("--image-size", "-1"),
+        ("--image-size", "inf"),
+        ("--w1", "nan"),
+        ("--kernel-alpha", "nan"),
+    ], ids="_".join)
+    def test_bad_values_are_usage_errors(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("generate", "--nodes", "5", *flags, "--out", str(out))
+        assert exc_info.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_edges_file_keeps_its_hash(self, tmp_path):
+        import hashlib
+        out = tmp_path / "e.json"
+        assert run_cli("generate", "--kind", "edges", "--seed", "7", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "175c4f2cabce20e6e34c9e90d47e36d8dc14386d60cdf27a18776a1724f2e86c")
 
 
 class TestSolve:
@@ -117,8 +148,7 @@ class TestSolve:
                        "--lambda", "0.25", "--steps", "1", "--labels-out", str(labels),
                        "--round", rounding) == 0
         inst = crffw.read_json(instance_file)
-        config = solvers.SolverConfig(solvers.EntropicFW(),
-                                      regularizer=crffw.EntropyRegularizer(0.25), max_iters=1)
+        config = solvers.SolverConfig(solvers.EntropicFW(), lam=0.25, max_iters=1)
         x, _ = solvers.run_generalized_fw(inst, config)
         nearest, bcd = crffw.round_nearest(x), crffw.round_bcd(inst, x)
         assert not np.array_equal(nearest, bcd)  # so the two flags are told apart
@@ -408,6 +438,51 @@ class TestIgnoredFlags:
                        "--steps", "2", "--trace", str(tmp_path / "t.csv")) == 0
 
 
+SCHEDULE_SPECS = (None, "constant:0.5", "constlength:0.5", "harmonic", "ramp",
+                  "invsqrt", "adaptive", "linesearch")
+ACCEPTED_SCHEDULES = {"mf": (None,), "admm": (None,), "dmf": (None, "constant:0.5"),
+                      "pgm": SCHEDULE_SPECS[:-1], "emd": SCHEDULE_SPECS[:-1]}
+UNBOUNDED = ("pgd", "pgm", "emd", "admm")
+
+
+class TestMethodScheduleMatrix:
+    """Every method with every schedule: a schedule the method reads runs
+    (exit 0), any other is a usage error (exit 2) that writes nothing."""
+
+    @pytest.mark.parametrize("method", list(solvers.METHODS))
+    def test_solve_and_compare_agree(self, instance_file, tmp_path, capsys, method):
+        alphas = {}
+        for i, sched in enumerate(SCHEDULE_SPECS):
+            expect = 0 if sched in ACCEPTED_SCHEDULES.get(method, SCHEDULE_SPECS) else 2
+            trace, labels = tmp_path / f"t{i}.csv", tmp_path / f"l{i}.json"
+            flags = () if sched is None else ("--stepsize", sched)
+            code = exit_code("solve", "--instance", str(instance_file), "--method", method,
+                             *flags, "--steps", "2", "--trace", str(trace),
+                             "--labels-out", str(labels))
+            assert code == expect, (method, sched)
+            assert trace.exists() == labels.exists() == (code == 0)
+            if code == 0:
+                alphas[sched] = [r["alpha"] for r in read_trace(trace)]
+
+            out = tmp_path / f"cmp{i}"
+            spec = method if sched is None else f"{method}::{sched}"
+            code = exit_code("compare", "--instances", str(instance_file), "--methods", spec,
+                             "--steps", "2", "--sweep-methods", "", "--out", str(out))
+            assert code == expect, (method, sched)
+            assert out.exists() == (code == 0)
+        assert "Traceback" not in capsys.readouterr().err
+        if "harmonic" in alphas and "constant:0.5" in alphas:
+            assert alphas["harmonic"] != alphas["constant:0.5"]
+
+    @pytest.mark.parametrize("method", list(solvers.METHODS))
+    def test_check_bounds(self, instance_file, tmp_path, method):
+        trace = tmp_path / "t.csv"
+        code = exit_code("solve", "--instance", str(instance_file), "--method", method,
+                         "--steps", "2", "--check-bounds", "--trace", str(trace))
+        assert code == (2 if method in UNBOUNDED else 0)
+        assert trace.exists() == (code == 0)
+
+
 class TestLambdaSweep:
     def test_sweep_solves_stop_at_sweep_iteration(self, instance_file, tmp_path,
                                                   monkeypatch):
@@ -461,3 +536,9 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc_info:
             run_cli("verify", "--suite", "nosuch")
         assert exc_info.value.code == 2
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("verify", "--suite", "oracle", "--seed", "-1")
+        assert exc_info.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err

@@ -25,15 +25,13 @@ class TestGenerate:
     def test_default_dense_accepted_by_all_solvers(self):
         # full-scale smoke run: n=500, d=21 with the default kernel
         from crffw import (ADMM, EMD, PGD, ConvexFW, DampedMeanField,
-                           EntropicFW, EntropyRegularizer, FastPGM, L2FW,
-                           L2Regularizer, MeanField, SolverConfig, VanillaFW,
-                           run_generalized_fw)
+                           EntropicFW, FastPGM, L2FW, MeanField,
+                           SolverConfig, VanillaFW, run_generalized_fw)
         inst = generate(RandomDense(n=500, d=21, seed=3))
         configs = [SolverConfig(VanillaFW(), max_iters=20),
                    SolverConfig(ConvexFW(), max_iters=20),
-                   SolverConfig(L2FW(), regularizer=L2Regularizer(1.0), max_iters=20),
-                   SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.5),
-                                max_iters=20),
+                   SolverConfig(L2FW(), lam=1.0, max_iters=20),
+                   SolverConfig(EntropicFW(), lam=0.5, max_iters=20),
                    SolverConfig(MeanField(), max_iters=20),
                    SolverConfig(DampedMeanField(), max_iters=20),
                    SolverConfig(PGD(), max_iters=20),

@@ -228,10 +228,6 @@ class TestRoundBcd:
                 if np.sum(other != lab) == 1:
                     assert e <= inst.energy_discrete(other) + 1e-9
 
-    def test_max_sweeps_validation(self):
-        with pytest.raises(ValueError):
-            round_bcd(potts_pair(), np.full((2, 2), 0.5), max_sweeps=0)
-
 
 class TestRoundingConstant:
     def test_formula_single_node(self):

@@ -144,14 +144,14 @@ class TestConditionalGradientNorm:
 
 # golden traces in tests/data, all on RandomDense(n=40, d=5, seed=0)
 GOLDEN_CONFIGS = {
-    "l2fw": SolverConfig(L2FW(), regularizer=L2Regularizer(1.0),
+    "l2fw": SolverConfig(L2FW(), lam=1.0,
                          schedule=Constant(1.0), max_iters=5),
     "pgd": SolverConfig(PGD(), max_iters=5),
     "pgm": SolverConfig(FastPGM(), max_iters=5),
     "emd": SolverConfig(EMD(), max_iters=5),
     "admm": SolverConfig(ADMM(), max_iters=5),
     "cfw_linesearch": SolverConfig(ConvexFW(), schedule=LineSearch(), max_iters=5),
-    "efw_0.25_linesearch": SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.25),
+    "efw_0.25_linesearch": SolverConfig(EntropicFW(), lam=0.25,
                                         schedule=LineSearch(), max_iters=5),
     "dmf": SolverConfig(DampedMeanField(), max_iters=5),
 }
@@ -162,7 +162,7 @@ class TestGeneralizedFw:
         for _ in range(50):
             inst = random_instance(rng)
             x_mf, tr_mf = mean_field_run(inst, 20)
-            cfg = SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(1.0),
+            cfg = SolverConfig(EntropicFW(), lam=1.0,
                                schedule=Constant(1.0), max_iters=20,
                                record_iterates=True)
             x_efw, tr_efw = run_generalized_fw(inst, cfg)
@@ -182,7 +182,7 @@ class TestGeneralizedFw:
 
     def test_l2fw_discrete_energy_mostly_non_increasing(self, rng):
         inst = random_instance(rng, n=6, d=3, kind="dense")
-        cfg = SolverConfig(L2FW(), regularizer=L2Regularizer(1.0),
+        cfg = SolverConfig(L2FW(), lam=1.0,
                            schedule=Constant(1.0), max_iters=5)
         _, trace = run_generalized_fw(inst, cfg)
         assert len(trace) == 5
@@ -218,8 +218,8 @@ class TestGeneralizedFw:
         methods = [
             SolverConfig(VanillaFW(), schedule=LineSearch(), max_iters=10),
             SolverConfig(ConvexFW(), schedule=Harmonic(), max_iters=10),
-            SolverConfig(L2FW(), regularizer=L2Regularizer(0.5), max_iters=10),
-            SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.5),
+            SolverConfig(L2FW(), lam=0.5, max_iters=10),
+            SolverConfig(EntropicFW(), lam=0.5,
                          schedule=HarmonicRamp(), max_iters=10),
             SolverConfig(MeanField(), max_iters=10),
             SolverConfig(DampedMeanField(), max_iters=10),
@@ -238,13 +238,15 @@ class TestGeneralizedFw:
                     assert is_feasible(it)
 
     def test_regularizer_requirements(self):
-        with pytest.raises(ValueError):
-            SolverConfig(L2FW(), regularizer=None)
-        with pytest.raises(ValueError):
-            SolverConfig(EntropicFW(), regularizer=L2Regularizer(1.0))
-        # regularizer forced off for the unregularized families
-        cfg = SolverConfig(PGD(), regularizer=L2Regularizer(1.0))
-        assert cfg.regularizer is None
+        assert SolverConfig(L2FW()).regularizer == L2Regularizer(1.0)
+        assert SolverConfig(EntropicFW(), lam=0.25).regularizer == EntropyRegularizer(0.25)
+        assert SolverConfig(PGD()).regularizer is None
+        for method in (PGD(), VanillaFW(), MeanField(), DampedMeanField()):
+            with pytest.raises(ValueError, match="takes no regularization weight"):
+                SolverConfig(method, lam=1.0)
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite and > 0"):
+                SolverConfig(L2FW(), lam=lam)
 
     def test_divergence_carries_trace(self):
         inst = zero_pairwise(np.full((2, 2), 1e308))
@@ -259,7 +261,7 @@ class TestGeneralizedFw:
             results = {}
             for name, sched in (("ls", LineSearch()), ("c1", Constant(1.0)),
                                 ("c05", Constant(0.5))):
-                cfg = SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.7),
+                cfg = SolverConfig(EntropicFW(), lam=0.7,
                                    schedule=sched, max_iters=1)
                 _, trace = run_generalized_fw(inst, cfg)
                 results[name] = trace.records[0].e_reg
@@ -289,7 +291,7 @@ class TestOperatorWork:
     @pytest.mark.parametrize("config, uses_lipschitz", [
         (SolverConfig(MeanField(), max_iters=7), True),
         (SolverConfig(VanillaFW(), schedule=LineSearch(), max_iters=7), True),
-        (SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.25),
+        (SolverConfig(EntropicFW(), lam=0.25,
                       schedule=LineSearch(), max_iters=7), True),
         (SolverConfig(ADMM(), max_iters=7), False),
         (SolverConfig(EMD(), max_iters=7), True),
@@ -323,7 +325,7 @@ class TestOperatorWork:
         inst = random_instance(rng, n=7, d=3, kind=kind)
         # cfw runs on the DiagonalShift operator of the convexified energy
         work = convexify(inst) if isinstance(method, ConvexFW) else inst
-        cfg = SolverConfig(method, regularizer=reg, schedule=sched, max_iters=15,
+        cfg = SolverConfig(method, lam=getattr(reg, "lam", None), schedule=sched, max_iters=15,
                            record_iterates=True)
         _, trace = run_generalized_fw(inst, cfg)
         energies = [trace.initial_e_cont] + [r.e_cont for r in trace.records]
@@ -349,7 +351,7 @@ class TestMeanFieldRuns:
         inst = random_instance(rng)
         cfg_dmf = SolverConfig(DampedMeanField(), max_iters=10, record_iterates=True)
         _, tr_dmf = run_generalized_fw(inst, cfg_dmf)
-        cfg_efw = SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(1.0),
+        cfg_efw = SolverConfig(EntropicFW(), lam=1.0,
                                schedule=Constant(0.5), max_iters=10,
                                record_iterates=True)
         _, tr_efw = run_generalized_fw(inst, cfg_efw)
@@ -535,14 +537,14 @@ class TestDecreaseBounds:
             method = L2FW() if i % 2 == 0 else EntropicFW()
             omega = convergence_params(inst, reg).omega
             for sched in (Adaptive(), Constant(min(1.0, 1.8 * omega))):
-                cfg = SolverConfig(method, regularizer=reg, schedule=sched,
+                cfg = SolverConfig(method, lam=reg.lam, schedule=sched,
                                    max_iters=20, decrease_bound_check=True)
                 run_generalized_fw(inst, cfg)  # raises on violation
 
     def test_line_search_row_holds(self, rng):
         for _ in range(10):
             inst = random_instance(rng)
-            cfg = SolverConfig(EntropicFW(), regularizer=EntropyRegularizer(0.5),
+            cfg = SolverConfig(EntropicFW(), lam=0.5,
                                schedule=LineSearch(), max_iters=15,
                                decrease_bound_check=True)
             run_generalized_fw(inst, cfg)
@@ -550,13 +552,12 @@ class TestDecreaseBounds:
     def test_sublinear_stationarity_trend(self, rng):
         for _ in range(25):
             inst = random_instance(rng)
-            reg = EntropyRegularizer(1.0)
-            cfg = SolverConfig(EntropicFW(), regularizer=reg,
+            cfg = SolverConfig(EntropicFW(), lam=1.0,
                                schedule=Adaptive(), max_iters=25)
             _, trace = run_generalized_fw(inst, cfg)
             f_all = [trace.initial_e_reg, *trace.e_reg]
             f0_excess = float(f_all[0] - min(f_all))
-            omega = convergence_params(inst, reg).omega
+            omega = convergence_params(inst, cfg.regularizer).omega
             running_min = math.inf
             for k, rec in enumerate(trace.records):
                 running_min = min(running_min, rec.s_k)
