@@ -25,6 +25,10 @@ from .instances import (RandomDense, RandomEdgeList, RandomGrid, generate,
 from .simplex import round_bcd, round_nearest
 
 EXIT_RUNTIME = 1
+# library field -> the flags that set it, for the usage errors naming it
+_FLAGS = {"max_iters": "--steps", "n and d": "--nodes and --labels",
+          "image_size": "--image-size", "edge_prob": "--edge-prob",
+          "grid dimensions": "--rows, --cols and --labels"}
 
 
 def _load_instance(path):
@@ -40,6 +44,13 @@ def _parse_schedule(text):
     if cls is None or bool(fields(cls)) != bool(value):
         raise ValueError(f"unknown stepsize schedule {text!r}")
     return cls(float(value)) if value else cls()
+
+
+def _usage_error(parser, exc):
+    # exit 2 with the library's message, naming the flag the user typed
+    msg = str(exc)
+    name = next((k for k in _FLAGS if msg.startswith(k)), None)
+    parser.error(msg if name is None else _FLAGS[name] + msg[len(name):])
 
 
 def _build_config(method_name, lam, schedule, steps, check_bounds=False):
@@ -71,7 +82,7 @@ def cmd_generate(args, parser):
     try:
         instance = generate(spec)
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(parser, exc)
     write_json(instance, args.out)
     backend = type(instance.pairwise).__name__
     print(f"wrote {args.out}: n={instance.n_nodes} d={instance.n_labels} "
@@ -88,7 +99,7 @@ def cmd_solve(args, parser):
         config = _build_config(args.method, args.lam, schedule, args.steps,
                                check_bounds=args.check_bounds)
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(parser, exc)
     instance = _load_instance(args.instance)
     try:
         x, trace = solvers.run_generalized_fw(instance, config)
@@ -153,7 +164,7 @@ def cmd_compare(args, parser):
             sweep_runs[name] = [(lam, _build_config(name, lam, None, sweep_steps))
                                 for lam in lam_grid]
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(parser, exc)
     if not runs:
         parser.error("at least one method is required")
     instances = [_load_instance(p) for p in args.instances]

@@ -4,7 +4,8 @@ Every schedule emits values in [0, 1].  The adaptive schedule trades off
 the optimality measure S_k against the squared direction norm using the
 curvature constants (L_f, sigma_g); line search minimizes the composite
 objective along the segment, in closed form when it is an exact
-quadratic and by grid plus golden-section refinement otherwise.
+quadratic and by grid plus golden-section refinement otherwise; on a
+segment certified convex the grid scan reads only the points that can win.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ class StepContext:
     quad_a:       <dir, P dir> when the segment objective is quadratic
     quad_b:       <grad, dir> linear coefficient of the segment objective
     f_along:      callable alpha -> F(x + alpha * dir) for non-quadratic F
+    f_err:        bound on |computed - exact| of one f_along value, set
+                  only when the exact segment function is convex
     l_f, sigma_g: resolved curvature constants for the adaptive rule
     """
 
@@ -94,6 +97,7 @@ class StepContext:
     quad_a: Optional[float] = None
     quad_b: Optional[float] = None
     f_along: Optional[Callable[[float], float]] = None
+    f_err: Optional[float] = None
     l_f: Optional[float] = None
     sigma_g: Optional[float] = None
 
@@ -126,21 +130,65 @@ def _golden_section(f, lo, hi, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
+def _grid_argmin(f, f_err):
+    """(i, f(i / 128)) for the least f(i / 128), lowest i on ties, as a
+    full scan of the 129 grid points picks it; no point is read twice.
+
+    With `f_err`, each value v_i is within E = f_err of a convex phi_i.
+    A discrete golden-section search (moving past gaps of 2E) nears the
+    least value; from the best point so far the scan walks right to the
+    first r with v_r - m > 2E, m the least value read, then left alike.
+    m is attained left of r (the search's other points hold values >=
+    the start's), so phi_r > phi_m and convexity gives, for i > r,
+    v_i >= phi_i - E >= phi_r - E >= v_r - 2E > m; likewise left of l.
+    So [l, r], all read, holds the full scan's argmin.  The float test
+    implies the exact one (monotone rounding, 2E a float).  A non-finite
+    value voids the premise; the scan then completes.
+    """
+    values = {}
+
+    def value(i):
+        if i not in values:
+            values[i] = f(i / (_GRID_POINTS - 1))
+        return values[i]
+
+    if f_err is not None:
+        margin, lo, hi = 2.0 * f_err, 0, _GRID_POINTS - 1
+        c = hi - round(_GOLDEN * hi)
+        while c < lo + hi - c:  # probes c and d; each step reuses one
+            d = lo + hi - c
+            if value(d) - value(c) > margin:
+                hi, c = d, lo + d - c
+            elif value(c) - value(d) > margin:
+                lo, c = c, d
+            else:
+                break
+        start = min(values, key=lambda i: (values[i], i))
+        for step in (1, -1):
+            i = start + step
+            while 0 <= i < _GRID_POINTS and value(i) - min(values.values()) <= margin:
+                i += step
+    if f_err is None or not all(map(math.isfinite, values.values())):
+        for i in range(_GRID_POINTS):
+            value(i)
+    best = min(sorted(values), key=lambda i: (values[i], i))
+    return best, values[best]
+
+
 def _line_search(ctx):
     if ctx.quad_a is not None and ctx.quad_b is not None and ctx.f_along is None:
         return _quadratic_argmin(ctx.quad_a, ctx.quad_b)
     if ctx.f_along is None:
         raise ValueError("line search needs quadratic coefficients or f_along")
     f = ctx.f_along
-    grid = [i / (_GRID_POINTS - 1) for i in range(_GRID_POINTS)]
-    values = [f(a) for a in grid]
-    best = min(range(_GRID_POINTS), key=lambda i: (values[i], i))
+    best, f_best = _grid_argmin(f, ctx.f_err)
     h = 1.0 / (_GRID_POINTS - 1)
-    lo = max(0.0, grid[best] - h)
-    hi = min(1.0, grid[best] + h)
+    a_best = best / (_GRID_POINTS - 1)
+    lo = max(0.0, a_best - h)
+    hi = min(1.0, a_best + h)
     a_ref = _golden_section(f, lo, hi)
     # keep the grid winner if refinement did not actually help
-    return a_ref if f(a_ref) <= values[best] else grid[best]
+    return a_ref if f(a_ref) <= f_best else a_best
 
 
 def stepsize(schedule, k, ctx=None):

@@ -34,12 +34,14 @@ import numpy as np
 from . import diagnostics, schedules
 from .errors import Diverged
 from .model import CrfInstance, DiagonalShift
-from .regularizers import (EntropyRegularizer, L2Regularizer,
+from .regularizers import (_LOG_FLOOR, EntropyRegularizer, L2Regularizer,
                            regularizer_value, strong_convexity)
 from .simplex import project_feasible, round_nearest, softmax_rows
 
 _BOUND_TOL = 1e-7
 _ADMM_RHO = 1.0
+_U, _TINY = 2.0 ** -53, 2.0 ** -1074  # unit roundoff, least subnormal
+_LOG_ULPS = 4  # assumed error of numpy's float64 log; its own tests allow 1
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,7 @@ class _FrankWolfe(_Method):
                     ctx.f_along = lambda a: (0.5 * quad_a * a * a + quad_b * a
                                              + regularizer_value(reg, x + a * direction)
                                              - base)
+                    ctx.f_err = _segment_error(reg, x, direction, quad_a, quad_b, base)
             alpha = schedules.stepsize(sched, k, ctx)
 
             if alpha == 1.0:
@@ -104,6 +107,68 @@ class _FrankWolfe(_Method):
             else:
                 x, px = x + alpha * direction, px + alpha * p_direction
             yield x, px, alpha, s_k, alpha * math.sqrt(dir_sq), dir_sq
+
+
+def _gamma(k):
+    return k * _U / (1.0 - k * _U)
+
+
+def _segment_error(reg, x, direction, quad_a, quad_b, base):
+    """Bound E on |computed - exact| for every value of f_along, or None
+    unless the exact segment function is certified convex.
+
+    Exact: phi(a) = 0.5 qa a^2 + qb a + r(x + a dir) - base on [0, 1],
+    over the stored floats, with r(y) = lam/2 sum y^2 or lam sum y log y
+    (0 log 0 = 0).  Write u = 2^-53, eta = 2^-1074, gamma_k = k u /
+    (1 - k u), N = x.size and A_s = |x_s| + |dir_s| >= |y_s(a)|.
+
+    Convexity.  L2: phi'' = qa + lam ||dir||^2.  Entropy, given x >= 0
+    and x + dir >= 0 (exact tests: rounding keeps signs): y_s > 0 inside
+    [0, 1] wherever dir_s != 0, and Cauchy-Schwarz on each row gives
+    phi'' >= qa + lam sum_rows ||dir_row||_1^2 / D_row, D_row the larger
+    endpoint value of the row sum of y (affine in a).  Float sums are
+    shrunk by a gamma covering their rounding.
+
+    Error.  Rounding a dir_s and x_s + a dir_s moves y_s by at most
+    2u(1+u) A_s + eta, so y_s^2 by at most 5u A_s^2 plus eta terms, and
+    y_s log max(y_s, 1e-300) (the computed y_s >= 0 too, by monotone
+    rounding) by at most max(|log 1e-300|, 1 + log A) times that; the
+    floor adds at most 1e-300 / e per term.  The log (_LOG_ULPS ulps),
+    the products, the sum in any order (gamma_N) and the lam product err
+    relative to `mass`, a bound on the sum of absolute terms (y log y is
+    at most max(1/e, A log A) in size).  The scalar combination adds
+    gamma_5 (|qa| / 2 + |qb| + |r| + |base|).  The factor 1 + 2^-20
+    covers second-order terms and this computation's own rounding.
+    """
+    terms = x.size
+    big = np.abs(x) + np.abs(direction)
+    spread = float(big.sum()) * (1.0 + _gamma(terms + 1))  # >= sum A_s
+    top = float(big.max()) * (1.0 + 4.0 * _U) + _TINY     # >= |y|, |computed y|
+    if isinstance(reg, L2Regularizer):
+        scale, ulps = 0.5, 3.0
+        curvature = float((direction * direction).sum()) * (1.0 - _gamma(terms + 8))
+        mass = float((big * big).sum()) * (1.0 + _gamma(terms + 20))
+        moved = 5.0 * _U * mass
+    else:
+        end = x + direction
+        if not (np.all(x >= 0.0) and np.all(end >= 0.0)):
+            return None
+        l1 = np.abs(direction).sum(axis=1)
+        rows = np.maximum(x.sum(axis=1), end.sum(axis=1))
+        curvature = float((l1 * l1 / rows).sum()) * (1.0 - _gamma(4 * terms + 16))
+        scale, ulps = 1.0, 2.0 * _LOG_ULPS + 3.0
+        slope = max(-math.log(_LOG_FLOOR), 1.0 + math.log(max(top, 1.0)))
+        mass = terms * max(1.0 / math.e, top * math.log(max(top, 1.0))) * (1.0 + (ulps + 3.0) * _U)
+        moved = slope * 2.0 * (1.0 + _U) * _U * spread + terms * _LOG_FLOOR
+    # 0.5 * lam is exact from 2^-1000 up
+    if not (reg.lam * curvature >= -quad_a and reg.lam >= 2.0 ** -1000):
+        return None
+    underflow = terms * _TINY * (1e3 + 8.0 * top)  # every eta term
+    e_reg = scale * reg.lam * (moved + (ulps * _U + _gamma(terms)) * mass + underflow)
+    r_max = scale * reg.lam * (mass + underflow) * (1.0 + _gamma(terms + 2))
+    e_scalar = _gamma(5) * (0.5 * abs(quad_a) + abs(quad_b) + r_max + abs(base)) + 4.0 * _TINY
+    err = (e_reg + e_scalar) * (1.0 + 2.0 ** -20)
+    return err if math.isfinite(err) else None
 
 
 @dataclass(frozen=True)
@@ -321,7 +386,6 @@ class IterationTrace:
     method: str
     initial_e_cont: float = math.nan
     initial_e_reg: float = math.nan
-    initial_e_disc: float = math.nan
     records: list = field(default_factory=list)
     iterates: Optional[list] = None
 
@@ -439,8 +503,7 @@ def _check_finite(trace, where, **energies):
 def _energies(instance, x, px, reg):
     # px is P x when the caller already has it, else None
     e_cont = instance.energy_relaxed(x, px)
-    e_reg = e_cont + regularizer_value(reg, x)
-    return e_cont, e_reg, instance.energy_discrete(round_nearest(x))
+    return e_cont, e_cont + regularizer_value(reg, x)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +528,7 @@ def run_generalized_fw(instance, config):
     x = initial_point(work)
     px = work.pairwise.matvec(x)
     trace = IterationTrace(method=method.name)
-    trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        work, x, px, reg)
+    trace.initial_e_cont, trace.initial_e_reg = _energies(work, x, px, reg)
     if config.record_iterates:
         trace.iterates = [x.copy()]
     _check_finite(trace, "at the starting point",
@@ -480,7 +542,8 @@ def run_generalized_fw(instance, config):
             x, px, alpha, s_k, step_norm, dir_sq = next(steps)
         except Diverged as exc:
             raise Diverged(f"{exc} at iteration {k}", trace) from None
-        e_cont, e_reg, e_disc = _energies(work, x, px, reg)
+        e_cont, e_reg = _energies(work, x, px, reg)
+        e_disc = work.energy_discrete(round_nearest(x))
         _check_finite(trace, f"at iteration {k}", e_cont=e_cont, e_reg=e_reg)
 
         if method.bounded:
@@ -514,8 +577,7 @@ def mean_field_run(instance, iters):
     reg = EntropyRegularizer(1.0)
     x = initial_point(instance)
     trace = IterationTrace(method="mf")
-    trace.initial_e_cont, trace.initial_e_reg, trace.initial_e_disc = _energies(
-        instance, x, None, reg)
+    trace.initial_e_cont, trace.initial_e_reg = _energies(instance, x, None, reg)
     trace.iterates = [x.copy()]
     params = diagnostics.convergence_params(instance, reg)
     sched = schedules.Constant(1.0)
@@ -528,7 +590,8 @@ def mean_field_run(instance, iters):
         dir_sq = float(((p - x) ** 2).sum())
         step_norm = math.sqrt(dir_sq)
         x = p
-        e_cont, e_reg, e_disc = _energies(instance, x, None, reg)
+        e_cont, e_reg = _energies(instance, x, None, reg)
+        e_disc = instance.energy_discrete(round_nearest(x))
         _check_finite(trace, f"at iteration {k}", e_reg=e_reg)
         delta = diagnostics.decrease_bound(params, sched, k, s_k, dir_sq)
         trace.records.append(IterationRecord(

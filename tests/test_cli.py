@@ -77,6 +77,19 @@ class TestGenerate:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--nodes", "0"), "--nodes and --labels must be positive"),
+        (("--kind", "edges", "--labels", "0"), "--nodes and --labels must be positive"),
+        (("--image-size", "-1"), "--image-size must be finite and >= 0"),
+        (("--kind", "grid", "--rows", "0"), "--rows, --cols and --labels must be positive"),
+        (("--kind", "edges", "--edge-prob", "1.5"), "--edge-prob must lie in [0, 1]"),
+    ], ids=lambda v: "_".join(v) if isinstance(v, tuple) else None)
+    def test_usage_error_names_the_flag(self, tmp_path, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("generate", *flags, "--out", str(tmp_path / "x.json"))
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
     def test_edges_file_keeps_its_hash(self, tmp_path):
         import hashlib
         out = tmp_path / "e.json"
@@ -120,6 +133,13 @@ class TestSolve:
             run_cli("solve", "--instance", str(instance_file), "--method", "efw",
                     "--lambda", "-1")
         assert exc_info.value.code == 2
+
+    def test_steps_error_names_the_flag(self, instance_file, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("solve", "--instance", str(instance_file), "--method", "mf",
+                    "--steps", "0")
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.endswith("error: --steps must be >= 1\n")
 
     def test_unknown_method_is_usage_error(self, instance_file):
         with pytest.raises(SystemExit) as exc_info:
@@ -260,6 +280,15 @@ class TestMethodRegistry:
 
 
 class TestCompare:
+    def test_steps_error_names_the_flag(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("compare", "--instances", str(instance_file), "--steps", "0",
+                    "--out", str(out))
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.endswith("error: --steps must be >= 1\n")
+        assert not out.exists()
+
     def test_outputs_exist(self, instance_file, tmp_path):
         out = tmp_path / "cmp"
         code = run_cli("compare", "--instances", str(instance_file),

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crffw import (Adaptive, Constant, ConstantLength, Harmonic, InvSqrt,
                    L2Regularizer, LineSearch, HarmonicRamp, StepContext,
@@ -93,3 +97,65 @@ class TestLineSearch:
             alpha_star = stepsize(LineSearch(), 0, StepContext(f_along=f))
             assert f(alpha_star) <= f(1.0) + 1e-9
             assert f(alpha_star) <= f(0.5) + 1e-9
+
+
+def _alphas(f, f_err):
+    """(pruned, full) line-search alphas of f_along f, as float.hex."""
+    pruned = stepsize(LineSearch(), 0, StepContext(f_along=f, f_err=f_err))
+    full = stepsize(LineSearch(), 0, StepContext(f_along=f))
+    return pruned.hex(), full.hex()
+
+
+class TestPrunedScan:
+    """With f_err the grid scan skips points, yet picks the full scan's alpha.
+
+    The grid values are an integer-valued convex function plus noise in
+    {-E, -E/2, 0, E/2, E}, E = 1/2, all exact in floats: so |computed -
+    convex| <= E holds exactly, and the noise makes exact ties and
+    near-ties.  Off the grid (the refinement) any value will do.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(curv=st.integers(0, 3), centre=st.integers(-60, 190),
+           slope=st.integers(-20, 20), kink=st.integers(0, 30),
+           corner=st.integers(-10, 140), noise=st.lists(
+               st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=129, max_size=129))
+    def test_same_alpha_as_full_scan(self, curv, centre, slope, kink, corner, noise):
+        err = 0.5
+
+        def f(a):
+            t = a * 128.0
+            exact = curv * (t - centre) ** 2 + slope * t + kink * abs(t - corner)
+            return exact + err * noise[min(int(t), 128)]
+
+        pruned, full = _alphas(f, err)
+        assert pruned == full
+
+    @settings(max_examples=100, deadline=None)
+    @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+           cut=st.integers(0, 79), centre=st.integers(0, 128))
+    def test_non_finite_value_falls_back_to_full_scan(self, bad, cut, centre):
+        # the search's first probe, index 79, always sees a non-finite value
+        def f(a):
+            t = a * 128.0
+            return bad if t >= cut else (t - centre) ** 2
+
+        pruned, full = _alphas(f, 0.5)
+        assert pruned == full
+
+    def test_flat_segment(self):
+        # every grid value ties, so the scan walks the whole grid
+        pruned, full = _alphas(lambda a: 3.0, 0.0)
+        assert pruned == full
+
+    def test_skips_grid_points_when_certified(self):
+        seen = []
+
+        def f(a):
+            seen.append(a)
+            return (a - 0.377) ** 2
+
+        stepsize(LineSearch(), 0, StepContext(f_along=f, f_err=1e-15))
+        grid = {a for a in seen if (a * 128.0).is_integer()}
+        assert len(grid) <= 16
+        assert len(seen) == len(set(seen))  # no point is evaluated twice

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (potts_pair, random_feasible, random_instance,
                       random_edge_backend, random_gaussian_backend, zero_instance)
-from crffw import (ADMM, EMD, PGD, Adaptive, Constant, ConvexFW,
+from crffw import (ADMM, EMD, METHODS, PGD, Adaptive, Constant, ConvexFW,
                    CrfInstance, DampedMeanField, Diverged, EdgeList,
                    EntropicFW, EntropyRegularizer, FastPGM, Harmonic, L2FW,
                    L2Regularizer, LineSearch, MeanField, HarmonicRamp,
-                   SolverConfig, VanillaFW, conditional_gradient_norm,
-                   convergence_params, convexify, direction_point,
-                   initial_point, is_feasible, lmo_vanilla, mean_field_run,
-                   project_feasible, run_generalized_fw, softmax_rows)
+                   RandomGrid, SolverConfig, StepContext, VanillaFW,
+                   conditional_gradient_norm, convergence_params, convexify,
+                   direction_point, generate, initial_point, is_feasible,
+                   lmo_vanilla, mean_field_run, project_feasible,
+                   round_nearest, run_generalized_fw, schedules, softmax_rows)
+from crffw.solvers import _segment_error
 
 
 def zero_pairwise(u):
@@ -186,7 +190,8 @@ class TestGeneralizedFw:
                            schedule=Constant(1.0), max_iters=5)
         _, trace = run_generalized_fw(inst, cfg)
         assert len(trace) == 5
-        diffs = np.diff(np.concatenate([[trace.initial_e_disc], trace.e_disc]))
+        e_start = inst.energy_discrete(round_nearest(initial_point(inst)))
+        diffs = np.diff(np.concatenate([[e_start], trace.e_disc]))
         assert (diffs <= 1e-9).mean() >= 0.9
 
     @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
@@ -211,7 +216,8 @@ class TestGeneralizedFw:
                 assert a[col] == b[col], f"column {col} drifted from golden trace"
         if name == "l2fw":
             e_disc = [float(r["e_disc"]) for r in rows_new]
-            diffs = np.diff([trace.initial_e_disc] + e_disc)
+            e_start = inst.energy_discrete(round_nearest(initial_point(inst)))
+            diffs = np.diff([e_start] + e_disc)
             assert (diffs <= 1e-9).mean() >= 0.9
 
     def test_all_iterates_feasible(self, rng):
@@ -338,6 +344,156 @@ class TestOperatorWork:
                 assert e_cont.hex() == fresh.hex()
             else:
                 assert math.isclose(e_cont, fresh, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _segment_values(reg, x, direction, quad_a, quad_b, base, alphas):
+    """f_along's values at `alphas` as the solver computes them, and
+    long double values of the exact function (0 log 0 = 0)."""
+    L = np.longdouble
+    got, ref = [], []
+    for a in alphas:
+        got.append(0.5 * quad_a * a * a + quad_b * a
+                   + reg.value(x + a * direction) - base)
+        y = x.astype(L) + L(a) * direction.astype(L)
+        if isinstance(reg, L2Regularizer):
+            r = L(0.5) * L(reg.lam) * (y * y).sum()
+        else:
+            pos = np.where(y > 0, y, L(1))
+            r = L(reg.lam) * (y * np.log(pos)).sum()
+        ref.append(L(0.5) * L(quad_a) * L(a) * L(a) + L(quad_b) * L(a) + r - L(base))
+    return np.array(got, dtype=L), np.array(ref)
+
+
+def _random_segment(rng, entropic):
+    """A point x and direction p - x on the feasible set, with rows
+    that underflow to 0, sit near 1e-300, or reach 0 at an endpoint."""
+    n, d = int(rng.integers(1, 30)), int(rng.integers(2, 9))
+
+    def point():
+        z = rng.standard_normal((n, d)) * rng.choice([1.0, 30.0, 800.0])
+        return softmax_rows(z)
+
+    x, p = point(), point()
+    p[rng.uniform(size=p.shape) < 0.3] = 0.0            # y = 0 at alpha = 1
+    tiny = rng.uniform(size=x.shape) < 0.2
+    x[tiny] = rng.choice([1e-300, 3e-301, 2e-300, 5e-324], size=int(tiny.sum()))
+    x[0, 0] = 0.0                                      # y = 0 at alpha = 0
+    if not entropic:
+        x = x + rng.standard_normal(x.shape)            # any point for l2
+    return x, p - x
+
+
+class TestLineSearchCertificate:
+    """The solver's f_err bounds every f_along error, convexity holds
+    where it is certified, and the pruned scan then does less work for
+    the same alpha."""
+
+    @pytest.mark.parametrize("entropic", [True, False], ids=["entropy", "l2"])
+    def test_error_bound_holds(self, rng, entropic):
+        alphas = [0.0, 1.0 / 128, 0.5, 127.0 / 128, 1.0, *rng.uniform(size=4)]
+        certified = 0
+        for _ in range(150):
+            x, direction = _random_segment(rng, entropic)
+            lam = float(rng.choice([0.01, 0.25, 1.0, 7.0]))
+            reg = EntropyRegularizer(lam) if entropic else L2Regularizer(lam)
+            quad_a = float(rng.standard_normal() * rng.choice([0.01, 1.0, 100.0]))
+            quad_b = float(rng.standard_normal() * 10.0)
+            base = reg.value(x)
+            err = _segment_error(reg, x, direction, quad_a, quad_b, base)
+            if err is None:
+                continue
+            certified += 1
+            got, ref = _segment_values(reg, x, direction, quad_a, quad_b, base, alphas)
+            assert float(np.abs(got - ref).max()) <= err
+        assert certified >= 50
+
+    def test_certified_segments_are_convex(self, rng):
+        # rows with dir proportional to x make the row-l1 bound tight at
+        # alpha = 0, so qa just below -lam * 0.16 must not be certified
+        x = np.full((2, 2), 0.5)
+        direction = np.full((2, 2), -0.2)
+        reg = EntropyRegularizer(0.5)
+        tight = -reg.lam * 2 * 0.16
+        grid = [i / 128 for i in range(129)]
+        for quad_a, certified, convex in ((tight * 0.999, True, True),
+                                          (tight * 1.001, False, True),
+                                          (tight * 1.2, False, False)):
+            base = reg.value(x)
+            err = _segment_error(reg, x, direction, quad_a, 0.0, base)
+            _, ref = _segment_values(reg, x, direction, quad_a, 0.0, base, grid)
+            assert (err is not None) == certified
+            assert bool(np.all(np.diff(ref, 2) >= -1e-15)) == convex
+        # y log y is undefined where the segment leaves y >= 0
+        assert _segment_error(reg, x, np.array([[-0.6, 0.6], [0.0, 0.0]]), 1.0, 0.0,
+                              reg.value(x)) is None
+
+    def test_l2_certificate_is_exact_curvature(self, rng):
+        x, direction = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        reg = L2Regularizer(0.7)
+        tight = -reg.lam * float((direction ** 2).sum())
+        grid = [i / 128 for i in range(129)]
+        for quad_a, certified in ((tight * 0.999, True), (tight * 1.001, False)):
+            base = reg.value(x)
+            err = _segment_error(reg, x, direction, quad_a, 0.0, base)
+            _, ref = _segment_values(reg, x, direction, quad_a, 0.0, base, grid)
+            assert (err is not None) == certified
+            assert bool(np.all(np.diff(ref, 2) >= -1e-15)) == certified
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["dense", "edges", "gaussian"]),
+           method=st.sampled_from(["efw:0.25", "efw:1", "l2fw:0.5", "l2fw:0.05"]))
+    def test_real_segments_pick_the_full_scan_alpha(self, seed, kind, method):
+        name, lam = method.split(":")
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n=int(rng.integers(2, 12)), d=3, kind=kind)
+        cfg = SolverConfig(METHODS[name](), lam=float(lam), schedule=LineSearch(),
+                           max_iters=8)
+        real = schedules.stepsize
+
+        def both(sched, k, ctx):
+            alpha = real(sched, k, ctx)
+            full = real(sched, k, StepContext(f_along=ctx.f_along))
+            assert alpha.hex() == full.hex()
+            return alpha
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schedules, "stepsize", both)
+            run_generalized_fw(inst, cfg)
+
+    def _evaluations(self, monkeypatch, certify):
+        """(certified, evaluations, distinct grid points) per line search
+        of efw --lambda 0.25 --stepsize linesearch on a 10 x 10 grid;
+        every one of its 20 segments is certified convex."""
+        inst = generate(RandomGrid(rows=10, cols=10, d=8, seed=3))
+        real, searches = schedules.stepsize, []
+
+        def counting(sched, k, ctx):
+            calls, f = [], ctx.f_along
+            ctx.f_along = lambda a: calls.append(a) or f(a)
+            if not certify:
+                ctx.f_err = None
+            alpha = real(sched, k, ctx)
+            grid = {a for a in calls if (a * 128).is_integer()}
+            searches.append((ctx.f_err is not None, len(calls), len(grid)))
+            return alpha
+
+        monkeypatch.setattr(schedules, "stepsize", counting)
+        cfg = SolverConfig(EntropicFW(), lam=0.25, schedule=LineSearch(), max_iters=20)
+        run_generalized_fw(inst, cfg)
+        return searches
+
+    def test_certified_search_takes_at_most_70_evaluations(self, monkeypatch):
+        searches = self._evaluations(monkeypatch, certify=True)
+        assert len(searches) == 20
+        assert all(certified for certified, _, _ in searches)
+        assert max(evals for _, evals, _ in searches) <= 70
+
+    def test_uncertified_search_scans_the_whole_grid(self, monkeypatch):
+        for certified, evals, grid in self._evaluations(monkeypatch, certify=False):
+            assert not certified
+            assert grid == 129
+            assert evals > 129 + 30  # plus the golden-section refinement
 
 
 class TestMeanFieldRuns:
