@@ -19,6 +19,7 @@ from .regularizers import regularizer_bounds, strong_convexity
 
 _BRUTE_FORCE_CAP = 10_000_000
 _CHUNK = 1 << 14
+_FD_STEP = 1e-5  # finite_diff_gradient's central-difference step
 
 
 @dataclass(frozen=True)
@@ -71,31 +72,36 @@ def _decode_labelings(indices, n, d):
     return out
 
 
-def _batch_energies(instance, labelings):
-    n = instance.n_nodes
-    eff_unary = instance.unary
-    table = instance.pairwise.label_cost_table()
-    if table is not None:
-        eff_unary = eff_unary + table
-    e = eff_unary[np.arange(n)[None, :], labelings].sum(axis=1)
-    for i, j, blk in instance.pairwise.iter_blocks():
+def _batch_energies(unary, blocks, labelings):
+    n = unary.shape[0]
+    e = unary[np.arange(n)[None, :], labelings].sum(axis=1)
+    for i, j, blk in blocks:
         e = e + blk[labelings[:, i], labelings[:, j]]
     return e
 
 
 def brute_force_map(instance):
-    """Exhaustive MAP: minimum-energy labeling, lexicographic tie-break."""
+    """Exhaustive MAP: minimum-energy labeling, lexicographic tie-break.
+
+    Reads P through `to_dense()`, so an operator too large to hold (an
+    `EdgeList` with d = 1 and n = 9000) raises `CapacityError` at any d^n.
+    """
     n, d = instance.n_nodes, instance.n_labels
     total = d ** n
     if total > _BRUTE_FORCE_CAP:
         raise CapacityError(
             f"d^n = {total} labelings exceeds the enumeration cap {_BRUTE_FORCE_CAP}")
+    P = instance.pairwise.to_dense()
+    # diagonal entries count half at one-hot points; each i < j block once
+    unary = instance.unary + 0.5 * np.diag(P).reshape(n, d)
+    blocks = [(i, j, blk) for i in range(n) for j in range(i + 1, n)
+              if (blk := P[i * d:(i + 1) * d, j * d:(j + 1) * d]).any()]
     best_energy = math.inf
     best_labeling = None
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         labelings = _decode_labelings(idx, n, d)
-        energies = _batch_energies(instance, labelings)
+        energies = _batch_energies(unary, blocks, labelings)
         j = int(np.argmin(energies))
         if energies[j] < best_energy:
             best_energy = float(energies[j])
@@ -107,24 +113,22 @@ def brute_force_map(instance):
                         enumerated_count=total)
 
 
-def finite_diff_gradient(instance, x, h=1e-5):
+def finite_diff_gradient(instance, x):
     """Central-difference gradient of the continuous energy.
 
     The energy is a quadratic polynomial, so central differences are
     exact up to rounding; off-simplex evaluation is fine.
     """
-    if not h > 0.0:
-        raise ValueError("h must be > 0")
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for i in range(x.shape[0]):
         for s in range(x.shape[1]):
             xp = x.copy()
             xm = x.copy()
-            xp[i, s] += h
-            xm[i, s] -= h
+            xp[i, s] += _FD_STEP
+            xm[i, s] -= _FD_STEP
             grad[i, s] = (instance.energy_relaxed(xp)
-                          - instance.energy_relaxed(xm)) / (2.0 * h)
+                          - instance.energy_relaxed(xm)) / (2.0 * _FD_STEP)
     return grad
 
 

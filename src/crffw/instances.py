@@ -211,9 +211,7 @@ def read_json(path):
     kind = _require(pw, "type", "field 'pairwise'")
     try:
         if kind == "dense":
-            # diagonal entries are tolerated on input (convexified energies)
-            backend = DenseMatrix(np.asarray(_require(pw, "matrix", "pairwise"), dtype=float),
-                                  d, allow_diagonal_blocks=True)
+            backend = DenseMatrix(np.asarray(_require(pw, "matrix", "pairwise"), dtype=float), d)
         elif kind == "edges":
             entries = _require(pw, "edges", "pairwise")
             edges = [( _require(e, "i", "edge entry"), _require(e, "j", "edge entry"))

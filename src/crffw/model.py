@@ -13,8 +13,10 @@ which at one-hot x equals the discrete energy
 P is never materialized for the fully-connected Gaussian backend; it is
 applied exactly through a cached n x n kernel matrix.
 
-Every backend's `spectral_norm_bound()` is a certified upper bound on
-||P||_2, the Lipschitz constant L_f of the energy's gradient.
+A backend is the operator P and nothing else: `n_nodes`, `n_labels`,
+`matvec`, `matvec_row`, `pair_energy`, `to_dense` (refused when large)
+and `spectral_norm_bound`, a certified upper bound on ||P||_2, the
+Lipschitz constant L_f of the energy's gradient.
 """
 
 from __future__ import annotations
@@ -39,12 +41,12 @@ def _float_copy(a, name):
 class DenseMatrix:
     """Explicit (n*d) x (n*d) symmetric pairwise matrix.
 
-    Diagonal d x d blocks must be zero (a node has no pairwise term with
-    itself) unless `allow_diagonal_blocks` is set, which is needed for
-    convexified energies that carry a symmetric diagonal correction.
+    Diagonal d x d blocks are accepted (convexified energies carry a
+    symmetric diagonal correction); `pair_energy` and the brute-force
+    oracle both count them.
     """
 
-    def __init__(self, matrix, n_labels, allow_diagonal_blocks=False):
+    def __init__(self, matrix, n_labels):
         matrix = _float_copy(matrix, "pairwise matrix")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("pairwise matrix must be square")
@@ -55,12 +57,6 @@ class DenseMatrix:
         self.matrix = matrix
         self.d = int(n_labels)
         self.n = matrix.shape[0] // self.d
-        if not allow_diagonal_blocks:
-            nodes = np.arange(self.n)
-            blocks = matrix.reshape(self.n, self.d, self.n, self.d)[nodes, :, nodes, :]
-            bad = np.flatnonzero((blocks != 0.0).any(axis=(1, 2)))
-            if bad.size:
-                raise ValueError(f"diagonal block of node {bad[0]} is not zero")
         matrix.setflags(write=False)
 
     @property
@@ -79,33 +75,18 @@ class DenseMatrix:
         return self.matrix[i * d:(i + 1) * d] @ x.reshape(-1)
 
     def pair_energy(self, labels):
-        # 0.5 * <x, Px> at the one-hot point; the i == j terms pick up
-        # diagonal-block entries, which are zero for standard instances.
+        # 0.5 * <x, Px> at the one-hot point, diagonal blocks included
         idx = np.arange(self.n) * self.d + labels
         return 0.5 * float(self.matrix[np.ix_(idx, idx)].sum())
-
-    def iter_blocks(self):
-        d = self.d
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                blk = self.matrix[i * d:(i + 1) * d, j * d:(j + 1) * d]
-                if np.any(blk != 0.0):
-                    yield i, j, blk
-
-    def label_cost_table(self):
-        # Per-(node, label) cost contributed by diagonal entries at
-        # one-hot points: 0.5 * P[(i,s),(i,s)].
-        return 0.5 * np.diag(self.matrix).reshape(self.n, self.d)
 
     def to_dense(self):
         return self.matrix
 
-    def inf_norm_bound(self):
+    def spectral_norm_bound(self):
+        # ||P||_2 <= ||P||_inf for a symmetric P
         if self.matrix.size == 0:
             return 0.0
         return float(np.abs(self.matrix).sum(axis=1).max())
-
-    spectral_norm_bound = inf_norm_bound  # ||P||_2 <= ||P||_inf for a symmetric P
 
 
 class EdgeList:
@@ -116,9 +97,11 @@ class EdgeList:
     symmetric by construction.
 
     An incident-edge index built once in O(n + E) makes `matvec_row`
-    cost O(degree) and `matvec` a segmented sum over precomputed slices;
-    both add in the same order as a plain loop over the edges, so their
-    results do not depend on the index.
+    cost O(degree) and `matvec` a segmented sum over precomputed slices.
+    `matvec_row` adds a node's incident edges in edge order, as a plain
+    loop over the edges does.  `matvec` adds, per node, the edges where
+    it is i and then those where it is j, each in edge order; it can
+    differ in the last bits from a loop that interleaves the two.
     """
 
     def __init__(self, n_nodes, n_labels, edges, thetas):
@@ -194,13 +177,6 @@ class EdgeList:
         ii, jj = self.edges[:, 0], self.edges[:, 1]
         return float(self.thetas[np.arange(len(self.edges)), labels[ii], labels[jj]].sum())
 
-    def iter_blocks(self):
-        for e, (i, j) in enumerate(self.edges):
-            yield int(i), int(j), self.thetas[e]
-
-    def label_cost_table(self):
-        return None
-
     def to_dense(self):
         n, d = self.n, self.d
         if (n * d) ** 2 > MAX_DENSE_ENTRIES:
@@ -211,15 +187,14 @@ class EdgeList:
             P[j * d:(j + 1) * d, i * d:(i + 1) * d] = self.thetas[e].T
         return P
 
-    def inf_norm_bound(self):
+    def spectral_norm_bound(self):
+        # ||P||_2 <= ||P||_inf for a symmetric P
         rowsum = np.zeros((self.n, self.d))
         mags = np.abs(self.thetas)
         # rows i0, j0, i1, j1, ...: the order of a loop over the edges
         sums = np.stack((mags.sum(axis=2), mags.sum(axis=1)), axis=1)
         np.add.at(rowsum, self.edges.reshape(-1), sums.reshape(-1, self.d))
         return float(rowsum.max()) if rowsum.size else 0.0
-
-    spectral_norm_bound = inf_norm_bound  # ||P||_2 <= ||P||_inf for a symmetric P
 
 
 def _row_blocks(n):
@@ -361,16 +336,6 @@ class GaussianKernel:
 
         return 0.5 * float(_pairwise_sum(run_sum, 0, n * n)) if n else 0.0
 
-    def iter_blocks(self):
-        K = self.kernel_matrix
-        for i in range(self.n_nodes):
-            for j in range(i + 1, self.n_nodes):
-                if K[i, j] != 0.0:
-                    yield i, j, K[i, j] * self.compat
-
-    def label_cost_table(self):
-        return None
-
     def to_dense(self):
         n, d = self.n_nodes, self.n_labels
         if (n * d) ** 2 > MAX_DENSE_ENTRIES:
@@ -441,14 +406,6 @@ class DiagonalShift:
     def pair_energy(self, labels):
         diag_part = 0.5 * float(self.diag[np.arange(self.n_nodes), labels].sum())
         return self.base.pair_energy(labels) + diag_part
-
-    def iter_blocks(self):
-        yield from self.base.iter_blocks()
-
-    def label_cost_table(self):
-        table = 0.5 * self.diag
-        base_table = self.base.label_cost_table()
-        return table if base_table is None else table + base_table
 
     def to_dense(self):
         return self.base.to_dense() + np.diag(self.diag.reshape(-1))

@@ -1,14 +1,16 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import potts_pair, random_feasible, random_instance, zero_instance
 from crffw import (Adaptive, CapacityError, Constant, ConvergenceParams,
-                   CrfInstance, EdgeList, EntropyRegularizer, L2Regularizer,
-                   LineSearch, SolverConfig, VanillaFW, brute_force_map,
-                   convergence_params, decrease_bound, feasible_set_diameter,
+                   CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
+                   EntropyRegularizer, L2Regularizer, LineSearch, SolverConfig,
+                   VanillaFW, brute_force_map, convergence_params, convexify,
+                   decrease_bound, feasible_set_diameter,
                    finite_diff_gradient, potts_matrix, project_feasible,
                    round_bcd, run_generalized_fw, tightness_report,
                    vertex_regularizer_constancy)
@@ -57,6 +59,40 @@ class TestBruteForceMap:
         with pytest.raises(CapacityError):
             brute_force_map(inst)
 
+    def test_dense_guard_at_one_labeling(self):
+        # d = 1: a single labeling, but a 9000 x 9000 operator to read
+        inst = zero_instance(9000, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="order 9000"):
+                brute_force_map(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the dense operator would take 648 MB
+
+    def test_diagonal_shift(self, rng):
+        for _ in range(20):
+            inst = random_instance(rng)
+            shift = rng.standard_normal((inst.n_nodes, inst.n_labels))
+            shifted = CrfInstance(inst.unary, DiagonalShift(inst.pairwise, shift))
+            assert brute_force_map(shifted).optimal_energy == pytest.approx(
+                hand_enumeration(shifted)[0], abs=1e-12)
+
+    def test_dense_with_diagonal_blocks(self, rng):
+        for _ in range(20):
+            n, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+            m = rng.standard_normal((n * d, n * d))
+            inst = CrfInstance(rng.standard_normal((n, d)), DenseMatrix(m + m.T, d))
+            assert brute_force_map(inst).optimal_energy == pytest.approx(
+                hand_enumeration(inst)[0], abs=1e-12)
+
+    def test_convexify_keeps_the_optimum(self, rng):
+        for _ in range(30):
+            inst = random_instance(rng)
+            assert brute_force_map(convexify(inst)).optimal_energy == pytest.approx(
+                brute_force_map(inst).optimal_energy, abs=1e-9)
+
     def test_lexicographic_tie_break(self):
         # constant energy: the first labeling in lexicographic order wins
         inst = zero_instance(3, 3)
@@ -74,14 +110,8 @@ class TestFiniteDiffGradient:
     def test_quadratic_exactness_unit_scale(self, rng):
         inst = random_instance(rng, n=3, d=2, kind="dense")
         x = random_feasible(rng, 3, 2)
-        np.testing.assert_allclose(finite_diff_gradient(inst, x, h=1e-5),
+        np.testing.assert_allclose(finite_diff_gradient(inst, x),
                                    inst.gradient(x), atol=1e-9)
-
-    def test_rejects_bad_step(self, rng):
-        inst = random_instance(rng)
-        x = random_feasible(rng, inst.n_nodes, inst.n_labels)
-        with pytest.raises(ValueError):
-            finite_diff_gradient(inst, x, h=0.0)
 
 
 class TestTightnessReport:

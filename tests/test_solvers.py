@@ -532,9 +532,9 @@ class TestConvexify:
     def test_two_node_potts_shift(self):
         inst = potts_pair()
         conv = convexify(inst)
-        # c_is = 0.5 * sum_t theta(s, t) = 0.5 here; the one-hot cost table
-        # carries 0.5 * (2 c) = c
-        table = conv.pairwise.label_cost_table()
+        # c_is = 0.5 * sum_t theta(s, t) = 0.5 here; a one-hot point picks
+        # up half the diagonal shift, 0.5 * (2 c) = c
+        table = 0.5 * conv.pairwise.diag
         np.testing.assert_allclose(table, np.full((2, 2), 0.5), atol=1e-12)
         np.testing.assert_allclose(conv.unary, inst.unary - 0.5, atol=1e-12)
 
