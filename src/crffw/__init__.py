@@ -13,16 +13,16 @@ from .diagnostics import (ConvergenceParams, OracleReport, TightnessReport,
                           tightness_report, vertex_regularizer_constancy)
 from .errors import (CapacityError, Diverged, InstanceFormatError,
                      UnsupportedFeatureError)
-from .instances import (GeneratorSpec, RandomDense, RandomEdgeList, RandomGrid,
-                        generate, potts_matrix, read_json, read_uai, write_json)
+from .instances import (RandomDense, RandomEdgeList, RandomGrid, generate,
+                        potts_matrix, read_json, read_uai, write_json)
 from .model import (CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
                     GaussianKernel)
-from .regularizers import (EntropyRegularizer, L2Regularizer, Regularizer,
+from .regularizers import (EntropyRegularizer, L2Regularizer,
                            regularizer_bounds, regularizer_value,
                            strong_convexity)
 from .schedules import (SCHEDULES, Adaptive, Constant, ConstantLength, Harmonic,
                         InvSqrt, LineSearch, HarmonicRamp, StepContext,
-                        StepsizeSchedule, stepsize)
+                        stepsize)
 from .simplex import (is_feasible, project_feasible, project_simplex,
                       round_bcd, round_nearest, rounding_constant,
                       softmax_rows)
@@ -30,7 +30,6 @@ from .solvers import (ADMM, EMD, METHODS, PGD, ConvexFW, DampedMeanField,
                       EntropicFW, FastPGM, IterationRecord, IterationTrace,
                       L2FW, MeanField, SolverConfig, VanillaFW,
                       conditional_gradient_norm, convexify, direction_point,
-                      initial_point, lmo_vanilla, mean_field_run,
-                      run_generalized_fw)
+                      initial_point, lmo_vanilla, run_generalized_fw)
 
 __version__ = "0.1.0"

@@ -72,9 +72,6 @@ class RandomEdgeList:
     unary_scale: float = 1.0
 
 
-GeneratorSpec = RandomDense | RandomGrid | RandomEdgeList
-
-
 def potts_matrix(d, w=1.0):
     """Compatibility w * 1[s != t]."""
     return w * (1.0 - np.eye(d))
@@ -155,9 +152,30 @@ def _generate_edges(spec):
 # native JSON schema
 
 def _require(obj, key, where):
+    if not isinstance(obj, dict):
+        raise InstanceFormatError(f"{where} must be an object")
     if key not in obj:
         raise InstanceFormatError(f"missing field '{key}' in {where}")
     return obj[key]
+
+
+def _numbers(obj, key, where):
+    # a number or nested arrays of numbers, as a float array
+    value = _require(obj, key, where)
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InstanceFormatError(f"field '{key}' in {where} must hold numbers") from None
+
+
+def _scalar(obj, key, where, kinds=(int, float)):
+    # a JSON number, or a JSON integer for kinds=(int,); true and false are neither
+    value = _require(obj, key, where)
+    if type(value) not in kinds:
+        noun = "an integer" if kinds == (int,) else "a number"
+        raise InstanceFormatError(
+            f"field '{key}' in {where} must be {noun}, got {json.dumps(value)}")
+    return value
 
 
 def write_json(instance, path):
@@ -197,42 +215,38 @@ def read_json(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise InstanceFormatError("top-level value must be an object")
     version = _require(doc, "version", "instance file")
     if version != 1:
         raise InstanceFormatError(f"unsupported instance format version {version!r}")
     n = _require(doc, "n", "instance file")
     d = _require(doc, "d", "instance file")
-    unary = np.asarray(_require(doc, "unary", "instance file"), dtype=float)
+    unary = _numbers(doc, "unary", "instance file")
     if unary.shape != (n, d):
         raise InstanceFormatError(f"field 'unary' must be {n} x {d}, got {unary.shape}")
     pw = _require(doc, "pairwise", "instance file")
     kind = _require(pw, "type", "field 'pairwise'")
     try:
         if kind == "dense":
-            backend = DenseMatrix(np.asarray(_require(pw, "matrix", "pairwise"), dtype=float), d)
+            backend = DenseMatrix(_numbers(pw, "matrix", "pairwise"), d)
         elif kind == "edges":
             entries = _require(pw, "edges", "pairwise")
-            edges = [( _require(e, "i", "edge entry"), _require(e, "j", "edge entry"))
-                     for e in entries]
-            thetas = [np.asarray(_require(e, "theta", "edge entry"), dtype=float)
-                      for e in entries]
+            if not isinstance(entries, list):
+                raise InstanceFormatError("field 'edges' in pairwise must be a list")
+            edges = [(_scalar(e, "i", "edge entry", (int,)),
+                      _scalar(e, "j", "edge entry", (int,))) for e in entries]
+            thetas = [_numbers(e, "theta", "edge entry") for e in entries]
             thetas = np.array(thetas) if thetas else np.zeros((0, d, d))
             backend = EdgeList(n, d, np.array(edges, dtype=int).reshape(-1, 2), thetas)
         elif kind == "gaussian":
             backend = GaussianKernel(
-                np.asarray(_require(pw, "positions", "pairwise"), dtype=float),
-                np.asarray(_require(pw, "colors", "pairwise"), dtype=float),
-                np.asarray(_require(pw, "compat", "pairwise"), dtype=float),
-                w1=_require(pw, "w1", "pairwise"), w2=_require(pw, "w2", "pairwise"),
-                alpha=_require(pw, "alpha", "pairwise"),
-                beta=_require(pw, "beta", "pairwise"),
-                gamma=_require(pw, "gamma", "pairwise"))
+                _numbers(pw, "positions", "pairwise"), _numbers(pw, "colors", "pairwise"),
+                _numbers(pw, "compat", "pairwise"),
+                **{k: _scalar(pw, k, "pairwise")
+                   for k in ("w1", "w2", "alpha", "beta", "gamma")})
         else:
             raise InstanceFormatError(f"unknown pairwise type {kind!r}")
         return CrfInstance(unary, backend)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an index past int64
         raise InstanceFormatError(str(exc)) from exc
 
 
@@ -313,6 +327,8 @@ def _parse_uai(toks):
     if d < 1:
         raise InstanceFormatError("label cardinalities must be positive")
     n_factors = next_int("factor count")
+    if n_factors < 0:
+        raise InstanceFormatError(f"negative factor count {n_factors}")
     scopes = []
     for f in range(n_factors):
         size = next_int(f"scope size of factor {f}")
@@ -337,8 +353,13 @@ def _parse_uai(toks):
     # every table in one array, in file order; theta = -log(max(phi, floor))
     theta = np.concatenate(tables) if tables else np.zeros(0)
     del tables
-    np.negative(np.log(np.maximum(theta, _PHI_FLOOR, out=theta), out=theta), out=theta)
     offsets = np.cumsum([0] + sizes[:-1], dtype=int)
+    if not np.isfinite(theta).all():
+        bad = int(np.argmin(np.isfinite(theta)))  # the first non-finite entry
+        f = int(np.searchsorted(offsets, bad, side="right")) - 1
+        raise InstanceFormatError(
+            f"expected finite number for table entry of factor {f}, got {float(theta[bad])!r}")
+    np.negative(np.log(np.maximum(theta, _PHI_FLOOR, out=theta), out=theta), out=theta)
 
     # potentials of repeated scopes add in file order, as a running sum would
     arity = np.array([len(scope) for scope in scopes], dtype=int)

@@ -62,9 +62,6 @@ class EntropyRegularizer:
         return -self.lam * n * math.log(d), 0.0
 
 
-Regularizer = L2Regularizer | EntropyRegularizer | None
-
-
 def strong_convexity(reg):
     """Strong-convexity parameter sigma_g (0 without a regularizer)."""
     return 0.0 if reg is None else reg.strong_convexity

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 129
@@ -74,8 +74,6 @@ class LineSearch:
 SCHEDULES = {"constant": Constant, "constlength": ConstantLength,
              "harmonic": Harmonic, "ramp": HarmonicRamp, "invsqrt": InvSqrt,
              "adaptive": Adaptive, "linesearch": LineSearch}
-
-StepsizeSchedule = Union[tuple(SCHEDULES.values())]
 
 
 @dataclass

@@ -393,20 +393,12 @@ class IterationTrace:
         return len(self.records)
 
     @property
-    def e_cont(self):
-        return np.array([r.e_cont for r in self.records])
-
-    @property
     def e_reg(self):
         return np.array([r.e_reg for r in self.records])
 
     @property
     def e_disc(self):
         return np.array([r.e_disc for r in self.records])
-
-    @property
-    def s_k(self):
-        return np.array([r.s_k for r in self.records])
 
     def write_csv(self, path, include_times=True):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -561,44 +553,5 @@ def run_generalized_fw(instance, config):
             raise AssertionError(
                 f"decrease bound violated at iteration {k}: "
                 f"F_k - F_k+1 = {f_prev - e_reg:.3e} < delta_k = {delta:.3e}")
-        f_prev = e_reg
-    return x, trace
-
-
-def mean_field_run(instance, iters):
-    """Plain parallel fixed-point iteration x <- softmax(-(Px + u)).
-
-    Coincides with the entropic direction oracle at lam = 1 followed by
-    a unit step, so the trace matches run_generalized_fw with that
-    configuration bitwise.
-    """
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
-    reg = EntropyRegularizer(1.0)
-    x = initial_point(instance)
-    trace = IterationTrace(method="mf")
-    trace.initial_e_cont, trace.initial_e_reg = _energies(instance, x, None, reg)
-    trace.iterates = [x.copy()]
-    params = diagnostics.convergence_params(instance, reg)
-    sched = schedules.Constant(1.0)
-    f_prev = trace.initial_e_reg
-    for k in range(iters):
-        t0 = time.perf_counter()
-        grad = instance.gradient(x)
-        p = softmax_rows(-grad / 1.0)
-        s_k = _gap(grad, x, p, reg)
-        dir_sq = float(((p - x) ** 2).sum())
-        step_norm = math.sqrt(dir_sq)
-        x = p
-        e_cont, e_reg = _energies(instance, x, None, reg)
-        e_disc = instance.energy_discrete(round_nearest(x))
-        _check_finite(trace, f"at iteration {k}", e_reg=e_reg)
-        delta = diagnostics.decrease_bound(params, sched, k, s_k, dir_sq)
-        trace.records.append(IterationRecord(
-            k=k, alpha=1.0, e_cont=e_cont, e_reg=e_reg, e_disc=e_disc,
-            s_k=s_k, step_norm=step_norm, bound_delta=delta,
-            bound_held=(f_prev - e_reg) >= (delta - _BOUND_TOL),
-            time_ms=(time.perf_counter() - t0) * 1e3))
-        trace.iterates.append(x.copy())
         f_prev = e_reg
     return x, trace

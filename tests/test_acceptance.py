@@ -17,10 +17,11 @@ from crffw import (EMD, PGD, Adaptive, Constant, CrfInstance, EdgeList,
                    LineSearch, MeanField, RandomDense, SolverConfig,
                    VanillaFW, brute_force_map, conditional_gradient_norm,
                    convergence_params, finite_diff_gradient, generate,
-                   lmo_vanilla, mean_field_run, project_feasible, read_json,
-                   read_uai, regularizer_bounds, round_bcd, round_nearest,
+                   lmo_vanilla, project_feasible, read_json, read_uai,
+                   regularizer_bounds, round_bcd, round_nearest,
                    rounding_constant, run_generalized_fw, softmax_rows,
                    write_json)
+from crffw.verification import mean_field_iterates
 
 
 @contextmanager
@@ -73,16 +74,17 @@ def test_criterion_02_gradient_correctness():
 def test_criterion_03_mean_field_identity():
     with criterion(3, "mean field = entropic FW(1, 1)", budget_s=30.0):
         rng = np.random.default_rng(303)
+        configs = [SolverConfig(EntropicFW(), lam=1.0, schedule=Constant(1.0),
+                                max_iters=20, record_iterates=True),
+                   SolverConfig(MeanField(), max_iters=20, record_iterates=True)]
         for _ in range(50):
             inst = random_instance(rng)
-            _, tr_mf = mean_field_run(inst, 20)
-            cfg = SolverConfig(EntropicFW(), lam=1.0,
-                               schedule=Constant(1.0), max_iters=20,
-                               record_iterates=True)
-            _, tr_efw = run_generalized_fw(inst, cfg)
-            assert len(tr_mf.iterates) == len(tr_efw.iterates) == 21
-            for a, b in zip(tr_mf.iterates, tr_efw.iterates):
-                assert float(np.abs(a - b).max()) <= 1e-12
+            ref = mean_field_iterates(inst, 20)
+            for cfg in configs:
+                _, trace = run_generalized_fw(inst, cfg)
+                assert len(ref) == len(trace.iterates) == 21
+                for a, b in zip(ref, trace.iterates):
+                    np.testing.assert_array_equal(a, b)
 
 
 def test_criterion_04_stationarity_measure():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import random_feasible, random_instance
 from crffw import (InstanceFormatError, RandomDense, RandomEdgeList,
                    RandomGrid, UnsupportedFeatureError, brute_force_map,
                    generate, read_json, read_uai, write_json)
+from crffw.cli import main
 
 
 class TestGenerate:
@@ -87,7 +89,8 @@ class TestJsonRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('{"version": 1, "n": 1, "d": 2, '
                         '"pairwise": {"type": "dense", "matrix": [[0,0],[0,0]]}}')
-        with pytest.raises(InstanceFormatError, match="unary"):
+        with pytest.raises(InstanceFormatError,
+                           match=r"^missing field 'unary' in instance file$"):
             read_json(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -102,6 +105,34 @@ class TestJsonRoundTrip:
         path.write_text('{"version": 1,\n  "n": }')
         with pytest.raises(InstanceFormatError, match="line"):
             read_json(path)
+
+    EDGES, GAUSS = RandomGrid(rows=1, cols=3, d=2, seed=0), RandomDense(n=3, d=2, seed=0)
+
+    @pytest.mark.parametrize("spec, edit, message", [
+        (EDGES, lambda doc: doc.update(unary=[["a"]]),
+         r"^field 'unary' in instance file must hold numbers$"),
+        (EDGES, lambda doc: doc.update(pairwise="type"), r"^field 'pairwise' must be an object$"),
+        (EDGES, lambda doc: doc["pairwise"].update(edges=5),
+         r"^field 'edges' in pairwise must be a list$"),
+        (GAUSS, lambda doc: doc["pairwise"].update(w1="x"),
+         r"^field 'w1' in pairwise must be a number, got \"x\"$"),
+        (GAUSS, lambda doc: doc["pairwise"].update(alpha=None),
+         r"^field 'alpha' in pairwise must be a number, got null$"),
+        (EDGES, lambda doc: doc["pairwise"]["edges"][0].update(i=0.5),
+         r"^field 'i' in edge entry must be an integer, got 0.5$"),
+    ], ids=["unary-text", "pairwise-string", "edges-number", "w1-text", "alpha-null",
+            "fractional-endpoint"])
+    def test_malformed_field_is_named(self, tmp_path, capsys, spec, edit, message):
+        path = tmp_path / "bad.json"
+        write_json(generate(spec), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=message):
+            read_json(path)
+        assert main(["solve", "--instance", str(path), "--method", "mf"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field '") and err.count("\n") == 1
 
 
 def write_uai(path, text):
@@ -296,7 +327,12 @@ class TestReadUaiBulkTables:
                                          r"got 'x'$"),
         ("4\n0.5 0.5 0.5 0.5\n", r"^unexpected end of file while reading table size "
                                  r"of factor 1$"),
-    ], ids=["non-numeric", "truncated", "size-mismatch", "second-table", "missing-table"])
+        ("4\n0.5 nan 0.5 0.5\n2\n1 1\n", r"^expected finite number for table entry "
+                                       r"of factor 0, got nan$"),
+        ("4\n0.5 0.5 0.5 0.5\n2\n1 inf\n", r"^expected finite number for table entry "
+                                         r"of factor 1, got inf$"),
+    ], ids=["non-numeric", "truncated", "size-mismatch", "second-table", "missing-table",
+            "nan-entry", "inf-entry"])
     def test_table_errors(self, tmp_path, body, message):
         path = write_uai(tmp_path / "bad.uai", "MARKOV\n2\n2 2\n2\n2 0 1\n1 1\n" + body)
         with pytest.raises(InstanceFormatError, match=message):
@@ -316,7 +352,8 @@ class TestReadUaiBulkTables:
         ("MARKOV\n0\n0\n", "network has no variables"),
         ("MARKOV\n-1\n0\n", "network has no variables"),
         ("MARKOV\n2\n0 0\n1\n2 0 1\n0\n\n", "label cardinalities must be positive"),
-    ], ids=["zero", "negative", "zero-labels"])
+        ("MARKOV\n2\n2 2\n-1\n", "negative factor count -1"),
+    ], ids=["zero", "negative", "zero-labels", "negative-factors"])
     def test_empty_sizes_rejected(self, tmp_path, text, message):
         with pytest.raises(InstanceFormatError, match=message):
             read_uai(write_uai(tmp_path / "e.uai", text))

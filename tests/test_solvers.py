@@ -14,9 +14,10 @@ from crffw import (ADMM, EMD, METHODS, PGD, Adaptive, Constant, ConvexFW,
                    RandomGrid, SolverConfig, StepContext, VanillaFW,
                    conditional_gradient_norm, convergence_params, convexify,
                    direction_point, generate, initial_point, is_feasible,
-                   lmo_vanilla, mean_field_run, project_feasible,
-                   round_nearest, run_generalized_fw, schedules, softmax_rows)
+                   lmo_vanilla, project_feasible, round_nearest,
+                   run_generalized_fw, schedules, softmax_rows)
 from crffw.solvers import _segment_error
+from crffw.verification import mean_field_iterates
 
 
 def zero_pairwise(u):
@@ -163,15 +164,17 @@ GOLDEN_CONFIGS = {
 
 class TestGeneralizedFw:
     def test_mean_field_identity(self, rng):
+        configs = [SolverConfig(EntropicFW(), lam=1.0, schedule=Constant(1.0),
+                                max_iters=20, record_iterates=True),
+                   SolverConfig(MeanField(), max_iters=20, record_iterates=True)]
         for _ in range(50):
             inst = random_instance(rng)
-            x_mf, tr_mf = mean_field_run(inst, 20)
-            cfg = SolverConfig(EntropicFW(), lam=1.0,
-                               schedule=Constant(1.0), max_iters=20,
-                               record_iterates=True)
-            x_efw, tr_efw = run_generalized_fw(inst, cfg)
-            for a, b in zip(tr_mf.iterates, tr_efw.iterates):
-                assert float(np.abs(a - b).max()) <= 1e-12
+            ref = mean_field_iterates(inst, 20)
+            for cfg in configs:
+                _, trace = run_generalized_fw(inst, cfg)
+                assert len(trace.iterates) == len(ref) == 21
+                for a, b in zip(ref, trace.iterates):
+                    np.testing.assert_array_equal(a, b)
 
     def test_vanilla_fw_linear_objective_one_step(self, rng):
         u = rng.standard_normal((5, 3))
@@ -499,7 +502,7 @@ class TestLineSearchCertificate:
 class TestMeanFieldRuns:
     def test_zero_pairwise_converges_in_one_step(self, rng):
         inst = zero_pairwise(rng.standard_normal((4, 3)))
-        x, trace = mean_field_run(inst, 3)
+        x, trace = run_generalized_fw(inst, SolverConfig(MeanField(), max_iters=3))
         np.testing.assert_allclose(x, softmax_rows(-inst.unary), atol=1e-15)
         assert trace.records[0].step_norm <= 1e-15
 
@@ -523,7 +526,7 @@ class TestMeanFieldRuns:
 
     def test_single_node_constant_after_first_step(self, rng):
         inst = zero_pairwise(rng.standard_normal((1, 3)))
-        _, trace = mean_field_run(inst, 5)
+        _, trace = run_generalized_fw(inst, SolverConfig(MeanField(), max_iters=5))
         for rec in trace.records[1:]:
             assert rec.step_norm <= 1e-15
 
