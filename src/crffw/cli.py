@@ -170,22 +170,31 @@ def cmd_compare(args, parser):
     instances = [_load_instance(p) for p in args.instances]
     os.makedirs(args.out, exist_ok=True)
 
-    def curves_for(config):
-        return [[r.e_disc for r in solvers.run_generalized_fw(inst, config)[1].records]
-                for inst in instances]
-
+    # configs with the same iterates run once, at the longest of their
+    # max_iters (the first on a tie); each curve is a prefix of that run
+    longest = {}
+    for config in [*runs.values(), *(c for grid in sweep_runs.values() for _, c in grid)]:
+        key = solvers.iterate_key(config)
+        longest[key] = max(longest.get(key, config), config, key=lambda c: c.max_iters)
     try:
-        all_curves = {label: curves_for(config) for label, config in runs.items()}
-        sweep = {}
-        for name, grid_runs in sweep_runs.items():
-            rows = []
-            for lam, config in grid_runs:
-                energies = [curve[-1] for curve in curves_for(config)]
-                rows.append((lam, float(np.mean(energies)), [float(e) for e in energies]))
-            sweep[name] = rows
+        energies = {key: [[r.e_disc for r in solvers.run_generalized_fw(inst, config)[1].records]
+                          for inst in instances]
+                    for key, config in longest.items()}
     except Diverged as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+
+    def curves_for(config):
+        return [curve[:config.max_iters] for curve in energies[solvers.iterate_key(config)]]
+
+    all_curves = {label: curves_for(config) for label, config in runs.items()}
+    sweep = {}
+    for name, grid_runs in sweep_runs.items():
+        rows = []
+        for lam, config in grid_runs:
+            finals = [curve[-1] for curve in curves_for(config)]
+            rows.append((lam, float(np.mean(finals)), [float(e) for e in finals]))
+        sweep[name] = rows
 
     mean_rows = []
     with open(os.path.join(args.out, "energy_vs_iteration.csv"), "w",

@@ -5,9 +5,10 @@ Two on-disk formats are supported:
 * a native JSON schema (version 1), lossless for all three pairwise
   backends, documented in the README;
 * the UAI MARKOV text format, restricted to unary and pairwise factors
-  with a uniform label cardinality.  Factor tables phi are converted to
-  potentials via theta = -log(max(phi, 1e-300)); multiple factors over
-  the same scope are multiplied (potentials added) before conversion.
+  with a uniform label cardinality.  Factor tables phi (finite and
+  nonnegative) are converted to potentials via theta = -log(max(phi,
+  1e-300)); multiple factors over the same scope are multiplied
+  (potentials added) before conversion.
 """
 
 from __future__ import annotations
@@ -164,17 +165,23 @@ def _numbers(obj, key, where):
     value = _require(obj, key, where)
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer past float
         raise InstanceFormatError(f"field '{key}' in {where} must hold numbers") from None
 
 
 def _scalar(obj, key, where, kinds=(int, float)):
-    # a JSON number, or a JSON integer for kinds=(int,); true and false are neither
+    # a JSON number that fits a float, or a JSON integer that fits int64 for
+    # kinds=(int,); true and false are neither
     value = _require(obj, key, where)
     if type(value) not in kinds:
         noun = "an integer" if kinds == (int,) else "a number"
         raise InstanceFormatError(
             f"field '{key}' in {where} must be {noun}, got {json.dumps(value)}")
+    try:
+        (np.int64 if kinds == (int,) else float)(value)
+    except OverflowError:
+        raise InstanceFormatError(
+            f"field '{key}' in {where} is out of range, got {value}") from None
     return value
 
 
@@ -218,8 +225,8 @@ def read_json(path):
     version = _require(doc, "version", "instance file")
     if version != 1:
         raise InstanceFormatError(f"unsupported instance format version {version!r}")
-    n = _require(doc, "n", "instance file")
-    d = _require(doc, "d", "instance file")
+    n = _scalar(doc, "n", "instance file", (int,))
+    d = _scalar(doc, "d", "instance file", (int,))
     unary = _numbers(doc, "unary", "instance file")
     if unary.shape != (n, d):
         raise InstanceFormatError(f"field 'unary' must be {n} x {d}, got {unary.shape}")
@@ -246,7 +253,7 @@ def read_json(path):
         else:
             raise InstanceFormatError(f"unknown pairwise type {kind!r}")
         return CrfInstance(unary, backend)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an index past int64
+    except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
 
 
@@ -354,11 +361,12 @@ def _parse_uai(toks):
     theta = np.concatenate(tables) if tables else np.zeros(0)
     del tables
     offsets = np.cumsum([0] + sizes[:-1], dtype=int)
-    if not np.isfinite(theta).all():
-        bad = int(np.argmin(np.isfinite(theta)))  # the first non-finite entry
-        f = int(np.searchsorted(offsets, bad, side="right")) - 1
-        raise InstanceFormatError(
-            f"expected finite number for table entry of factor {f}, got {float(theta[bad])!r}")
+    for ok, noun in ((np.isfinite(theta), "finite"), (theta >= 0.0, "nonnegative")):
+        if not ok.all():
+            bad = int(np.argmin(ok))  # the first failing entry
+            f = int(np.searchsorted(offsets, bad, side="right")) - 1
+            raise InstanceFormatError(f"expected {noun} number for table entry of factor {f}, "
+                                      f"got {float(theta[bad])!r}")
     np.negative(np.log(np.maximum(theta, _PHI_FLOOR, out=theta), out=theta), out=theta)
 
     # potentials of repeated scopes add in file order, as a running sum would

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError
+from .simplex import softmax_rows
 
 MAX_DENSE_ENTRIES = 1 << 26  # to_dense() refuses larger operators (512 MiB)
 MAX_KERNEL_ENTRIES = 1 << 28  # a kernel build holds 2 n^2 doubles: at most 2 GiB
@@ -431,6 +432,7 @@ class CrfInstance:
         self.unary = unary
         self.pairwise = pairwise
         self._lipschitz = None
+        self._start = None
 
     @property
     def n_nodes(self):
@@ -482,6 +484,17 @@ class CrfInstance:
         if self._lipschitz is None:
             self._lipschitz = float(self.pairwise.spectral_norm_bound())
         return self._lipschitz
+
+    def start(self):
+        """The solvers' starting point x0 = softmax_rows(-u) and P x0,
+        computed once and read-only."""
+        if self._start is None:
+            x0 = softmax_rows(-self.unary)
+            px0 = self.pairwise.matvec(x0)
+            x0.setflags(write=False)
+            px0.setflags(write=False)
+            self._start = x0, px0
+        return self._start
 
     def one_hot(self, labels):
         """One-hot relaxed point for a labeling."""

@@ -47,12 +47,13 @@ _LOG_ULPS = 4  # assumed error of numpy's float64 log; its own tests allow 1
 # ---------------------------------------------------------------------------
 # methods and config
 #
-# A method's `steps(instance, x, px, config)` is a generator that starts
-# at x (px = P x) and yields, once per iteration,
+# A method's `steps(instance, x, px, r_x, config)` is a generator that
+# starts at x (px = P x, r_x = r(x)) and yields, once per iteration,
 #
-#     (x, P x or None, alpha, s_k, step_norm, ||p - x||^2 or None)
+#     (x, P x or None, r(x), alpha, s_k, step_norm, ||p - x||^2 or None)
 #
-# keeping its own state (momentum, duals) between iterations.
+# keeping its own state (momentum, duals) between iterations.  r(x) is
+# 0.0 for a method without a regularizer.
 
 class _Method:
     regularizer = None     # regularizer class the method takes, if any
@@ -70,17 +71,19 @@ class _FrankWolfe(_Method):
     schedule_types = tuple(schedules.SCHEDULES.values())
     bounded = True
 
-    def direction(self, grad, x, reg):
+    def direction(self, grad, x, r_x, reg):
+        """(p, S_k, r(p)) at x, given r_x = r(x)."""
         p = direction_point(grad, reg)
-        return p, _gap(grad, x, p, reg)
+        r_p = regularizer_value(reg, p)
+        return p, _gap(grad, x, p, r_x, r_p), r_p
 
-    def steps(self, instance, x, px, config):
+    def steps(self, instance, x, px, r_x, config):
         reg, sched = config.regularizer, config.schedule
         l_f = instance.lipschitz_upper_bound()
         sigma = strong_convexity(reg)
         for k in itertools.count():
             grad = px + instance.unary
-            p, s_k = self.direction(grad, x, reg)
+            p, s_k, r_p = self.direction(grad, x, r_x, reg)
             direction = p - x
             dir_sq = float((direction ** 2).sum())
             # the one application of P per iteration; P(p - x) = Pp - Px
@@ -95,18 +98,18 @@ class _FrankWolfe(_Method):
                 if reg is None:
                     ctx.quad_a, ctx.quad_b = quad_a, quad_b
                 else:
-                    base = regularizer_value(reg, x)
                     ctx.f_along = lambda a: (0.5 * quad_a * a * a + quad_b * a
                                              + regularizer_value(reg, x + a * direction)
-                                             - base)
-                    ctx.f_err = _segment_error(reg, x, direction, quad_a, quad_b, base)
+                                             - r_x)
+                    ctx.f_err = _segment_error(reg, x, direction, quad_a, quad_b, r_x)
             alpha = schedules.stepsize(sched, k, ctx)
 
             if alpha == 1.0:
-                x, px = p, pp
+                x, px, r_x = p, pp, r_p
             else:
                 x, px = x + alpha * direction, px + alpha * p_direction
-            yield x, px, alpha, s_k, alpha * math.sqrt(dir_sq), dir_sq
+                r_x = regularizer_value(reg, x)
+            yield x, px, r_x, alpha, s_k, alpha * math.sqrt(dir_sq), dir_sq
 
 
 def _gamma(k):
@@ -216,8 +219,8 @@ class PGD(_FrankWolfe):
     name = "pgd"
     bounded = False  # projected-gradient directions fall outside the analysis
 
-    def direction(self, grad, x, reg):
-        return project_feasible(x - grad), _gap(grad, x, lmo_vanilla(grad), None)
+    def direction(self, grad, x, r_x, reg):
+        return project_feasible(x - grad), _gap(grad, x, lmo_vanilla(grad)), 0.0
 
 
 def _gradient_stepsize(instance, sched, k, s_k):
@@ -237,19 +240,19 @@ class FastPGM(_Method):
 
     name = "pgm"
 
-    def steps(self, instance, x, px, config):
-        del px  # the gradient is taken at y; do not hold P x0 for the run
+    def steps(self, instance, x, px, r_x, config):
+        del px  # the gradient is taken at y
         y, t = x, 1.0
         for k in itertools.count():
             grad = instance.gradient(y)
-            s_k = _gap(grad, y, lmo_vanilla(grad), None)
+            s_k = _gap(grad, y, lmo_vanilla(grad))
             alpha = _gradient_stepsize(instance, config.schedule, k, s_k)
             x_new = project_feasible(y - alpha * grad)
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = x_new + ((t - 1.0) / t_new) * (x_new - x)
             step_norm = float(np.linalg.norm(x_new - x))
             x, t = x_new, t_new
-            yield x, None, alpha, s_k, step_norm, None
+            yield x, None, 0.0, alpha, s_k, step_norm, None
 
 
 @dataclass(frozen=True)
@@ -262,11 +265,11 @@ class EMD(_Method):
 
     name = "emd"
 
-    def steps(self, instance, x, px, config):
+    def steps(self, instance, x, px, r_x, config):
         eps = 1e-10
         for k in itertools.count():
             grad = px + instance.unary
-            s_k = _gap(grad, x, lmo_vanilla(grad), None)
+            s_k = _gap(grad, x, lmo_vanilla(grad))
             alpha = _gradient_stepsize(instance, config.schedule, k, s_k)
             shift = alpha * grad.min(axis=1, keepdims=True)
             weights = (x + eps) * np.exp(-alpha * grad + shift)
@@ -274,7 +277,7 @@ class EMD(_Method):
             step_norm = float(np.linalg.norm(x_new - x))
             x = x_new
             px = instance.pairwise.matvec(x)
-            yield x, px, alpha, s_k, step_norm, None
+            yield x, px, 0.0, alpha, s_k, step_norm, None
 
 
 @dataclass(frozen=True)
@@ -293,13 +296,13 @@ class ADMM(_Method):
     default_schedule = None
     uses_lipschitz = False
 
-    def steps(self, instance, point, m, config):
+    def steps(self, instance, point, m, r_x, config):
         # m is P at the last yielded point
         rho, u = _ADMM_RHO, instance.unary
         x, y, z = None, np.zeros_like(point), point
         for k in itertools.count():
             grad_at = m + u
-            s_k = _gap(grad_at, point, lmo_vanilla(grad_at), None)
+            s_k = _gap(grad_at, point, lmo_vanilla(grad_at))
             if k % 2 == 0:
                 x = project_feasible(z - (y + 0.5 * m + u) / rho)
                 new_point = x
@@ -310,7 +313,7 @@ class ADMM(_Method):
             step_norm = float(np.linalg.norm(new_point - point))
             point = new_point
             m = instance.pairwise.matvec(point)
-            yield point, m, math.nan, s_k, step_norm, None
+            yield point, m, 0.0, math.nan, s_k, step_norm, None
 
 
 METHODS = {m.name: m for m in (MeanField, DampedMeanField, VanillaFW, ConvexFW,
@@ -350,6 +353,17 @@ class SolverConfig:
         reg_cls = method.regularizer
         self.regularizer = None if reg_cls is None else reg_cls(
             1.0 if self.lam is None else self.lam)
+
+
+def iterate_key(config):
+    """Configs with equal keys produce the same iterates, bit for bit:
+    same step generator and direction oracle, same convexified-or-not
+    energy, equal regularizer and equal schedule.  So `mf` matches `efw`
+    at lam = 1 with a unit step, and a shorter run is a prefix of a
+    longer one."""
+    method = type(config.method)
+    return (method.steps, getattr(method, "direction", None),
+            issubclass(method, ConvexFW), config.regularizer, config.schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +429,9 @@ class IterationTrace:
 # building blocks
 
 def initial_point(instance):
-    """Default starting point: row-wise softmax of the negated unaries."""
-    return softmax_rows(-instance.unary)
+    """Default starting point: row-wise softmax of the negated unaries
+    (the instance's cached, read-only copy)."""
+    return instance.start()[0]
 
 
 def lmo_vanilla(grad):
@@ -454,9 +469,8 @@ def direction_point(grad, reg):
     return oracle(scaled)
 
 
-def _gap(grad, x, p, reg):
-    return float((grad * (x - p)).sum()) + regularizer_value(reg, x) \
-        - regularizer_value(reg, p)
+def _gap(grad, x, p, r_x=0.0, r_p=0.0):
+    return float((grad * (x - p)).sum()) + r_x - r_p
 
 
 def conditional_gradient_norm(instance, x, reg=None):
@@ -468,7 +482,7 @@ def conditional_gradient_norm(instance, x, reg=None):
     x = np.asarray(x, dtype=float)
     grad = instance.gradient(x)
     p = direction_point(grad, reg)
-    return _gap(grad, x, p, reg)
+    return _gap(grad, x, p, regularizer_value(reg, x), regularizer_value(reg, p))
 
 
 def convexify(instance):
@@ -492,12 +506,6 @@ def _check_finite(trace, where, **energies):
             raise Diverged(f"non-finite {name} {where}", trace)
 
 
-def _energies(instance, x, px, reg):
-    # px is P x when the caller already has it, else None
-    e_cont = instance.energy_relaxed(x, px)
-    return e_cont, e_cont + regularizer_value(reg, x)
-
-
 # ---------------------------------------------------------------------------
 # the solver loop shared by every method
 
@@ -517,24 +525,26 @@ def run_generalized_fw(instance, config):
     reg = config.regularizer
     params = diagnostics.convergence_params(work, reg) if method.uses_lipschitz else None
 
-    x = initial_point(work)
-    px = work.pairwise.matvec(x)
+    x, px = work.start()
+    r_x = regularizer_value(reg, x)
     trace = IterationTrace(method=method.name)
-    trace.initial_e_cont, trace.initial_e_reg = _energies(work, x, px, reg)
+    trace.initial_e_cont = work.energy_relaxed(x, px)
+    trace.initial_e_reg = trace.initial_e_cont + r_x
     if config.record_iterates:
         trace.iterates = [x.copy()]
     _check_finite(trace, "at the starting point",
                   e_cont=trace.initial_e_cont, e_reg=trace.initial_e_reg)
     f_prev = trace.initial_e_reg
 
-    steps = method.steps(work, x, px, config)
+    steps = method.steps(work, x, px, r_x, config)
     for k in range(config.max_iters):
         t0 = time.perf_counter()
         try:
-            x, px, alpha, s_k, step_norm, dir_sq = next(steps)
+            x, px, r_x, alpha, s_k, step_norm, dir_sq = next(steps)
         except Diverged as exc:
             raise Diverged(f"{exc} at iteration {k}", trace) from None
-        e_cont, e_reg = _energies(work, x, px, reg)
+        e_cont = work.energy_relaxed(x, px)
+        e_reg = e_cont + r_x
         e_disc = work.energy_discrete(round_nearest(x))
         _check_finite(trace, f"at iteration {k}", e_cont=e_cont, e_reg=e_reg)
 

@@ -532,10 +532,52 @@ class TestLambdaSweep:
                            "--sweep-methods", "efw,l2fw",
                            "--lambda-grid", "0.5", "1.0", "0.5", "--out", str(out))
             assert code == 0
+            # efw at lambda 1 is mf's run: its sweep energy is read from it
             assert runs == ([("mf", 8)] * 2 + [("fw", 8)] * 2
-                            + [("efw", expect)] * 4 + [("l2fw", expect)] * 4)
+                            + [("efw", expect)] * 2 + [("l2fw", expect)] * 4)
             summary = json.loads((out / "summary.json").read_text())
             assert summary["lambda_sweep"]["efw"]["at_iteration"] == expect
+
+    def test_coinciding_solves_run_once(self, instance_file, tmp_path, monkeypatch):
+        # sweep efw at 1 is mf, l2fw at 1 is l2fw:1, efw at 0.25 is efw:0.25
+        second = tmp_path / "second.json"
+        assert run_cli("generate", "--kind", "dense", "--nodes", "25", "--labels", "3",
+                       "--seed", "2", "--out", str(second)) == 0
+        files = [str(instance_file), str(second)]
+        runs = []
+        original = solvers.run_generalized_fw
+
+        def recording(instance, config):
+            runs.append((config.method.name, config.lam, config.max_iters))
+            return original(instance, config)
+
+        monkeypatch.setattr(solvers, "run_generalized_fw", recording)
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--instances", *files, "--methods", "mf,l2fw:1,efw:0.25",
+                       "--steps", "6", "--sweep-at", "4", "--sweep-methods", "efw,l2fw",
+                       "--lambda-grid", "0.25", "1.0", "0.75", "--out", str(out)) == 0
+        # one run per group and instance; only l2fw at 0.25 is sweep-only
+        assert runs == [("mf", None, 6)] * 2 + [("l2fw", 1.0, 6)] * 2 + [
+            ("efw", 0.25, 6)] * 2 + [("l2fw", 0.25, 4)] * 2
+        monkeypatch.undo()
+
+        def solve_curve(path, *flags):
+            trace = tmp_path / "t.csv"
+            assert run_cli("solve", "--instance", path, *flags, "--steps", "6",
+                           "--trace", str(trace)) == 0
+            return [float(r["e_disc"]) for r in read_trace(trace)]
+
+        summary = json.loads((out / "summary.json").read_text())
+        for label, flags in (("mf", ("--method", "mf")),
+                             ("l2fw:1", ("--method", "l2fw", "--lambda", "1")),
+                             ("efw:0.25", ("--method", "efw", "--lambda", "0.25"))):
+            for idx, path in enumerate(files):
+                assert summary["methods"][label][idx] == solve_curve(path, *flags)
+        for name, sweep in summary["lambda_sweep"].items():
+            for row in sweep["rows"]:
+                expect = [solve_curve(path, "--method", name, "--lambda", repr(row["lambda"]))[3]
+                          for path in files]
+                assert row["per_instance"] == expect
 
     def test_matches_full_length_solve(self, instance_file, tmp_path):
         out = tmp_path / "cmp"

@@ -120,8 +120,14 @@ class TestJsonRoundTrip:
          r"^field 'alpha' in pairwise must be a number, got null$"),
         (EDGES, lambda doc: doc["pairwise"]["edges"][0].update(i=0.5),
          r"^field 'i' in edge entry must be an integer, got 0.5$"),
+        (EDGES, lambda doc: doc["pairwise"]["edges"][0].update(j=2 ** 70),
+         r"^field 'j' in edge entry is out of range, got 1180591620717411303424$"),
+        (GAUSS, lambda doc: doc["pairwise"].update(w1=10 ** 400),
+         r"^field 'w1' in pairwise is out of range, got 1000+$"),
+        (EDGES, lambda doc: doc["unary"][0].__setitem__(0, 10 ** 400),
+         r"^field 'unary' in instance file must hold numbers$"),
     ], ids=["unary-text", "pairwise-string", "edges-number", "w1-text", "alpha-null",
-            "fractional-endpoint"])
+            "fractional-endpoint", "endpoint-past-int64", "w1-past-float", "unary-past-float"])
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, edit, message):
         path = tmp_path / "bad.json"
         write_json(generate(spec), path)
@@ -133,6 +139,23 @@ class TestJsonRoundTrip:
         assert main(["solve", "--instance", str(path), "--method", "mf"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: field '") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": True, "d": 2, "unary": [[0.0, 1.0]]},
+     r"^field 'n' in instance file must be an integer, got true$"),
+    ({"n": 1, "d": True, "unary": [[0.0]]},
+     r"^field 'd' in instance file must be an integer, got true$"),
+], ids=["n-true", "d-true"])
+def test_json_sizes_must_be_integers(tmp_path, capsys, doc, message):
+    # (1, 2) == (True, 2): the shape check alone lets a boolean through
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"version": 1, **doc,
+                                "pairwise": {"type": "edges", "edges": []}}))
+    with pytest.raises(InstanceFormatError, match=message):
+        read_json(path)
+    assert main(["solve", "--instance", str(path), "--method", "mf"]) == 1
+    assert capsys.readouterr().err.startswith("error: field '")
 
 
 def write_uai(path, text):
@@ -337,6 +360,15 @@ class TestReadUaiBulkTables:
         path = write_uai(tmp_path / "bad.uai", "MARKOV\n2\n2 2\n2\n2 0 1\n1 1\n" + body)
         with pytest.raises(InstanceFormatError, match=message):
             read_uai(path)
+
+    def test_negative_entry_rejected(self, tmp_path, capsys):
+        # max(phi, 1e-300) would turn -0.5 into the potential 690.8
+        path = write_uai(tmp_path / "neg.uai", "MARKOV\n2\n2 2\n1\n1 0\n2\n-0.5 0.5\n")
+        with pytest.raises(InstanceFormatError, match=r"^expected nonnegative number for "
+                                                      r"table entry of factor 0, got -0.5$"):
+            read_uai(path)
+        assert main(["solve", "--instance", str(path), "--method", "mf"]) == 1
+        assert capsys.readouterr().err.startswith("error: expected nonnegative number")
 
     def test_scope_errors(self, tmp_path):
         path = write_uai(tmp_path / "s.uai", "MARKOV\n2\n2 2\n1\n2 0 y\n")

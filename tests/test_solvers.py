@@ -11,7 +11,7 @@ from crffw import (ADMM, EMD, METHODS, PGD, Adaptive, Constant, ConvexFW,
                    CrfInstance, DampedMeanField, Diverged, EdgeList,
                    EntropicFW, EntropyRegularizer, FastPGM, Harmonic, L2FW,
                    L2Regularizer, LineSearch, MeanField, HarmonicRamp,
-                   RandomGrid, SolverConfig, StepContext, VanillaFW,
+                   RandomDense, RandomGrid, SolverConfig, StepContext, VanillaFW,
                    conditional_gradient_norm, convergence_params, convexify,
                    direction_point, generate, initial_point, is_feasible,
                    lmo_vanilla, project_feasible, round_nearest,
@@ -291,6 +291,38 @@ class CountingBackend:
     def matvec(self, x):
         self.matvecs += 1
         return self.base.matvec(x)
+
+
+class TestSharedStart:
+    CONFIGS = [SolverConfig(MeanField(), max_iters=4),
+               SolverConfig(EntropicFW(), lam=0.25, schedule=LineSearch(), max_iters=4),
+               SolverConfig(L2FW(), lam=0.5, schedule=Harmonic(), max_iters=4),
+               SolverConfig(ConvexFW(), schedule=LineSearch(), max_iters=4),
+               SolverConfig(FastPGM(), max_iters=4),
+               SolverConfig(EMD(), max_iters=4),
+               SolverConfig(ADMM(), max_iters=4),
+               SolverConfig(PGD(), max_iters=4)]
+
+    @staticmethod
+    def _trace_bytes(instance, config, path):
+        run_generalized_fw(instance, config)[1].write_csv(path, include_times=False)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("spec", [RandomDense(n=20, d=4, seed=3),
+                                      RandomGrid(rows=4, cols=5, d=3, seed=1)])
+    def test_solves_on_one_instance_match_fresh_instances(self, tmp_path, spec):
+        shared = generate(spec)
+        for config in self.CONFIGS + self.CONFIGS:
+            assert (self._trace_bytes(shared, config, tmp_path / "shared.csv")
+                    == self._trace_bytes(generate(spec), config, tmp_path / "fresh.csv"))
+        x0, px0 = shared.start()
+        assert shared.start()[0] is x0
+        np.testing.assert_array_equal(x0, softmax_rows(-shared.unary))
+        np.testing.assert_array_equal(px0, shared.pairwise.matvec(x0))
+        for arr in (x0, px0):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.5
 
 
 class TestOperatorWork:
