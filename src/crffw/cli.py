@@ -4,6 +4,15 @@ methods, and run the verification suites.
 Exit codes: 0 on success, 1 on runtime failure or divergence, 2 on
 usage errors.  All outputs are byte-deterministic given the same flags;
 pass --times to `solve` to include real wall times in the trace CSV.
+
+`compare` solves its instances on a pool of threads, one instance per
+task: as many threads as the usable cores (`taskset` limits them)
+divided by BLAS's threads (the first positive integer among
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS, else every
+core), and at most one per instance.  Unpinned BLAS thus keeps one
+thread.  Outputs and the reported error are those of the serial order,
+whatever the thread count.  Each extra thread can hold one more kernel
+build's temporaries (2 n^2 doubles) at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -144,6 +154,41 @@ def _lambda_grid(lo, hi, step):
     return [float(lam) for lam in np.arange(lo, hi + 0.5 * step, step)]
 
 
+def _compare_workers(n_tasks):
+    """Threads for `compare`: the cores left free by BLAS's own threads,
+    at most one per task.  BLAS takes the first positive integer among
+    its thread variables, and every usable core when there is none."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            blas = threads
+            break
+    return max(1, min(n_tasks, cpus // blas))
+
+
+def _solve_groups(instance, configs):
+    """One instance's `e_disc` curves, one per config in order, and None.
+    The first error stops the run and is returned in place of None, not
+    raised, so that the caller can report the error a serial loop over
+    (config, instance) meets first; its config is `configs[len(curves)]`."""
+    curves = []
+    for config in configs:
+        try:
+            _, trace = solvers.run_generalized_fw(instance, config)
+        except Exception as exc:  # re-raised by cmd_compare, in serial order
+            return curves, exc
+        curves.append([r.e_disc for r in trace.records])
+    return curves, None
+
+
 def cmd_compare(args, parser):
     if not args.instances:
         parser.error("at least one instance is required")
@@ -176,13 +221,22 @@ def cmd_compare(args, parser):
     for config in [*runs.values(), *(c for grid in sweep_runs.values() for _, c in grid)]:
         key = solvers.iterate_key(config)
         longest[key] = max(longest.get(key, config), config, key=lambda c: c.max_iters)
+    configs = list(longest.values())
+    pool = ThreadPoolExecutor(_compare_workers(len(instances)))
     try:
-        energies = {key: [[r.e_disc for r in solvers.run_generalized_fw(inst, config)[1].records]
-                          for inst in instances]
-                    for key, config in longest.items()}
-    except Diverged as exc:
+        results = list(pool.map(lambda inst: _solve_groups(inst, configs), instances))
+    finally:  # on an interrupt, start no further instance
+        pool.shutdown(cancel_futures=True)
+    failures = [(len(curves), i, exc) for i, (curves, exc) in enumerate(results)
+                if exc is not None]
+    if failures:
+        # the error the serial (group, instance) loop would have met first
+        exc = min(failures, key=lambda f: f[:2])[2]
+        if not isinstance(exc, Diverged):
+            raise exc
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    energies = {key: [curves[g] for curves, _ in results] for g, key in enumerate(longest)}
 
     def curves_for(config):
         return [curve[:config.max_iters] for curve in energies[solvers.iterate_key(config)]]

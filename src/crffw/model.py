@@ -433,6 +433,7 @@ class CrfInstance:
         self.pairwise = pairwise
         self._lipschitz = None
         self._start = None
+        self._convex = None  # solvers.convexify's cache
 
     @property
     def n_nodes(self):

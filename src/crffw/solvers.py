@@ -492,12 +492,15 @@ def convexify(instance):
     Shifts half the row mass of the pairwise operator onto the diagonal
     and compensates in the unaries, leaving every one-hot energy
     unchanged: with c = 0.5 * P 1, the new energy is
-    0.5 x'(P + 2 diag(c))x + (u - c)'x.
+    0.5 x'(P + 2 diag(c))x + (u - c)'x.  Built once per instance and
+    cached on it, so its start and L_f are shared by every `cfw` solve.
     """
-    n, d = instance.n_nodes, instance.n_labels
-    c = 0.5 * instance.pairwise.matvec(np.ones((n, d)))
-    backend = DiagonalShift(instance.pairwise, 2.0 * c)
-    return CrfInstance(instance.unary - c, backend)
+    if instance._convex is None:
+        n, d = instance.n_nodes, instance.n_labels
+        c = 0.5 * instance.pairwise.matvec(np.ones((n, d)))
+        backend = DiagonalShift(instance.pairwise, 2.0 * c)
+        instance._convex = CrfInstance(instance.unary - c, backend)
+    return instance._convex
 
 
 def _check_finite(trace, where, **energies):

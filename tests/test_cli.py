@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import crffw
-from crffw import model, solvers, verification
+from crffw import cli, model, solvers, verification
 from crffw.cli import main
 
 
@@ -512,18 +512,37 @@ class TestMethodScheduleMatrix:
         assert trace.exists() == (code == 0)
 
 
+def force_workers(monkeypatch, cpus, blas_threads=None):
+    """Let `compare` see `cpus` usable cores and BLAS at `blas_threads`
+    (None: no thread variable set)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
+
+
+def record_runs(monkeypatch, entry):
+    """Record `entry(instance, config, trace)` for every solver run, per
+    instance and in the order each instance's runs happen."""
+    runs = {}
+    original = solvers.run_generalized_fw
+
+    def recording(instance, config):
+        x, trace = original(instance, config)
+        runs.setdefault(id(instance), []).append(entry(instance, config, trace))
+        return x, trace
+
+    monkeypatch.setattr(solvers, "run_generalized_fw", recording)
+    return runs
+
+
 class TestLambdaSweep:
     def test_sweep_solves_stop_at_sweep_iteration(self, instance_file, tmp_path,
                                                   monkeypatch):
-        runs = []
-        original = solvers.run_generalized_fw
-
-        def recording(instance, config):
-            x, trace = original(instance, config)
-            runs.append((config.method.name, len(trace)))
-            return x, trace
-
-        monkeypatch.setattr(solvers, "run_generalized_fw", recording)
+        force_workers(monkeypatch, 2, 1)
+        runs = record_runs(monkeypatch, lambda inst, config, trace: (
+            config.method.name, config.lam, len(trace)))
         for sweep_at, expect in (("3", 3), ("12", 8)):
             runs.clear()
             out = tmp_path / f"cmp{sweep_at}"
@@ -532,9 +551,11 @@ class TestLambdaSweep:
                            "--sweep-methods", "efw,l2fw",
                            "--lambda-grid", "0.5", "1.0", "0.5", "--out", str(out))
             assert code == 0
-            # efw at lambda 1 is mf's run: its sweep energy is read from it
-            assert runs == ([("mf", 8)] * 2 + [("fw", 8)] * 2
-                            + [("efw", expect)] * 2 + [("l2fw", expect)] * 4)
+            # each instance runs each group once, in group order; efw at
+            # lambda 1 is mf's run: its sweep energy is read from it
+            assert list(runs.values()) == [
+                [("mf", None, 8), ("fw", None, 8), ("efw", 0.5, expect),
+                 ("l2fw", 0.5, expect), ("l2fw", 1.0, expect)]] * 2
             summary = json.loads((out / "summary.json").read_text())
             assert summary["lambda_sweep"]["efw"]["at_iteration"] == expect
 
@@ -544,21 +565,17 @@ class TestLambdaSweep:
         assert run_cli("generate", "--kind", "dense", "--nodes", "25", "--labels", "3",
                        "--seed", "2", "--out", str(second)) == 0
         files = [str(instance_file), str(second)]
-        runs = []
-        original = solvers.run_generalized_fw
-
-        def recording(instance, config):
-            runs.append((config.method.name, config.lam, config.max_iters))
-            return original(instance, config)
-
-        monkeypatch.setattr(solvers, "run_generalized_fw", recording)
+        force_workers(monkeypatch, 2, 1)
+        runs = record_runs(monkeypatch, lambda inst, config, trace: (
+            config.method.name, config.lam, config.max_iters))
         out = tmp_path / "cmp"
         assert run_cli("compare", "--instances", *files, "--methods", "mf,l2fw:1,efw:0.25",
                        "--steps", "6", "--sweep-at", "4", "--sweep-methods", "efw,l2fw",
                        "--lambda-grid", "0.25", "1.0", "0.75", "--out", str(out)) == 0
-        # one run per group and instance; only l2fw at 0.25 is sweep-only
-        assert runs == [("mf", None, 6)] * 2 + [("l2fw", 1.0, 6)] * 2 + [
-            ("efw", 0.25, 6)] * 2 + [("l2fw", 0.25, 4)] * 2
+        # one run per group and instance, in group order on each instance;
+        # only l2fw at 0.25 is sweep-only
+        assert list(runs.values()) == [[("mf", None, 6), ("l2fw", 1.0, 6), ("efw", 0.25, 6),
+                                        ("l2fw", 0.25, 4)]] * 2
         monkeypatch.undo()
 
         def solve_curve(path, *flags):
@@ -593,6 +610,143 @@ class TestLambdaSweep:
                            "--method", row["method"], "--lambda", row["lambda"],
                            "--steps", "8", "--trace", str(trace)) == 0
             assert read_trace(trace)[2]["e_disc"] == row["mean_e_disc"]
+
+
+def write_diverging(tmp_path):
+    """Two instances that diverge under `fw::constant:0.5` with different
+    messages: one at its starting point, one at iteration 1."""
+    from crffw import CrfInstance, EdgeList, write_json
+    at_start = CrfInstance(np.full((2, 2), 1e308),
+                           EdgeList(2, 2, np.zeros((0, 2), int), np.zeros((0, 2, 2))))
+    thetas = np.stack([-5e307 * np.eye(4)] * 3)
+    at_one = CrfInstance(np.zeros((3, 4)),
+                         EdgeList(3, 4, np.array([[0, 1], [0, 2], [1, 2]]), thetas))
+    paths = tmp_path / "huge.json", tmp_path / "attractive.json"
+    for inst, path in zip((at_start, at_one), paths):
+        write_json(inst, path)
+    return [str(p) for p in paths]
+
+
+class TestComparePool:
+    """`compare` solves its instances on as many threads as BLAS leaves
+    cores free; outputs and errors are those of the serial order."""
+
+    @pytest.mark.parametrize("cpus, env, n_tasks, expect", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 10, 2),
+        (2, {}, 10, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0"}, 10, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "abc"}, 10, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "2"}, 10, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        (2, {"OPENBLAS_NUM_THREADS": "3"}, 10, 1),
+        (8, {"OMP_NUM_THREADS": "4"}, 10, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "2",
+             "OMP_NUM_THREADS": "1"}, 10, 4),
+    ])
+    def test_worker_count(self, monkeypatch, cpus, env, n_tasks, expect):
+        force_workers(monkeypatch, cpus)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert cli._compare_workers(n_tasks) == expect
+
+    def test_worker_count_without_affinity_call(self, monkeypatch):
+        force_workers(monkeypatch, 1, 1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert cli._compare_workers(10) == 4
+
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        paths = []
+        for seed, kind in enumerate(("dense", "dense", "grid", "edges", "dense")):
+            path = tmp_path / f"i{seed}.json"
+            assert run_cli("generate", "--kind", kind, "--nodes", "20", "--labels", "4",
+                           "--seed", str(seed), "--out", str(path)) == 0
+            paths.append(str(path))
+        workers = []
+        original = cli._compare_workers
+
+        def spy(n_tasks):
+            workers.append(original(n_tasks))
+            return workers[-1]
+
+        monkeypatch.setattr(cli, "_compare_workers", spy)
+        outputs = []
+        interval = sys.getswitchinterval()
+        for cpus, blas_threads in ((2, None), (8, 2)):
+            force_workers(monkeypatch, cpus, blas_threads)
+            out = tmp_path / f"cmp{cpus}"
+            sys.setswitchinterval(1e-5)  # interleave the threads often
+            try:
+                assert run_cli("compare", "--instances", *paths, "--methods",
+                               "mf,dmf,efw:1:constant:0.5,cfw,fw,efw:0.5:linesearch,"
+                               "l2fw:0.5:harmonic,pgd", "--steps", "6", "--sweep-at", "4",
+                               "--lambda-grid", "0.5", "1.5", "0.5", "--out", str(out)) == 0
+            finally:
+                sys.setswitchinterval(interval)
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert workers == [1, 4]
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
+
+    def test_load_error_comes_first(self, tmp_path, monkeypatch, capsys):
+        force_workers(monkeypatch, 8, 2)
+        at_start, at_one = write_diverging(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--instances", at_start, str(bad), at_one,
+                       "--methods", "fw::constant:0.5", "--steps", "3",
+                       "--sweep-methods", "", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order, methods, message", [
+        ("sa", "fw::constant:0.5", "non-finite e_cont at the starting point"),
+        ("as", "fw::constant:0.5", "non-finite e_cont at iteration 1"),
+        # the good instance diverges in the second group only, after the
+        # huge one has in the first
+        ("gs", "mf,efw:1e-310", "non-finite e_cont at the starting point"),
+    ])
+    def test_first_divergence_in_serial_order(self, instance_file, tmp_path, monkeypatch,
+                                              capsys, order, methods, message):
+        force_workers(monkeypatch, 8, 2)
+        at_start, at_one = write_diverging(tmp_path)
+        files = {"s": at_start, "a": at_one, "g": str(instance_file)}
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--instances", *(files[c] for c in order),
+                       "--methods", methods, "--steps", "3",
+                       "--sweep-methods", "", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"diverged: {message}\n"
+        assert not (out / "summary.json").exists()
+
+    def test_cfw_convexifies_each_instance_once(self, instance_file, tmp_path, monkeypatch):
+        shifts, starts, bounds = [], [], []
+        kernel, inst_cls = model.GaussianKernel, model.CrfInstance
+        matvec, start = kernel.matvec, inst_cls.start
+        bound = kernel.spectral_norm_bound
+
+        def counting_matvec(self, x):
+            if np.all(x == 1.0):
+                shifts.append(id(self))
+            return matvec(self, x)
+
+        def counting_start(self):
+            if self._start is None:
+                starts.append(id(self))
+            return start(self)
+
+        def counting_bound(self):
+            bounds.append(id(self))
+            return bound(self)
+
+        monkeypatch.setattr(kernel, "matvec", counting_matvec)
+        monkeypatch.setattr(inst_cls, "start", counting_start)
+        monkeypatch.setattr(kernel, "spectral_norm_bound", counting_bound)
+        assert run_cli("compare", "--instances", str(instance_file), str(instance_file),
+                       "--methods", "cfw,cfw::linesearch,cfw::harmonic", "--steps", "3",
+                       "--sweep-methods", "", "--out", str(tmp_path / "cmp")) == 0
+        for calls in (shifts, starts, bounds):
+            assert len(calls) == len(set(calls)) == 2
 
 
 class TestVerify:
