@@ -5,14 +5,16 @@ Exit codes: 0 on success, 1 on runtime failure or divergence, 2 on
 usage errors.  All outputs are byte-deterministic given the same flags;
 pass --times to `solve` to include real wall times in the trace CSV.
 
-`compare` solves its instances on a pool of threads, one instance per
-task: as many threads as the usable cores (`taskset` limits them)
-divided by BLAS's threads (the first positive integer among
+The free threads are the usable cores (`taskset` limits them) divided
+by BLAS's threads (the first positive integer among
 OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS, else every
-core), and at most one per instance.  Unpinned BLAS thus keeps one
-thread.  Outputs and the reported error are those of the serial order,
-whatever the thread count.  Each extra thread can hold one more kernel
-build's temporaries (2 n^2 doubles) at a time.
+core), so unpinned BLAS leaves one.  `compare` solves its instances on
+that many threads, one instance per task; each extra thread can hold
+one more kernel build's temporaries (2 n^2 doubles) at a time.  `solve`
+takes a second thread when there are two free: it computes each
+iteration's e_disc there while the next step runs.  Outputs and the
+reported error are those of the serial order, whatever the thread
+count; only --times' time_ms then leaves out e_disc.
 """
 
 from __future__ import annotations
@@ -47,13 +49,21 @@ def _load_instance(path):
     return read_json(path)
 
 
-def _parse_schedule(text):
-    # "name" or, for a schedule with a field, "name:value"
+def _number(text, flag, spec):
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{flag} {spec!r}: {text.strip()!r} is not a number") from None
+
+
+def _parse_schedule(text, flag="--stepsize", spec=None):
+    # "name" or, for a schedule with a field, "name:value"; `spec` is
+    # the flag value the schedule sits in, when it is not `text` alone
     name, _, value = text.strip().lower().partition(":")
     cls = schedules.SCHEDULES.get(name)
     if cls is None or bool(fields(cls)) != bool(value):
         raise ValueError(f"unknown stepsize schedule {text!r}")
-    return cls(float(value)) if value else cls()
+    return cls(_number(value, flag, spec or text)) if value else cls()
 
 
 def _usage_error(parser, exc):
@@ -111,13 +121,17 @@ def cmd_solve(args, parser):
     except ValueError as exc:
         _usage_error(parser, exc)
     instance = _load_instance(args.instance)
+    pool = ThreadPoolExecutor(1) if _worker_threads(2) == 2 else None
     try:
-        x, trace = solvers.run_generalized_fw(instance, config)
+        x, trace = solvers.run_generalized_fw(instance, config, pool)
     except Diverged as exc:
         if args.trace and exc.trace is not None:
             exc.trace.write_csv(args.trace, include_times=args.times)
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        if pool is not None:
+            pool.shutdown()
     if args.trace:
         trace.write_csv(args.trace, include_times=args.times)
     labels = round_bcd(instance, x) if args.round == "bcd" else round_nearest(x)
@@ -139,8 +153,9 @@ def _parse_method_spec(spec):
     # itself hold a colon (constant:A), and the label keeps it
     parts = spec.split(":", 2)
     name = parts[0].strip().lower()
-    lam = float(parts[1]) if len(parts) > 1 and parts[1] else None
-    schedule = _parse_schedule(parts[2]) if len(parts) > 2 and parts[2] else None
+    lam = _number(parts[1], "--methods", spec) if len(parts) > 1 and parts[1] else None
+    schedule = (_parse_schedule(parts[2], "--methods", spec)
+                if len(parts) > 2 and parts[2] else None)
     label = name if lam is None else f"{name}:{parts[1]}"
     if schedule is not None:
         label = f"{name}:{parts[1]}:{parts[2].strip().lower()}"
@@ -154,9 +169,9 @@ def _lambda_grid(lo, hi, step):
     return [float(lam) for lam in np.arange(lo, hi + 0.5 * step, step)]
 
 
-def _compare_workers(n_tasks):
-    """Threads for `compare`: the cores left free by BLAS's own threads,
-    at most one per task.  BLAS takes the first positive integer among
+def _worker_threads(n_tasks):
+    """Threads to use: the cores left free by BLAS's own threads, at
+    most one per task.  BLAS takes the first positive integer among
     its thread variables, and every usable core when there is none."""
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -222,7 +237,7 @@ def cmd_compare(args, parser):
         key = solvers.iterate_key(config)
         longest[key] = max(longest.get(key, config), config, key=lambda c: c.max_iters)
     configs = list(longest.values())
-    pool = ThreadPoolExecutor(_compare_workers(len(instances)))
+    pool = ThreadPoolExecutor(_worker_threads(len(instances)))
     try:
         results = list(pool.map(lambda inst: _solve_groups(inst, configs), instances))
     finally:  # on an interrupt, start no further instance
@@ -375,7 +390,7 @@ def main(argv=None):
         parser.error("--seed must be >= 0")
     try:
         return args.func(args, parser)
-    except (InstanceFormatError, FileNotFoundError, CapacityError) as exc:
+    except (InstanceFormatError, OSError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except AssertionError as exc:

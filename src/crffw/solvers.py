@@ -371,6 +371,9 @@ def iterate_key(config):
 
 @dataclass
 class IterationRecord:
+    """One row of the trace.  `time_ms` is the iteration's wall time;
+    when `run_generalized_fw` gets a pool it leaves out `e_disc`."""
+
     k: int
     alpha: float
     e_cont: float
@@ -512,8 +515,23 @@ def _check_finite(trace, where, **energies):
 # ---------------------------------------------------------------------------
 # the solver loop shared by every method
 
+def _energy_discrete(work, labels):
+    # numpy's error state is per thread: a helper starts at the defaults
+    with np.errstate(all="ignore"):
+        return work.energy_discrete(labels)
+
+
+def _settle(trace, pending):
+    """Wait for the helper's e_disc of iteration k and fill it into
+    record k, once that is recorded; its error is raised here."""
+    k, future = pending
+    e_disc = future.result()
+    if k < len(trace.records):
+        trace.records[k].e_disc = e_disc
+
+
 @np.errstate(all="ignore")
-def run_generalized_fw(instance, config):
+def run_generalized_fw(instance, config, pool=None):
     """Run a solver; returns (point, trace).
 
     Raises Diverged (carrying the partial trace) on a non-finite energy
@@ -522,12 +540,20 @@ def run_generalized_fw(instance, config):
     is set, every iteration asserts the guaranteed decrease
     F_k - F_{k+1} >= delta_k - 1e-7 for the active schedule/regularizer
     combination.
+
+    `pool`, a one-thread executor, computes each iteration's e_disc
+    while the loop takes the next step; nothing in the loop reads it.
+    The trace, the point and the error raised are those of a run
+    without `pool`, and every call sent to it has finished on return.
+    Only `time_ms` differs: it then leaves out e_disc, apart from any
+    wait for the previous iteration's after the step.
     """
     method = config.method
     work = convexify(instance) if isinstance(method, ConvexFW) else instance
     reg = config.regularizer
     params = diagnostics.convergence_params(work, reg) if method.uses_lipschitz else None
 
+    # builds every cache e_disc reads (the kernel), so the helper builds none
     x, px = work.start()
     r_x = regularizer_value(reg, x)
     trace = IterationTrace(method=method.name)
@@ -540,31 +566,44 @@ def run_generalized_fw(instance, config):
     f_prev = trace.initial_e_reg
 
     steps = method.steps(work, x, px, r_x, config)
-    for k in range(config.max_iters):
-        t0 = time.perf_counter()
-        try:
-            x, px, r_x, alpha, s_k, step_norm, dir_sq = next(steps)
-        except Diverged as exc:
-            raise Diverged(f"{exc} at iteration {k}", trace) from None
-        e_cont = work.energy_relaxed(x, px)
-        e_reg = e_cont + r_x
-        e_disc = work.energy_discrete(round_nearest(x))
-        _check_finite(trace, f"at iteration {k}", e_cont=e_cont, e_reg=e_reg)
+    pending = None  # (k, future) of the helper's e_disc call, at most one
+    try:
+        for k in range(config.max_iters):
+            t0 = time.perf_counter()
+            try:
+                x, px, r_x, alpha, s_k, step_norm, dir_sq = next(steps)
+            except Diverged as exc:
+                raise Diverged(f"{exc} at iteration {k}", trace) from None
+            done, pending = pending, None
+            if done is not None:
+                _settle(trace, done)
+            e_cont = work.energy_relaxed(x, px)
+            e_reg = e_cont + r_x
+            labels = round_nearest(x)
+            if pool is None:
+                e_disc = work.energy_discrete(labels)
+            else:
+                pending, e_disc = (k, pool.submit(_energy_discrete, work, labels)), math.nan
+            _check_finite(trace, f"at iteration {k}", e_cont=e_cont, e_reg=e_reg)
 
-        if method.bounded:
-            delta = diagnostics.decrease_bound(params, config.schedule, k, s_k, dir_sq)
-            held = (f_prev - e_reg) >= (delta - _BOUND_TOL)
-        else:
-            delta, held = math.nan, None
-        trace.records.append(IterationRecord(
-            k=k, alpha=alpha, e_cont=e_cont, e_reg=e_reg, e_disc=e_disc,
-            s_k=s_k, step_norm=step_norm, bound_delta=delta, bound_held=held,
-            time_ms=(time.perf_counter() - t0) * 1e3))
-        if config.record_iterates:
-            trace.iterates.append(x.copy())
-        if config.decrease_bound_check and held is False:
-            raise AssertionError(
-                f"decrease bound violated at iteration {k}: "
-                f"F_k - F_k+1 = {f_prev - e_reg:.3e} < delta_k = {delta:.3e}")
-        f_prev = e_reg
+            if method.bounded:
+                delta = diagnostics.decrease_bound(params, config.schedule, k, s_k, dir_sq)
+                held = (f_prev - e_reg) >= (delta - _BOUND_TOL)
+            else:
+                delta, held = math.nan, None
+            trace.records.append(IterationRecord(
+                k=k, alpha=alpha, e_cont=e_cont, e_reg=e_reg, e_disc=e_disc,
+                s_k=s_k, step_norm=step_norm, bound_delta=delta, bound_held=held,
+                time_ms=(time.perf_counter() - t0) * 1e3))
+            if config.record_iterates:
+                trace.iterates.append(x.copy())
+            if config.decrease_bound_check and held is False:
+                raise AssertionError(
+                    f"decrease bound violated at iteration {k}: "
+                    f"F_k - F_k+1 = {f_prev - e_reg:.3e} < delta_k = {delta:.3e}")
+            f_prev = e_reg
+    finally:
+        # computed inline, e_disc would come before any later error
+        if pending is not None:
+            _settle(trace, pending)
     return x, trace

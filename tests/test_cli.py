@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -406,6 +407,40 @@ class TestCompareSpecs:
         assert curves["efw:0.5"] != curves["efw:0.5:harmonic"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--method", "fw", "--stepsize", "constant:abc"),
+     "--stepsize 'constant:abc': 'abc' is not a number"),
+    (("compare", "--methods", "efw:abc"), "--methods 'efw:abc': 'abc' is not a number"),
+    (("compare", "--methods", "mf,efw:0.5:constant:x1"),
+     "--methods 'efw:0.5:constant:x1': 'x1' is not a number"),
+], ids=["stepsize", "lambda", "method_schedule"])
+def test_unparsable_number_names_the_flag(instance_file, tmp_path, capsys, argv, message):
+    where = "--instance" if argv[0] == "solve" else "--instances"
+    extra = () if argv[0] == "solve" else ("--out", str(tmp_path / "cmp"))
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(*argv, where, str(instance_file), *extra)
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("case", ["solve_instance_dir", "solve_labels_out_dir",
+                                  "compare_out_file"])
+def test_os_error_is_one_error_line(instance_file, tmp_path, capsys, case):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    argv = {
+        "solve_instance_dir": ("solve", "--instance", str(tmp_path), "--method", "mf"),
+        "solve_labels_out_dir": ("solve", "--instance", str(instance_file), "--method",
+                                 "mf", "--steps", "2", "--labels-out", str(tmp_path)),
+        "compare_out_file": ("compare", "--instances", str(instance_file), "--steps", "2",
+                             "--out", str(a_file)),
+    }[case]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
 class TestCompareValidation:
     @pytest.mark.parametrize("flags", [
         ("--sweep-at", "0"),
@@ -647,13 +682,13 @@ class TestComparePool:
         force_workers(monkeypatch, cpus)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert cli._compare_workers(n_tasks) == expect
+        assert cli._worker_threads(n_tasks) == expect
 
     def test_worker_count_without_affinity_call(self, monkeypatch):
         force_workers(monkeypatch, 1, 1)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert cli._compare_workers(10) == 4
+        assert cli._worker_threads(10) == 4
 
     def test_outputs_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
         paths = []
@@ -663,13 +698,13 @@ class TestComparePool:
                            "--seed", str(seed), "--out", str(path)) == 0
             paths.append(str(path))
         workers = []
-        original = cli._compare_workers
+        original = cli._worker_threads
 
         def spy(n_tasks):
             workers.append(original(n_tasks))
             return workers[-1]
 
-        monkeypatch.setattr(cli, "_compare_workers", spy)
+        monkeypatch.setattr(cli, "_worker_threads", spy)
         outputs = []
         interval = sys.getswitchinterval()
         for cpus, blas_threads in ((2, None), (8, 2)):
@@ -767,3 +802,100 @@ class TestVerify:
             run_cli("verify", "--suite", "oracle", "--seed", "-1")
         assert exc_info.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+def write_grid_uai(path, rows, cols, d, seed):
+    """A rows x cols 4-neighbour grid in the UAI MARKOV format, with
+    random positive unary and pairwise tables."""
+    rng = np.random.default_rng(seed)
+    n = rows * cols
+    edges = ([(i, i + 1) for i in range(n) if (i + 1) % cols]
+             + [(i, i + cols) for i in range(n - cols)])
+    lines = ["MARKOV", str(n), " ".join([str(d)] * n), str(n + len(edges))]
+    lines += [f"1 {i}" for i in range(n)] + [f"2 {i} {j}" for i, j in edges] + [""]
+    for size in [d] * n + [d * d] * len(edges):
+        lines += [str(size), " ".join(map(repr, rng.uniform(0.05, 1.0, size).tolist())), ""]
+    path.write_text("\n".join(lines))
+    return path
+
+
+def spy_pools(monkeypatch):
+    """Record, for every solver run, whether it got an e_disc executor."""
+    pools, run = [], solvers.run_generalized_fw
+
+    def spy(instance, config, pool=None):
+        pools.append(pool is not None)
+        return run(instance, config, pool)
+
+    monkeypatch.setattr(solvers, "run_generalized_fw", spy)
+    return pools
+
+
+class TestSolveHelper:
+    """`solve` computes e_disc on a second thread when two cores are free;
+    its outputs do not change."""
+
+    @pytest.mark.parametrize("cpus, blas_threads, helper", [
+        (2, 1, True), (8, 2, True), (2, None, False), (1, 1, False), (2, 2, False),
+    ])
+    def test_helper_only_on_two_free_cores(self, instance_file, monkeypatch, cpus,
+                                           blas_threads, helper):
+        force_workers(monkeypatch, cpus, blas_threads)
+        pools = spy_pools(monkeypatch)
+        assert run_cli("solve", "--instance", str(instance_file), "--method", "mf",
+                       "--steps", "2") == 0
+        assert pools == [helper]
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        dense, grid = tmp_path / "dense.json", tmp_path / "grid.json"
+        assert run_cli("generate", "--kind", "dense", "--nodes", "40", "--labels", "4",
+                       "--seed", "3", "--out", str(dense)) == 0
+        assert run_cli("generate", "--kind", "grid", "--rows", "6", "--cols", "7",
+                       "--labels", "3", "--seed", "4", "--out", str(grid)) == 0
+        return dense, grid, write_grid_uai(tmp_path / "grid.uai", 5, 6, 3, seed=5)
+
+    @pytest.mark.parametrize("method", list(solvers.METHODS))
+    def test_outputs_match_at_one_and_two_threads(self, files, tmp_path, monkeypatch,
+                                                  method):
+        pools = spy_pools(monkeypatch)
+        interval = sys.getswitchinterval()
+        for path in files:
+            outputs = []
+            for cpus in (1, 2):
+                force_workers(monkeypatch, cpus, 1)
+                trace, labels = tmp_path / f"t{cpus}.csv", tmp_path / f"l{cpus}.json"
+                sys.setswitchinterval(1e-5)  # interleave the threads often
+                try:
+                    assert run_cli("solve", "--instance", str(path), "--method", method,
+                                   "--steps", "8", "--trace", str(trace),
+                                   "--labels-out", str(labels)) == 0
+                finally:
+                    sys.setswitchinterval(interval)
+                outputs.append((trace.read_bytes(), labels.read_bytes()))
+            assert outputs[0] == outputs[1], path.name
+        assert pools == [False, True] * len(files)
+
+    @pytest.mark.parametrize("case", ["returns", "diverges", "fails"])
+    def test_no_helper_thread_outlives_solve(self, instance_file, tmp_path, monkeypatch,
+                                             case):
+        force_workers(monkeypatch, 2, 1)
+        pools = spy_pools(monkeypatch)
+        path, flags = instance_file, ("--method", "fw")
+        if case == "diverges":
+            path, flags = write_diverging(tmp_path)[1], ("--method", "fw", "--stepsize",
+                                                         "constant:0.5")
+        elif case == "fails":
+            def failing(self, labels):
+                raise RuntimeError("e_disc failed")
+
+            monkeypatch.setattr(model.CrfInstance, "energy_discrete", failing)
+        before = threading.enumerate()
+        argv = ("solve", "--instance", str(path), *flags, "--steps", "3")
+        if case == "fails":
+            with pytest.raises(RuntimeError, match="e_disc failed"):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == (1 if case == "diverges" else 0)
+        assert pools == [True]
+        assert threading.enumerate() == before

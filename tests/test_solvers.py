@@ -1,4 +1,9 @@
+import dataclasses
+import itertools
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,8 +18,8 @@ from crffw import (ADMM, EMD, METHODS, PGD, Adaptive, Constant, ConvexFW,
                    L2Regularizer, LineSearch, MeanField, HarmonicRamp,
                    RandomDense, RandomGrid, SolverConfig, StepContext, VanillaFW,
                    conditional_gradient_norm, convergence_params, convexify,
-                   direction_point, generate, initial_point, is_feasible,
-                   lmo_vanilla, project_feasible, round_nearest,
+                   diagnostics, direction_point, generate, initial_point,
+                   is_feasible, lmo_vanilla, project_feasible, round_nearest,
                    run_generalized_fw, schedules, softmax_rows)
 from crffw.solvers import _segment_error
 from crffw.verification import mean_field_iterates
@@ -753,3 +758,138 @@ class TestDecreaseBounds:
             for k, rec in enumerate(trace.records):
                 running_min = min(running_min, rec.s_k)
                 assert running_min <= f0_excess / (omega * (k + 1)) + 1e-7
+
+
+def _outcome(instance, config, pool=None):
+    """Everything a run shows but `time_ms`: the point, every record and
+    iterate, or the error and its partial trace."""
+    def rows(trace):
+        return [repr(dataclasses.astuple(r)[:-1]) for r in trace.records]
+
+    try:
+        x, trace = run_generalized_fw(instance, config, pool)
+    except Diverged as exc:
+        return "diverged", str(exc), rows(exc.trace)
+    except AssertionError as exc:
+        return "assertion", str(exc)
+    iterates = [it.tobytes() for it in trace.iterates or ()]
+    return "ok", x.tobytes(), rows(trace), iterates, repr(trace.initial_e_reg)
+
+
+class _StepFails(VanillaFW):
+    """Vanilla FW whose step raises Diverged at iteration 2."""
+
+    def steps(self, instance, x, px, r_x, config):
+        yield from itertools.islice(super().steps(instance, x, px, r_x, config), 2)
+        raise Diverged("step failed")
+
+
+class _EnergyFails(VanillaFW):
+    """Vanilla FW that yields P x as nan at iteration 2, so that e_cont
+    is not finite there while e_disc is."""
+
+    def steps(self, instance, x, px, r_x, config):
+        for k, (x, px, *rest) in enumerate(super().steps(instance, x, px, r_x, config)):
+            yield (x, np.full_like(px, np.nan) if k == 2 else px, *rest)
+
+
+# rounded fw iterates whose e_disc differs at iterations 1, 2 and 3
+CHANGING_E_DISC = RandomDense(n=12, d=3, seed=0)
+
+
+class TestDiscreteEnergyHelper:
+    """A one-thread executor computes e_disc beside the next step; the
+    run is otherwise the same, bit for bit."""
+
+    @pytest.fixture
+    def pool(self):
+        pool = ThreadPoolExecutor(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads often
+        yield pool
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+
+    @staticmethod
+    def _configs():
+        for name, cls in METHODS.items():
+            method = cls()
+            yield SolverConfig(method, max_iters=12, record_iterates=True,
+                               decrease_bound_check=method.bounded)
+            if LineSearch in method.schedule_types:
+                lam = None if method.regularizer is None else 0.5
+                yield SolverConfig(method, lam=lam, schedule=LineSearch(), max_iters=12,
+                                   record_iterates=True,
+                                   decrease_bound_check=method.bounded)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "edges", "dense"])
+    def test_traces_match_the_inline_run(self, pool, kind):
+        rng = np.random.default_rng(5)
+        instance = random_instance(rng, n=7, d=3, kind=kind)
+        for config in self._configs():
+            inline = _outcome(instance, config)
+            assert inline[0] == "ok", (config.method.name, inline)
+            assert _outcome(instance, config, pool) == inline, config.method.name
+
+    @pytest.mark.parametrize("method, message", [
+        (_EnergyFails(), "non-finite e_cont at iteration 2"),
+        (_StepFails(), "step failed at iteration 2"),
+    ])
+    def test_partial_trace_matches_and_holds_floats(self, pool, method, message):
+        instance = generate(CHANGING_E_DISC)
+        config = SolverConfig(method, schedule=Constant(0.5), max_iters=6)
+        _, full = run_generalized_fw(instance, SolverConfig(
+            VanillaFW(), schedule=Constant(0.5), max_iters=4))
+        assert len(set(full.e_disc)) == 3  # a misplaced e_disc would show
+        inline = _outcome(instance, config)
+        assert inline[:2] == ("diverged", message)
+        assert _outcome(instance, config, pool) == inline
+        with pytest.raises(Diverged) as exc_info:
+            run_generalized_fw(instance, config, pool)
+        records = exc_info.value.trace.records
+        assert [r.e_disc for r in records] == list(full.e_disc[:2])
+        assert all(type(r.e_disc) is float for r in records)
+
+    @pytest.mark.parametrize("case", ["return", "check", "step", "bound"])
+    def test_energy_discrete_error_surfaces(self, pool, monkeypatch, case):
+        # the error comes from the last e_disc computed before the run
+        # ends, or before the loop's own error, which it beats
+        method, fail_at = {"return": (VanillaFW(), 5), "check": (_EnergyFails(), 3),
+                           "step": (_StepFails(), 2), "bound": (VanillaFW(), 1)}[case]
+        if case == "bound":
+            monkeypatch.setattr(diagnostics, "decrease_bound", lambda *a: math.inf)
+        instance = generate(CHANGING_E_DISC)
+        config = SolverConfig(method, schedule=Constant(0.5), max_iters=5,
+                              decrease_bound_check=case == "bound")
+        energy = CrfInstance.energy_discrete
+        calls = []
+
+        def failing(self, labels):
+            calls.append(None)
+            if len(calls) == fail_at:
+                raise RuntimeError("e_disc failed")
+            return energy(self, labels)
+
+        monkeypatch.setattr(CrfInstance, "energy_discrete", failing)
+        for use in (None, pool):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="e_disc failed"):
+                run_generalized_fw(instance, config, use)
+            assert len(calls) == fail_at
+
+    def test_overflow_on_the_helper_warns_nothing(self, pool, monkeypatch):
+        def overflowing(self, labels):
+            return float(np.array([1e308, 1e308]).sum())
+
+        monkeypatch.setattr(CrfInstance, "energy_discrete", overflowing)
+        instance = generate(RandomDense(n=12, d=3, seed=2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # a new thread does not inherit the caller's errstate
+            with np.errstate(all="ignore"):
+                pool.submit(overflowing, instance, None).result()
+            assert [w.category for w in caught] == [RuntimeWarning]
+            caught.clear()
+            _, trace = run_generalized_fw(instance, SolverConfig(MeanField()), pool)
+        assert caught == []
+        assert all(r.e_disc == math.inf for r in trace.records)
