@@ -30,6 +30,6 @@ from .solvers import (ADMM, EMD, METHODS, PGD, ConvexFW, DampedMeanField,
                       EntropicFW, FastPGM, IterationRecord, IterationTrace,
                       L2FW, MeanField, SolverConfig, VanillaFW,
                       conditional_gradient_norm, convexify, direction_point,
-                      initial_point, lmo_vanilla, run_generalized_fw)
+                      lmo_vanilla, run_generalized_fw)
 
 __version__ = "0.1.0"

@@ -37,10 +37,12 @@ from .instances import (RandomDense, RandomEdgeList, RandomGrid, generate,
 from .simplex import round_bcd, round_nearest
 
 EXIT_RUNTIME = 1
+MAX_LAMBDA_GRID = 10_000  # points of compare's --lambda-grid; the default has 25
 # library field -> the flags that set it, for the usage errors naming it
 _FLAGS = {"max_iters": "--steps", "n and d": "--nodes and --labels",
           "image_size": "--image-size", "edge_prob": "--edge-prob",
-          "grid dimensions": "--rows, --cols and --labels"}
+          "grid dimensions": "--rows, --cols and --labels",
+          "kernel bandwidths": "--kernel-alpha, --kernel-beta and --kernel-gamma"}
 
 
 def _load_instance(path):
@@ -166,6 +168,8 @@ def _lambda_grid(lo, hi, step):
     finite = all(math.isfinite(v) for v in (lo, hi, step))
     if not (finite and 0.0 < lo <= hi and step > 0.0):
         raise ValueError("--lambda-grid needs finite 0 < LO <= HI and STEP > 0")
+    if (hi + 0.5 * step - lo) / step > MAX_LAMBDA_GRID:  # np.arange's length, before it
+        raise ValueError(f"--lambda-grid has more than {MAX_LAMBDA_GRID} points")
     return [float(lam) for lam in np.arange(lo, hi + 0.5 * step, step)]
 
 
@@ -205,8 +209,6 @@ def _solve_groups(instance, configs):
 
 
 def cmd_compare(args, parser):
-    if not args.instances:
-        parser.error("at least one instance is required")
     if args.sweep_at < 1:
         parser.error("--sweep-at must be >= 1")
     # a sweep solve stops at the iteration whose energy it reports

@@ -190,14 +190,21 @@ def decrease_bound(params, schedule, k, s_k, step_sq):
             return s_k
         if sig > 0.0:
             return omega * s_k
-        return 0.5 * min(s_k, s_k ** 2 / (l_f * diam_sq))
+        try:  # s_k ** 2 raises past the float range; the product form keeps the row
+            return 0.5 * min(s_k, s_k ** 2 / (l_f * diam_sq))
+        except OverflowError:
+            return 0.5 * min(s_k, s_k * (s_k / (l_f * diam_sq)))
     if isinstance(schedule, schedules.ConstantLength):
         a = schedule.alpha
         if l_f == 0.0:
             return (a / params.diameter) * s_k
+        try:
+            a_sq = a ** 2
+        except OverflowError:  # a^2 past the float range: no decrease is certain
+            return -math.inf
         if sig > 0.0:
-            return a * math.sqrt(max(2.0 * sig * s_k, 0.0)) - 0.5 * (l_f + sig) * a ** 2
-        return (a / params.diameter) * s_k - 0.5 * l_f * a ** 2
+            return a * math.sqrt(max(2.0 * sig * s_k, 0.0)) - 0.5 * (l_f + sig) * a_sq
+        return (a / params.diameter) * s_k - 0.5 * l_f * a_sq
     if isinstance(schedule, (schedules.Constant, schedules.Harmonic,
                              schedules.HarmonicRamp, schedules.InvSqrt)):
         a = schedules.stepsize(schedule, k)

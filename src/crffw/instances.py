@@ -13,6 +13,7 @@ Two on-disk formats are supported:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -268,32 +269,6 @@ def _parses(kind, tok):
     return True
 
 
-class _Tokens:
-    """Whitespace-separated tokens of a text file, read line by line."""
-
-    def __init__(self, lines):
-        self._lines = lines
-        self._buf = []
-        self._pos = 0
-
-    def take(self, count):
-        """The next `count` tokens; fewer only at the end of the file."""
-        buf, pos = self._buf, self._pos
-        if pos + count <= len(buf):
-            self._pos = pos + count
-            return buf[pos:pos + count]
-        out = buf[pos:]
-        for line in self._lines:
-            buf = line.split()
-            need = count - len(out)
-            if need <= len(buf):
-                self._buf, self._pos = buf, need
-                return out + buf[:need]
-            out += buf
-        self._buf, self._pos = [], 0
-        return out
-
-
 def read_uai(path):
     """Read a pairwise UAI MARKOV network as a CRF instance.
 
@@ -301,12 +276,13 @@ def read_uai(path):
     logs, so minimizing the energy maximizes the factor product.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_uai(_Tokens(fh))
+        # whitespace-separated tokens, read line by line
+        return _parse_uai(itertools.chain.from_iterable(map(str.split, fh)))
 
 
 def _parse_uai(toks):
     def take(count, what, kind):
-        found = toks.take(count)
+        found = list(itertools.islice(toks, count))
         try:
             values = (np.fromiter(map(float, found), float, count=len(found))
                       if kind is float else list(map(kind, found)))

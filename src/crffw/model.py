@@ -56,28 +56,20 @@ class DenseMatrix:
         if not np.allclose(matrix, matrix.T, atol=1e-9, rtol=0.0):
             raise ValueError("pairwise matrix must be symmetric")
         self.matrix = matrix
-        self.d = int(n_labels)
-        self.n = matrix.shape[0] // self.d
+        self.n_labels = int(n_labels)
+        self.n_nodes = matrix.shape[0] // self.n_labels
         matrix.setflags(write=False)
-
-    @property
-    def n_nodes(self):
-        return self.n
-
-    @property
-    def n_labels(self):
-        return self.d
 
     def matvec(self, x):
         return (self.matrix @ x.reshape(-1)).reshape(x.shape)
 
     def matvec_row(self, i, x):
-        d = self.d
+        d = self.n_labels
         return self.matrix[i * d:(i + 1) * d] @ x.reshape(-1)
 
     def pair_energy(self, labels):
         # 0.5 * <x, Px> at the one-hot point, diagonal blocks included
-        idx = np.arange(self.n) * self.d + labels
+        idx = np.arange(self.n_nodes) * self.n_labels + labels
         return 0.5 * float(self.matrix[np.ix_(idx, idx)].sum())
 
     def to_dense(self):
@@ -106,13 +98,13 @@ class EdgeList:
     """
 
     def __init__(self, n_nodes, n_labels, edges, thetas):
-        self.n = int(n_nodes)
-        self.d = int(n_labels)
+        self.n_nodes = int(n_nodes)
+        self.n_labels = d = int(n_labels)
         edges = np.array(edges, dtype=int, copy=True).reshape(-1, 2)
-        thetas = _float_copy(thetas, "edge potentials").reshape(-1, self.d, self.d)
+        thetas = _float_copy(thetas, "edge potentials").reshape(-1, d, d)
         if thetas.shape[0] != edges.shape[0]:
             raise ValueError("edges and thetas must have the same length")
-        _check_edges(edges, self.n)
+        _check_edges(edges, self.n_nodes)
         self.edges = edges
         self.thetas = thetas
         edges.setflags(write=False)
@@ -122,8 +114,8 @@ class EdgeList:
     def _build_index(self):
         n_edges = len(self.edges)
         ends = self.edges.reshape(-1)  # i0, j0, i1, j1, ...
-        indptr = np.zeros(self.n + 1, dtype=int)
-        np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
+        indptr = np.zeros(self.n_nodes + 1, dtype=int)
+        np.cumsum(np.bincount(ends, minlength=self.n_nodes), out=indptr[1:])
         self._indptr = indptr
         # each node's incident edges in edge order, as rows of (edge id,
         # neighbour, 1 if the node is the edge's i)
@@ -140,21 +132,13 @@ class EdgeList:
         self._scatter = rows[self._gather]
         self._rounds = np.concatenate(([0], np.cumsum(np.bincount(rank)))).tolist()
 
-    @property
-    def n_nodes(self):
-        return self.n
-
-    @property
-    def n_labels(self):
-        return self.d
-
     def matvec(self, x):
         out = np.zeros_like(x, dtype=float)
         n_edges = len(self.edges)
         if n_edges == 0:
             return out
         ii, jj = self.edges[:, 0], self.edges[:, 1]
-        contrib = np.empty((2 * n_edges, self.d))
+        contrib = np.empty((2 * n_edges, self.n_labels))
         contrib[:n_edges] = np.einsum("est,et->es", self.thetas, x[jj])
         contrib[n_edges:] = np.einsum("est,es->et", self.thetas, x[ii])
         bounds = self._rounds
@@ -163,7 +147,7 @@ class EdgeList:
         return out
 
     def matvec_row(self, i, x):
-        acc = np.zeros(self.d)
+        acc = np.zeros(self.n_labels)
         lo, hi = self._indptr[i], self._indptr[i + 1]
         for e, nb, first in self._incident[lo:hi].tolist():
             if first:
@@ -179,7 +163,7 @@ class EdgeList:
         return float(self.thetas[np.arange(len(self.edges)), labels[ii], labels[jj]].sum())
 
     def to_dense(self):
-        n, d = self.n, self.d
+        n, d = self.n_nodes, self.n_labels
         if (n * d) ** 2 > MAX_DENSE_ENTRIES:
             raise CapacityError(f"a dense operator of order {n * d} is too large")
         P = np.zeros((n * d, n * d))
@@ -190,11 +174,11 @@ class EdgeList:
 
     def spectral_norm_bound(self):
         # ||P||_2 <= ||P||_inf for a symmetric P
-        rowsum = np.zeros((self.n, self.d))
+        rowsum = np.zeros((self.n_nodes, self.n_labels))
         mags = np.abs(self.thetas)
         # rows i0, j0, i1, j1, ...: the order of a loop over the edges
         sums = np.stack((mags.sum(axis=2), mags.sum(axis=1)), axis=1)
-        np.add.at(rowsum, self.edges.reshape(-1), sums.reshape(-1, self.d))
+        np.add.at(rowsum, self.edges.reshape(-1), sums.reshape(-1, self.n_labels))
         return float(rowsum.max()) if rowsum.size else 0.0
 
 
@@ -259,29 +243,22 @@ class GaussianKernel:
             raise ValueError("compat must be a square matrix")
         if not np.allclose(compat, compat.T, atol=1e-12, rtol=0.0):
             raise ValueError("compat must be symmetric")
-        if not all(v > 0.0 for v in (alpha, beta, gamma)):
-            raise ValueError("kernel bandwidths must be strictly positive")
+        bandwidths = [float(v) for v in (alpha, beta, gamma)]
+        # the kernel build divides by 2 v ** 2, and a float power raises past its range
+        if not all(v > 0.0 and 2.0 * v * v < np.inf for v in bandwidths):
+            raise ValueError("kernel bandwidths must be strictly positive, with 2 v^2 finite")
         if not np.all(np.isfinite((w1, w2))):
             raise ValueError("kernel weights must be finite")
+        self.n_nodes, self.n_labels = positions.shape[0], compat.shape[0]
         self.positions = positions
         self.colors = colors
         self.compat = compat
         self.w1 = float(w1)
         self.w2 = float(w2)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.gamma = float(gamma)
+        self.alpha, self.beta, self.gamma = bandwidths
         self._kernel = None
         for arr in (positions, colors, compat):
             arr.setflags(write=False)
-
-    @property
-    def n_nodes(self):
-        return self.positions.shape[0]
-
-    @property
-    def n_labels(self):
-        return self.compat.shape[0]
 
     @property
     def kernel_matrix(self):
@@ -386,17 +363,10 @@ class DiagonalShift:
         diag = _float_copy(diag, "diagonal shift")
         if diag.shape != (base.n_nodes, base.n_labels):
             raise ValueError("diagonal shift shape must match the base operator")
+        self.n_nodes, self.n_labels = diag.shape
         self.base = base
         self.diag = diag
         diag.setflags(write=False)
-
-    @property
-    def n_nodes(self):
-        return self.base.n_nodes
-
-    @property
-    def n_labels(self):
-        return self.base.n_labels
 
     def matvec(self, x):
         return self.base.matvec(x) + self.diag * x
@@ -429,19 +399,12 @@ class CrfInstance:
                 f"unary shape {unary.shape} does not match pairwise backend "
                 f"({pairwise.n_nodes}, {pairwise.n_labels})")
         unary.setflags(write=False)
+        self.n_nodes, self.n_labels = unary.shape
         self.unary = unary
         self.pairwise = pairwise
         self._lipschitz = None
         self._start = None
         self._convex = None  # solvers.convexify's cache
-
-    @property
-    def n_nodes(self):
-        return self.unary.shape[0]
-
-    @property
-    def n_labels(self):
-        return self.unary.shape[1]
 
     def _check_labels(self, labels):
         labels = np.asarray(labels, dtype=int)

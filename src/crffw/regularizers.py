@@ -25,10 +25,6 @@ class L2Regularizer:
         if not 0.0 < self.lam < math.inf:
             raise ValueError("regularization weight must be finite and > 0")
 
-    @property
-    def strong_convexity(self):
-        return self.lam
-
     def value(self, x):
         return 0.5 * self.lam * float((np.asarray(x, dtype=float) ** 2).sum())
 
@@ -50,10 +46,6 @@ class EntropyRegularizer:
         if not 0.0 < self.lam < math.inf:
             raise ValueError("regularization weight must be finite and > 0")
 
-    @property
-    def strong_convexity(self):
-        return self.lam
-
     def value(self, x):
         x = np.asarray(x, dtype=float)
         return self.lam * float((x * np.log(np.maximum(x, _LOG_FLOOR))).sum())
@@ -64,7 +56,7 @@ class EntropyRegularizer:
 
 def strong_convexity(reg):
     """Strong-convexity parameter sigma_g (0 without a regularizer)."""
-    return 0.0 if reg is None else reg.strong_convexity
+    return 0.0 if reg is None else reg.lam
 
 
 def regularizer_value(reg, x):

@@ -431,12 +431,6 @@ class IterationTrace:
 # ---------------------------------------------------------------------------
 # building blocks
 
-def initial_point(instance):
-    """Default starting point: row-wise softmax of the negated unaries
-    (the instance's cached, read-only copy)."""
-    return instance.start()[0]
-
-
 def lmo_vanilla(grad):
     """Vertex minimizing the linearized energy: per-node one-hot argmin.
 
@@ -497,10 +491,13 @@ def convexify(instance):
     unchanged: with c = 0.5 * P 1, the new energy is
     0.5 x'(P + 2 diag(c))x + (u - c)'x.  Built once per instance and
     cached on it, so its start and L_f are shared by every `cfw` solve.
+    Raises Diverged when c is not finite.
     """
     if instance._convex is None:
         n, d = instance.n_nodes, instance.n_labels
         c = 0.5 * instance.pairwise.matvec(np.ones((n, d)))
+        if not np.all(np.isfinite(c)):
+            raise Diverged("non-finite diagonal shift 0.5 * P 1 of the convexified energy")
         backend = DiagonalShift(instance.pairwise, 2.0 * c)
         instance._convex = CrfInstance(instance.unary - c, backend)
     return instance._convex

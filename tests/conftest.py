@@ -13,6 +13,21 @@ def potts_pair(w=1.0):
     return CrfInstance(unary, backend)
 
 
+def write_grid_uai(path, rows, cols, d, seed):
+    """A rows x cols 4-neighbour grid in the UAI MARKOV format, with
+    random positive unary and pairwise tables."""
+    rng = np.random.default_rng(seed)
+    n = rows * cols
+    edges = ([(i, i + 1) for i in range(n) if (i + 1) % cols]
+             + [(i, i + cols) for i in range(n - cols)])
+    lines = ["MARKOV", str(n), " ".join([str(d)] * n), str(n + len(edges))]
+    lines += [f"1 {i}" for i in range(n)] + [f"2 {i} {j}" for i, j in edges] + [""]
+    for size in [d] * n + [d * d] * len(edges):
+        lines += [str(size), " ".join(map(repr, rng.uniform(0.05, 1.0, size).tolist())), ""]
+    path.write_text("\n".join(lines))
+    return path
+
+
 def zero_instance(n=3, d=2):
     return CrfInstance(np.zeros((n, d)), EdgeList(n, d, np.zeros((0, 2), int),
                                                   np.zeros((0, d, d))))

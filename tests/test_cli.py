@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import crffw
+from conftest import write_grid_uai
 from crffw import cli, model, solvers, verification
 from crffw.cli import main
 
@@ -84,6 +85,8 @@ class TestGenerate:
         (("--image-size", "-1"), "--image-size must be finite and >= 0"),
         (("--kind", "grid", "--rows", "0"), "--rows, --cols and --labels must be positive"),
         (("--kind", "edges", "--edge-prob", "1.5"), "--edge-prob must lie in [0, 1]"),
+        (("--kernel-alpha", "1e200"), "--kernel-alpha, --kernel-beta and --kernel-gamma "
+                                      "must be strictly positive, with 2 v^2 finite"),
     ], ids=lambda v: "_".join(v) if isinstance(v, tuple) else None)
     def test_usage_error_names_the_flag(self, tmp_path, capsys, flags, message):
         with pytest.raises(SystemExit) as exc_info:
@@ -238,6 +241,63 @@ def test_overflowing_direction_is_divergence(instance_file, tmp_path, command, m
     assert proc.returncode == 1
     assert proc.stderr.startswith("diverged: ")
     assert "Traceback" not in proc.stderr
+
+
+class TestFloatPowerOverflow:
+    """A float ** raises OverflowError past about 1.34e154, where numpy
+    gives inf; each run here finishes, or ends in one error line."""
+
+    def test_constant_length_step(self, tmp_path):
+        path, trace = tmp_path / "a.json", tmp_path / "t.csv"
+        assert run_cli("generate", "--kind", "dense", "--nodes", "4", "--labels", "3",
+                       "--seed", "1", "--out", str(path)) == 0
+        assert run_cli("solve", "--instance", str(path), "--method", "fw",
+                       "--stepsize", "constlength:1e200", "--trace", str(trace)) == 0
+        assert {r["bound_delta"] for r in read_trace(trace)} == {"-inf"}
+
+    @pytest.mark.parametrize("stepsize", ["adaptive", "linesearch"])
+    @pytest.mark.parametrize("method", ["fw", "cfw"])
+    def test_gap_past_the_square_range(self, tmp_path, method, stepsize):
+        from crffw import CrfInstance, EdgeList, write_json
+        inst = CrfInstance([[0.0, 1e160], [1e160, 0.0]],
+                           EdgeList(2, 2, [[0, 1]], [[[0.0, 3e160], [3e160, 0.0]]]))
+        path, trace = tmp_path / "big.json", tmp_path / "t.csv"
+        write_json(inst, path)
+        assert run_cli("solve", "--instance", str(path), "--method", method,
+                       "--stepsize", stepsize, "--steps", "3", "--trace", str(trace)) == 0
+        assert float(read_trace(trace)[0]["s_k"]) > 1.4e154
+        assert run_cli("compare", "--instances", str(path), "--methods",
+                       f"{method}::{stepsize}", "--steps", "3", "--sweep-methods", "",
+                       "--out", str(tmp_path / "cmp")) == 0
+
+    def test_kernel_bandwidth_in_a_file(self, tmp_path, capsys):
+        # `generate` refuses it as a usage error (TestGenerate)
+        path = tmp_path / "k.json"
+        assert run_cli("generate", "--kind", "dense", "--nodes", "4", "--labels", "3",
+                       "--out", str(path)) == 0
+        doc = json.loads(path.read_text())
+        doc["pairwise"]["alpha"] = 1e200
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("solve", "--instance", str(path), "--method", "mf") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kernel bandwidths") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_overflowing_convexify_shift_is_divergence(tmp_path, capsys, command):
+    # P 1 overflows, so cfw's diagonal shift does
+    from crffw import CrfInstance, EdgeList, write_json
+    inst = CrfInstance(np.zeros((3, 2)),
+                       EdgeList(3, 2, [[0, 1], [1, 2]], np.full((2, 2, 2), 1e308)))
+    path = tmp_path / "chain.json"
+    write_json(inst, path)
+    args = {"solve": ("solve", "--instance", str(path), "--method", "cfw"),
+            "compare": ("compare", "--instances", str(path), "--methods", "cfw",
+                        "--sweep-methods", "", "--out", str(tmp_path / "cmp"))}[command]
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == (
+        "diverged: non-finite diagonal shift 0.5 * P 1 of the convexified energy\n")
 
 
 class TestCapacity:
@@ -461,6 +521,32 @@ class TestCompareValidation:
                     *flags, "--out", str(out))
         assert exc_info.value.code == 2
         assert not out.exists()
+
+    def test_lambda_grid_is_capped_before_it_is_built(self, instance_file, tmp_path,
+                                                       capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the lambda grid was built")
+
+        monkeypatch.setattr(np, "arange", no_grid)
+        out = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("compare", "--instances", str(instance_file),
+                    "--lambda-grid", "0.1", "2.5", "1e-9", "--out", str(out))
+        assert exc_info.value.code == 2
+        assert "--lambda-grid has more than" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lambda_grid_cap_counts_points(self):
+        cap = cli.MAX_LAMBDA_GRID
+        assert len(cli._lambda_grid(1.0, float(cap), 1.0)) == cap
+        with pytest.raises(ValueError, match="--lambda-grid"):
+            cli._lambda_grid(1.0, cap + 1.0, 1.0)
+
+    def test_instances_need_a_value(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli("compare", "--instances", "--out", str(tmp_path / "cmp"))
+        assert exc_info.value.code == 2
+        assert "expected at least one argument" in capsys.readouterr().err
 
 
 IGNORES_LAMBDA = ("fw", "cfw", "pgd", "pgm", "emd", "admm", "mf", "dmf")
@@ -802,21 +888,6 @@ class TestVerify:
             run_cli("verify", "--suite", "oracle", "--seed", "-1")
         assert exc_info.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
-
-
-def write_grid_uai(path, rows, cols, d, seed):
-    """A rows x cols 4-neighbour grid in the UAI MARKOV format, with
-    random positive unary and pairwise tables."""
-    rng = np.random.default_rng(seed)
-    n = rows * cols
-    edges = ([(i, i + 1) for i in range(n) if (i + 1) % cols]
-             + [(i, i + cols) for i in range(n - cols)])
-    lines = ["MARKOV", str(n), " ".join([str(d)] * n), str(n + len(edges))]
-    lines += [f"1 {i}" for i in range(n)] + [f"2 {i} {j}" for i, j in edges] + [""]
-    for size in [d] * n + [d * d] * len(edges):
-        lines += [str(size), " ".join(map(repr, rng.uniform(0.05, 1.0, size).tolist())), ""]
-    path.write_text("\n".join(lines))
-    return path
 
 
 def spy_pools(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import potts_pair, random_feasible, random_instance, zero_instance
-from crffw import (Adaptive, CapacityError, Constant, ConvergenceParams,
+from crffw import (Adaptive, CapacityError, Constant, ConstantLength, ConvergenceParams,
                    CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
                    EntropyRegularizer, L2Regularizer, LineSearch, SolverConfig,
                    VanillaFW, brute_force_map, convergence_params, convexify,
@@ -172,6 +172,16 @@ class TestDecreaseBoundTable:
         params = ConvergenceParams(l_f=3.0, sigma_g=1.0, diameter=2.0)
         assert decrease_bound(params, LineSearch(), 0, 2.0, 1.0) == pytest.approx(
             decrease_bound(params, Adaptive(), 0, 2.0, 1.0))
+
+    def test_squares_past_the_float_range(self):
+        # a float ** raises there; each row keeps its value, or -inf
+        for l_f, expect in ((1e200, 0.5 * 1e160 * (1e160 / 4e200)), (1.0, 0.5e160)):
+            params = ConvergenceParams(l_f=l_f, sigma_g=0.0, diameter=2.0)
+            for sched in (Adaptive(), LineSearch()):
+                assert decrease_bound(params, sched, 0, 1e160, 1.0) == pytest.approx(expect)
+        for sigma in (0.0, 1.0):
+            params = ConvergenceParams(l_f=1.0, sigma_g=sigma, diameter=2.0)
+            assert decrease_bound(params, ConstantLength(1e200), 0, 1.0, 1.0) == -math.inf
 
 
 class TestConvergenceParams:

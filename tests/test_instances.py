@@ -1,11 +1,12 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_feasible, random_instance
+from conftest import random_feasible, random_instance, write_grid_uai
 from crffw import (InstanceFormatError, RandomDense, RandomEdgeList,
                    RandomGrid, UnsupportedFeatureError, brute_force_map,
                    generate, read_json, read_uai, write_json)
@@ -161,6 +162,20 @@ def test_json_sizes_must_be_integers(tmp_path, capsys, doc, message):
 def write_uai(path, text):
     path.write_text(text)
     return path
+
+
+def test_read_uai_streams(tmp_path):
+    # the file's tokens are read a table at a time: reading it whole first
+    # peaks at about 5.5 times its size
+    path = write_grid_uai(tmp_path / "g.uai", 30, 30, 8, seed=0)
+    read_uai(path)  # leave first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        read_uai(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
 
 
 class TestReadUai:

@@ -18,7 +18,7 @@ from crffw import (ADMM, EMD, METHODS, PGD, Adaptive, Constant, ConvexFW,
                    L2Regularizer, LineSearch, MeanField, HarmonicRamp,
                    RandomDense, RandomGrid, SolverConfig, StepContext, VanillaFW,
                    conditional_gradient_norm, convergence_params, convexify,
-                   diagnostics, direction_point, generate, initial_point,
+                   diagnostics, direction_point, generate,
                    is_feasible, lmo_vanilla, project_feasible, round_nearest,
                    run_generalized_fw, schedules, softmax_rows)
 from crffw.solvers import _segment_error
@@ -33,15 +33,15 @@ def zero_pairwise(u):
 
 class TestInitialPoint:
     def test_uniform_for_zero_unary(self):
-        x = initial_point(zero_instance(3, 4))
+        x = zero_instance(3, 4).start()[0]
         np.testing.assert_allclose(x, np.full((3, 4), 0.25))
 
     def test_saturation(self):
-        x = initial_point(zero_pairwise([[0.0, 1e6]]))
+        x = zero_pairwise([[0.0, 1e6]]).start()[0]
         np.testing.assert_allclose(x, [[1.0, 0.0]], atol=1e-12)
 
     def test_softmax_arithmetic(self):
-        x = initial_point(zero_pairwise([[-math.log(2.0), 0.0]]))
+        x = zero_pairwise([[-math.log(2.0), 0.0]]).start()[0]
         np.testing.assert_allclose(x, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-12)
 
 
@@ -102,7 +102,7 @@ class TestDirectionOracles:
         inst = zero_pairwise(rng.standard_normal((4, 3)))
         x = random_feasible(rng, 4, 3)
         np.testing.assert_allclose(direction_point(inst.gradient(x), EntropyRegularizer(1.0)),
-                                   initial_point(inst), atol=1e-15)
+                                   inst.start()[0], atol=1e-15)
 
     def test_efw_low_temperature_approaches_lmo(self, rng):
         inst = random_instance(rng)
@@ -137,7 +137,7 @@ class TestConditionalGradientNorm:
     def test_zero_at_lmo_fixed_vertex(self, rng):
         u = rng.standard_normal((4, 3))
         inst = zero_pairwise(u)
-        vertex = lmo_vanilla(inst.gradient(initial_point(inst)))
+        vertex = lmo_vanilla(inst.gradient(inst.start()[0]))
         s = conditional_gradient_norm(inst, vertex, None)
         assert abs(s) <= 1e-9
 
@@ -198,7 +198,7 @@ class TestGeneralizedFw:
                            schedule=Constant(1.0), max_iters=5)
         _, trace = run_generalized_fw(inst, cfg)
         assert len(trace) == 5
-        e_start = inst.energy_discrete(round_nearest(initial_point(inst)))
+        e_start = inst.energy_discrete(round_nearest(inst.start()[0]))
         diffs = np.diff(np.concatenate([[e_start], trace.e_disc]))
         assert (diffs <= 1e-9).mean() >= 0.9
 
@@ -224,7 +224,7 @@ class TestGeneralizedFw:
                 assert a[col] == b[col], f"column {col} drifted from golden trace"
         if name == "l2fw":
             e_disc = [float(r["e_disc"]) for r in rows_new]
-            e_start = inst.energy_discrete(round_nearest(initial_point(inst)))
+            e_start = inst.energy_discrete(round_nearest(inst.start()[0]))
             diffs = np.diff([e_start] + e_disc)
             assert (diffs <= 1e-9).mean() >= 0.9
 
@@ -632,7 +632,7 @@ class TestFastPgm:
         cfg = SolverConfig(FastPGM(), max_iters=5, record_iterates=True)
         _, trace = run_generalized_fw(inst, cfg)
         # independent re-implementation of the accelerated loop
-        x = initial_point(inst)
+        x = inst.start()[0]
         y, t = x, 1.0
         assert 0.5 * (1.0 + math.sqrt(5.0)) == pytest.approx(1.618033988749895)
         for k in range(5):

@@ -25,7 +25,7 @@ def loop_matvec(backend, x):
 
 
 def loop_matvec_row(backend, i, x):
-    acc = np.zeros(backend.d)
+    acc = np.zeros(backend.n_labels)
     for e, (a, b) in enumerate(backend.edges):
         if a == i:
             acc += backend.thetas[e] @ x[b]
@@ -35,7 +35,7 @@ def loop_matvec_row(backend, i, x):
 
 
 def loop_row_sum_bound(backend):
-    rowsum = np.zeros((backend.n, backend.d))
+    rowsum = np.zeros((backend.n_nodes, backend.n_labels))
     for e, (i, j) in enumerate(backend.edges):
         rowsum[i] += np.abs(backend.thetas[e]).sum(axis=1)
         rowsum[j] += np.abs(backend.thetas[e]).sum(axis=0)
@@ -98,7 +98,7 @@ class TestBitExactAgainstLoops:
     def test_bcd_labels_unchanged_on_random_grid(self):
         inst = generate(RandomGrid(12, 12, 5, seed=4))
         pw = inst.pairwise
-        reference = CrfInstance(inst.unary, LoopEdgeList(pw.n, pw.d, pw.edges, pw.thetas))
+        reference = CrfInstance(inst.unary, LoopEdgeList(pw.n_nodes, pw.n_labels, pw.edges, pw.thetas))
         x = np.random.default_rng(4).dirichlet(np.ones(5), size=144)
         assert np.array_equal(round_bcd(inst, x), round_bcd(reference, x))
 
@@ -107,8 +107,8 @@ class TestBitExactAgainstLoops:
         n_slots = 2 * len(backend.edges)
         held = [v.size for v in vars(backend).values() if isinstance(v, np.ndarray)]
         held += [len(v) for v in vars(backend).values() if isinstance(v, list)]
-        d2 = backend.d ** 2
-        assert max(held) <= max(3 * n_slots, d2 * len(backend.edges), backend.n + 1)
+        d2 = backend.n_labels ** 2
+        assert max(held) <= max(3 * n_slots, d2 * len(backend.edges), backend.n_nodes + 1)
 
 
 class TestFirstOffenderReported:
