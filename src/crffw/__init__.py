@@ -18,8 +18,7 @@ from .instances import (RandomDense, RandomEdgeList, RandomGrid, generate,
 from .model import (CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
                     GaussianKernel)
 from .regularizers import (EntropyRegularizer, L2Regularizer,
-                           regularizer_bounds, regularizer_value,
-                           strong_convexity)
+                           regularizer_bounds, regularizer_value)
 from .schedules import (SCHEDULES, Adaptive, Constant, ConstantLength, Harmonic,
                         InvSqrt, LineSearch, HarmonicRamp, StepContext,
                         stepsize)

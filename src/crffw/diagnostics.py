@@ -15,7 +15,7 @@ import numpy as np
 
 from . import schedules, simplex
 from .errors import CapacityError
-from .regularizers import regularizer_bounds, strong_convexity
+from .regularizers import regularizer_bounds
 
 _BRUTE_FORCE_CAP = 10_000_000
 _CHUNK = 1 << 14
@@ -57,19 +57,14 @@ def feasible_set_diameter(n_nodes):
 def convergence_params(instance, reg):
     return ConvergenceParams(
         l_f=instance.lipschitz_upper_bound(),
-        sigma_g=strong_convexity(reg),
+        sigma_g=0.0 if reg is None else reg.lam,
         diameter=feasible_set_diameter(instance.n_nodes),
     )
 
 
 def _decode_labelings(indices, n, d):
     # mixed-radix decoding, first node most significant -> lexicographic order
-    out = np.empty((indices.size, n), dtype=int)
-    rem = indices.copy()
-    for i in range(n - 1, -1, -1):
-        out[:, i] = rem % d
-        rem //= d
-    return out
+    return np.stack(np.unravel_index(indices, (d,) * n), axis=1)
 
 
 def _batch_energies(unary, blocks, labelings):

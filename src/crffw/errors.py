@@ -6,7 +6,7 @@ class CapacityError(RuntimeError):
 
 
 class Diverged(RuntimeError):
-    """Raised when a solver produces a non-finite energy.
+    """Raised when a solver meets a non-finite energy or gradient.
 
     Carries the partial trace so callers can inspect what happened.
     """

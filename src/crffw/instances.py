@@ -276,8 +276,19 @@ def read_uai(path):
     logs, so minimizing the energy maximizes the factor product.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        # whitespace-separated tokens, read line by line
-        return _parse_uai(itertools.chain.from_iterable(map(str.split, fh)))
+        return _parse_uai(itertools.chain.from_iterable(_token_chunks(fh)))
+
+
+def _token_chunks(fh, size=1 << 16):
+    """Lists of the whitespace-separated tokens of a text file read
+    `size` characters at a time; a token cut by a chunk's end is carried
+    into the next chunk's list."""
+    tail = ""
+    while chunk := fh.read(size):
+        tokens = (tail + chunk).split()
+        tail = "" if chunk[-1].isspace() else tokens.pop()
+        yield tokens
+    yield tail.split()
 
 
 def _parse_uai(toks):

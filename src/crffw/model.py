@@ -90,11 +90,12 @@ class EdgeList:
     symmetric by construction.
 
     An incident-edge index built once in O(n + E) makes `matvec_row`
-    cost O(degree) and `matvec` a segmented sum over precomputed slices.
-    `matvec_row` adds a node's incident edges in edge order, as a plain
-    loop over the edges does.  `matvec` adds, per node, the edges where
-    it is i and then those where it is j, each in edge order; it can
-    differ in the last bits from a loop that interleaves the two.
+    cost O(degree); it adds a node's incident edges in edge order, as a
+    plain loop over the edges does.  `matvec` scatters each label's
+    column with one `np.bincount`, which adds in input order: per node,
+    the edges where it is i and then those where it is j, each in edge
+    order.  It can differ in the last bits from a loop that interleaves
+    the two.
     """
 
     def __init__(self, n_nodes, n_labels, edges, thetas):
@@ -109,42 +110,25 @@ class EdgeList:
         self.thetas = thetas
         edges.setflags(write=False)
         thetas.setflags(write=False)
-        self._build_index()
-
-    def _build_index(self):
-        n_edges = len(self.edges)
-        ends = self.edges.reshape(-1)  # i0, j0, i1, j1, ...
-        indptr = np.zeros(self.n_nodes + 1, dtype=int)
-        np.cumsum(np.bincount(ends, minlength=self.n_nodes), out=indptr[1:])
-        self._indptr = indptr
+        ends = edges.reshape(-1)  # i0, j0, i1, j1, ...
+        self._indptr = np.zeros(self.n_nodes + 1, dtype=int)
+        np.cumsum(np.bincount(ends, minlength=self.n_nodes), out=self._indptr[1:])
         # each node's incident edges in edge order, as rows of (edge id,
         # neighbour, 1 if the node is the edge's i)
         edge, role = np.divmod(np.argsort(ends, kind="stable"), 2)
-        self._incident = np.stack((edge, self.edges[edge, 1 - role], role == 0), axis=1)
-        # matvec adds, per row, the edges where it is i and then those
-        # where it is j, each in edge order; slot e < E is edge e as i,
-        # slot E + e edge e as j.  Round k adds the k-th slot of every
-        # row of degree > k.
-        rows = self.edges.T.reshape(-1)
-        order = np.argsort(rows, kind="stable")
-        rank = np.arange(2 * n_edges) - indptr[rows[order]]
-        self._gather = order[np.argsort(rank, kind="stable")]
-        self._scatter = rows[self._gather]
-        self._rounds = np.concatenate(([0], np.cumsum(np.bincount(rank)))).tolist()
+        self._incident = np.stack((edge, edges[edge, 1 - role], role == 0), axis=1)
 
     def matvec(self, x):
-        out = np.zeros_like(x, dtype=float)
         n_edges = len(self.edges)
-        if n_edges == 0:
-            return out
         ii, jj = self.edges[:, 0], self.edges[:, 1]
-        contrib = np.empty((2 * n_edges, self.n_labels))
-        contrib[:n_edges] = np.einsum("est,et->es", self.thetas, x[jj])
-        contrib[n_edges:] = np.einsum("est,es->et", self.thetas, x[ii])
-        bounds = self._rounds
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            out[self._scatter[lo:hi]] += contrib[self._gather[lo:hi]]
-        return out
+        # by label, so each bincount reads a contiguous column: column e is
+        # edge e's term of row i, column E + e its term of row j.  einsum
+        # writes through transposed views, keeping its (E, d) loop order,
+        # which is faster at large d than a (d, E) output.
+        contrib = np.empty((self.n_labels, 2 * n_edges))
+        np.einsum("est,et->es", self.thetas, x[jj], out=contrib[:, :n_edges].T)
+        np.einsum("est,es->et", self.thetas, x[ii], out=contrib[:, n_edges:].T)
+        return _scatter_rows(self.edges.T.reshape(-1), contrib, self.n_nodes)
 
     def matvec_row(self, i, x):
         acc = np.zeros(self.n_labels)
@@ -174,12 +158,21 @@ class EdgeList:
 
     def spectral_norm_bound(self):
         # ||P||_2 <= ||P||_inf for a symmetric P
-        rowsum = np.zeros((self.n_nodes, self.n_labels))
         mags = np.abs(self.thetas)
         # rows i0, j0, i1, j1, ...: the order of a loop over the edges
         sums = np.stack((mags.sum(axis=2), mags.sum(axis=1)), axis=1)
-        np.add.at(rowsum, self.edges.reshape(-1), sums.reshape(-1, self.n_labels))
+        rowsum = _scatter_rows(self.edges.reshape(-1), sums.reshape(-1, self.n_labels).T,
+                               self.n_nodes)
         return float(rowsum.max()) if rowsum.size else 0.0
+
+
+def _scatter_rows(rows, columns, n):
+    """(n, len(columns)) array whose row r, column s sums columns[s][k]
+    over the k with rows[k] == r, added in k order from 0.0."""
+    out = np.empty((n, len(columns)))
+    for s, col in enumerate(columns):
+        out[:, s] = np.bincount(rows, col, minlength=n)
+    return out
 
 
 def _row_blocks(n):

@@ -54,11 +54,6 @@ class EntropyRegularizer:
         return -self.lam * n * math.log(d), 0.0
 
 
-def strong_convexity(reg):
-    """Strong-convexity parameter sigma_g (0 without a regularizer)."""
-    return 0.0 if reg is None else reg.lam
-
-
 def regularizer_value(reg, x):
     return 0.0 if reg is None else reg.value(x)
 

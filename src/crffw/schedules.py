@@ -59,9 +59,10 @@ class InvSqrt:
 class Adaptive:
     """alpha_k = min(1, (S_k / ||p - x||^2 + sigma_g / 2) / (L_f + sigma_g)).
 
-    The solver loop passes L_f (the instance's spectral-norm bound) and
-    sigma_g (the regularizer's strong convexity) in the StepContext, so
-    the step and the decrease bound of a row read the same constants.
+    The solver loop computes L_f (the instance's spectral-norm bound) and
+    sigma_g (the regularizer's strong convexity) once and passes them to
+    the step generator, which puts them in the StepContext, so the step
+    and the decrease bound of a row read the same constants.
     """
 
 

@@ -34,8 +34,7 @@ import numpy as np
 from . import diagnostics, schedules
 from .errors import Diverged
 from .model import CrfInstance, DiagonalShift
-from .regularizers import (_LOG_FLOOR, EntropyRegularizer, L2Regularizer,
-                           regularizer_value, strong_convexity)
+from .regularizers import _LOG_FLOOR, EntropyRegularizer, L2Regularizer, regularizer_value
 from .simplex import project_feasible, round_nearest, softmax_rows
 
 _BOUND_TOL = 1e-7
@@ -47,13 +46,15 @@ _LOG_ULPS = 4  # assumed error of numpy's float64 log; its own tests allow 1
 # ---------------------------------------------------------------------------
 # methods and config
 #
-# A method's `steps(instance, x, px, r_x, config)` is a generator that
-# starts at x (px = P x, r_x = r(x)) and yields, once per iteration,
+# A method's `steps(instance, x, px, r_x, config, params)` is a generator
+# that starts at x (px = P x, r_x = r(x)) and yields, once per iteration,
 #
 #     (x, P x or None, r(x), alpha, s_k, step_norm, ||p - x||^2 or None)
 #
 # keeping its own state (momentum, duals) between iterations.  r(x) is
-# 0.0 for a method without a regularizer.
+# 0.0 for a method without a regularizer.  `params` holds the L_f and
+# sigma_g that the loop's decrease bounds read, or is None for a method
+# without a schedule.
 
 class _Method:
     regularizer = None     # regularizer class the method takes, if any
@@ -62,7 +63,6 @@ class _Method:
                            if s is not schedules.LineSearch)
     default_schedule = schedules.Constant(1.0)
     bounded = False        # whether the decrease-bound table covers its steps
-    uses_lipschitz = True  # estimated before the loop, outside iteration times
 
 
 class _FrankWolfe(_Method):
@@ -77,10 +77,8 @@ class _FrankWolfe(_Method):
         r_p = regularizer_value(reg, p)
         return p, _gap(grad, x, p, r_x, r_p), r_p
 
-    def steps(self, instance, x, px, r_x, config):
+    def steps(self, instance, x, px, r_x, config, params):
         reg, sched = config.regularizer, config.schedule
-        l_f = instance.lipschitz_upper_bound()
-        sigma = strong_convexity(reg)
         for k in itertools.count():
             grad = px + instance.unary
             p, s_k, r_p = self.direction(grad, x, r_x, reg)
@@ -91,7 +89,7 @@ class _FrankWolfe(_Method):
             p_direction = pp - px
 
             ctx = schedules.StepContext(s_k=s_k, dir_norm_sq=dir_sq,
-                                        l_f=l_f, sigma_g=sigma)
+                                        l_f=params.l_f, sigma_g=params.sigma_g)
             if isinstance(sched, schedules.LineSearch):
                 quad_a = float((direction * p_direction).sum())
                 quad_b = float((grad * direction).sum())
@@ -220,13 +218,14 @@ class PGD(_FrankWolfe):
     bounded = False  # projected-gradient directions fall outside the analysis
 
     def direction(self, grad, x, r_x, reg):
-        return project_feasible(x - grad), _gap(grad, x, lmo_vanilla(grad)), 0.0
+        s_k = _gap(grad, x, lmo_vanilla(grad))  # raises Diverged before the projection can
+        return project_feasible(x - grad), s_k, 0.0
 
 
-def _gradient_stepsize(instance, sched, k, s_k):
+def _gradient_stepsize(params, sched, k, s_k):
     # alpha scales the gradient here, not a convex combination
     return schedules.stepsize(sched, k, schedules.StepContext(
-        s_k=s_k, dir_norm_sq=1.0, l_f=instance.lipschitz_upper_bound(), sigma_g=0.0))
+        s_k=s_k, dir_norm_sq=1.0, l_f=params.l_f, sigma_g=0.0))
 
 
 @dataclass(frozen=True)
@@ -240,13 +239,13 @@ class FastPGM(_Method):
 
     name = "pgm"
 
-    def steps(self, instance, x, px, r_x, config):
+    def steps(self, instance, x, px, r_x, config, params):
         del px  # the gradient is taken at y
         y, t = x, 1.0
         for k in itertools.count():
             grad = instance.gradient(y)
             s_k = _gap(grad, y, lmo_vanilla(grad))
-            alpha = _gradient_stepsize(instance, config.schedule, k, s_k)
+            alpha = _gradient_stepsize(params, config.schedule, k, s_k)
             x_new = project_feasible(y - alpha * grad)
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = x_new + ((t - 1.0) / t_new) * (x_new - x)
@@ -265,12 +264,12 @@ class EMD(_Method):
 
     name = "emd"
 
-    def steps(self, instance, x, px, r_x, config):
+    def steps(self, instance, x, px, r_x, config, params):
         eps = 1e-10
         for k in itertools.count():
             grad = px + instance.unary
             s_k = _gap(grad, x, lmo_vanilla(grad))
-            alpha = _gradient_stepsize(instance, config.schedule, k, s_k)
+            alpha = _gradient_stepsize(params, config.schedule, k, s_k)
             shift = alpha * grad.min(axis=1, keepdims=True)
             weights = (x + eps) * np.exp(-alpha * grad + shift)
             x_new = weights / weights.sum(axis=1, keepdims=True)
@@ -294,9 +293,8 @@ class ADMM(_Method):
     name = "admm"
     schedule_types = ()
     default_schedule = None
-    uses_lipschitz = False
 
-    def steps(self, instance, point, m, r_x, config):
+    def steps(self, instance, point, m, r_x, config, params):
         # m is P at the last yielded point
         rho, u = _ADMM_RHO, instance.unary
         x, y, z = None, np.zeros_like(point), point
@@ -435,11 +433,12 @@ def lmo_vanilla(grad):
     """Vertex minimizing the linearized energy: per-node one-hot argmin.
 
     Ties break to the lowest label index; away from ties the output is
-    locally constant in the gradient.
+    locally constant in the gradient.  Raises Diverged when the gradient
+    is not finite.
     """
     grad = np.asarray(grad, dtype=float)
     if not np.all(np.isfinite(grad)):
-        raise ValueError("gradient contains non-finite entries")
+        raise Diverged("non-finite gradient")
     p = np.zeros_like(grad)
     p[np.arange(grad.shape[0]), np.argmin(grad, axis=1)] = 1.0
     return p
@@ -548,7 +547,8 @@ def run_generalized_fw(instance, config, pool=None):
     method = config.method
     work = convexify(instance) if isinstance(method, ConvexFW) else instance
     reg = config.regularizer
-    params = diagnostics.convergence_params(work, reg) if method.uses_lipschitz else None
+    # L_f is estimated here, outside the iteration times
+    params = None if config.schedule is None else diagnostics.convergence_params(work, reg)
 
     # builds every cache e_disc reads (the kernel), so the helper builds none
     x, px = work.start()
@@ -562,7 +562,7 @@ def run_generalized_fw(instance, config, pool=None):
                   e_cont=trace.initial_e_cont, e_reg=trace.initial_e_reg)
     f_prev = trace.initial_e_reg
 
-    steps = method.steps(work, x, px, r_x, config)
+    steps = method.steps(work, x, px, r_x, config, params)
     pending = None  # (k, future) of the helper's e_disc call, at most one
     try:
         for k in range(config.max_iters):

@@ -300,6 +300,25 @@ def test_overflowing_convexify_shift_is_divergence(tmp_path, capsys, command):
         "diverged: non-finite diagonal shift 0.5 * P 1 of the convexified energy\n")
 
 
+# entries of 1e308: the gradient at iteration 1 overflows to inf
+NON_FINITE_GRADIENT = {
+    "version": 1, "n": 2, "d": 2, "unary": [[0.0, 1e308], [0.0, 1.0]],
+    "pairwise": {"type": "edges", "edges": [
+        {"i": 0, "j": 1, "theta": [[0.0, 0.0], [1e308, 0.0]]}]}}
+
+
+@pytest.mark.parametrize("method", ["fw", "pgd", "pgm", "emd", "admm", "compare"])
+def test_non_finite_gradient_is_divergence(tmp_path, capsys, method):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(NON_FINITE_GRADIENT))
+    if method == "compare":  # its default methods
+        args = ("compare", "--instances", str(path), "--out", str(tmp_path / "cmp"))
+    else:
+        args = ("solve", "--instance", str(path), "--method", method)
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == "diverged: non-finite gradient at iteration 1\n"
+
+
 class TestCapacity:
     """A kernel over the build guard ends in `error: ...` and exit 1,
     with no output written."""

@@ -165,17 +165,21 @@ def write_uai(path, text):
 
 
 def test_read_uai_streams(tmp_path):
-    # the file's tokens are read a table at a time: reading it whole first
-    # peaks at about 5.5 times its size
+    # the file's tokens are read 65,536 characters at a time: reading it
+    # whole first, or a line at a time from the one-line layout, peaks at
+    # about 5.5 times its size
     path = write_grid_uai(tmp_path / "g.uai", 30, 30, 8, seed=0)
-    read_uai(path)  # leave first-call allocations out of the measurement
-    tracemalloc.start()
-    try:
-        read_uai(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * path.stat().st_size
+    one_line = tmp_path / "one_line.uai"
+    one_line.write_text(path.read_text().replace("\n", " "))
+    for layout in (path, one_line):
+        read_uai(layout)  # leave first-call allocations out of the measurement
+        tracemalloc.start()
+        try:
+            read_uai(layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * layout.stat().st_size, layout.name
 
 
 class TestReadUai:

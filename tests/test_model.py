@@ -139,6 +139,24 @@ class TestPairwiseMatvec:
                 np.testing.assert_allclose(inst.pairwise.matvec_row(i, x), full[i],
                                            atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["edges", "no-edges", "dense", "gaussian", "shift"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matvec_is_c_contiguous_float64(self, rng, kind, order):
+        # a Fortran-ordered P x would change the summation order, and so
+        # the bits, of the solvers' .sum() calls over it
+        n, d = 7, 3
+        if kind == "no-edges":
+            backend = zero_instance(n, d).pairwise
+        elif kind == "shift":
+            backend = DiagonalShift(random_edge_backend(rng, n, d),
+                                    rng.standard_normal((n, d)))
+        else:
+            backend = random_instance(rng, n, d, kind=kind).pairwise
+        x = np.asarray(random_feasible(rng, n, d), order=order)
+        out = backend.matvec(x)
+        assert out.shape == (n, d) and out.dtype == np.float64
+        assert out.flags.c_contiguous
+
 
 def _random_compat(rng, d, potts):
     if potts:

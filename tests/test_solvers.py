@@ -779,8 +779,8 @@ def _outcome(instance, config, pool=None):
 class _StepFails(VanillaFW):
     """Vanilla FW whose step raises Diverged at iteration 2."""
 
-    def steps(self, instance, x, px, r_x, config):
-        yield from itertools.islice(super().steps(instance, x, px, r_x, config), 2)
+    def steps(self, instance, x, px, r_x, config, params):
+        yield from itertools.islice(super().steps(instance, x, px, r_x, config, params), 2)
         raise Diverged("step failed")
 
 
@@ -788,8 +788,8 @@ class _EnergyFails(VanillaFW):
     """Vanilla FW that yields P x as nan at iteration 2, so that e_cont
     is not finite there while e_disc is."""
 
-    def steps(self, instance, x, px, r_x, config):
-        for k, (x, px, *rest) in enumerate(super().steps(instance, x, px, r_x, config)):
+    def steps(self, instance, x, px, r_x, config, params):
+        for k, (x, px, *rest) in enumerate(super().steps(instance, x, px, r_x, config, params)):
             yield (x, np.full_like(px, np.nan) if k == 2 else px, *rest)
 
 
