@@ -43,6 +43,7 @@ _FLAGS = {"max_iters": "--steps", "n and d": "--nodes and --labels",
           "image_size": "--image-size", "edge_prob": "--edge-prob",
           "grid dimensions": "--rows, --cols and --labels",
           "kernel bandwidths": "--kernel-alpha, --kernel-beta and --kernel-gamma"}
+_SPECS = {"dense": RandomDense, "grid": RandomGrid, "edges": RandomEdgeList}  # generate --kind
 
 
 def _load_instance(path):
@@ -87,20 +88,9 @@ def _build_config(method_name, lam, schedule, steps, check_bounds=False):
 # generate
 
 def cmd_generate(args, parser):
-    if args.kind == "dense":
-        spec = RandomDense(n=args.nodes, d=args.labels, seed=args.seed,
-                           image_size=args.image_size, w1=args.w1, w2=args.w2,
-                           alpha=args.kernel_alpha, beta=args.kernel_beta,
-                           gamma=args.kernel_gamma, compat=args.compat,
-                           potts_w=args.potts_w, unary_scale=args.unary_scale)
-    elif args.kind == "grid":
-        spec = RandomGrid(rows=args.rows, cols=args.cols, d=args.labels,
-                          seed=args.seed, potts_w=args.potts_w,
-                          unary_scale=args.unary_scale)
-    else:
-        spec = RandomEdgeList(n=args.nodes, d=args.labels, seed=args.seed,
-                              edge_prob=args.edge_prob,
-                              unary_scale=args.unary_scale)
+    # a flag's dest is its spec field; a flag left out is not in `args`
+    spec_cls = _SPECS[args.kind]
+    spec = spec_cls(**{f.name: getattr(args, f.name) for f in fields(spec_cls) if f.name in args})
     try:
         instance = generate(spec)
     except ValueError as exc:
@@ -330,22 +320,23 @@ def build_parser():
         description="MAP inference benchmarks for pairwise CRFs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a synthetic instance file")
-    g.add_argument("--kind", choices=("dense", "grid", "edges"), default="dense")
-    g.add_argument("--nodes", type=int, default=100)
-    g.add_argument("--labels", type=int, default=5)
+    g = sub.add_parser("generate", help="write a synthetic instance file",
+                       argument_default=argparse.SUPPRESS)
+    g.add_argument("--kind", choices=tuple(_SPECS), default="dense")
+    g.add_argument("--nodes", dest="n", type=int, default=100)
+    g.add_argument("--labels", dest="d", type=int, default=5)
     g.add_argument("--rows", type=int, default=5)
     g.add_argument("--cols", type=int, default=5)
-    g.add_argument("--edge-prob", type=float, default=0.3)
-    g.add_argument("--image-size", type=float, default=32.0)
-    g.add_argument("--w1", type=float, default=1.0)
-    g.add_argument("--w2", type=float, default=1.0)
-    g.add_argument("--kernel-alpha", type=float, default=80.0)
-    g.add_argument("--kernel-beta", type=float, default=13.0)
-    g.add_argument("--kernel-gamma", type=float, default=3.0)
-    g.add_argument("--compat", choices=("potts", "random"), default="potts")
-    g.add_argument("--potts-w", type=float, default=1.0)
-    g.add_argument("--unary-scale", type=float, default=1.0)
+    g.add_argument("--edge-prob", type=float)
+    g.add_argument("--image-size", type=float)
+    g.add_argument("--w1", type=float)
+    g.add_argument("--w2", type=float)
+    g.add_argument("--kernel-alpha", dest="alpha", type=float)
+    g.add_argument("--kernel-beta", dest="beta", type=float)
+    g.add_argument("--kernel-gamma", dest="gamma", type=float)
+    g.add_argument("--compat", choices=("potts", "random"))
+    g.add_argument("--potts-w", type=float)
+    g.add_argument("--unary-scale", type=float)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)

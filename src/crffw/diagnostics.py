@@ -166,17 +166,16 @@ def tightness_report(instance, x, reg=None, x_is_global_min=False):
     return out
 
 
-def decrease_bound(params, schedule, k, s_k, step_sq):
+def decrease_bound(params, schedule, k, s_k):
     """Guaranteed per-iteration decrease delta_k with F_k - F_{k+1} >= delta_k.
 
     Row selection: concave part (L_f = 0), strongly convex regularizer
     (sigma_g > 0), or merely convex regularizer.  For schedules where
     the analysis only yields convergence to an approximate stationary
     point, the returned bound includes the corresponding slack term and
-    may be negative.
-
-    `step_sq` is the squared direction norm ||p - x||^2, used by the
-    constant-step-length rule.
+    may be negative.  Every row reads only S_k, the stepsize of `schedule`
+    at iteration k (a constant-length rule's `alpha`), L_f, sigma_g and
+    the diameter.
     """
     l_f, sig, omega = params.l_f, params.sigma_g, params.omega
     diam_sq = params.diameter ** 2

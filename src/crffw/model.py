@@ -281,7 +281,8 @@ class GaussianKernel:
         return self.kernel_matrix @ (x @ self.compat.T)
 
     def matvec_row(self, i, x):
-        return self.kernel_matrix[i] @ (x @ self.compat.T)
+        # O(n d + d^2): the kernel row first, then compat
+        return (self.kernel_matrix[i] @ x) @ self.compat.T
 
     def pair_energy(self, labels):
         """0.5 * sum_ij K[i, j] compat[l_i, l_j], bitwise equal to numpy's

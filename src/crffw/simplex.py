@@ -76,9 +76,9 @@ def round_bcd(instance, x):
     Sweeps nodes in ascending order, replacing each row of the working
     point by the one-hot minimizer of its node-conditional energy given
     the current (mixed) point.  Stops after a sweep with no change or
-    after 100 sweeps.
+    after 100 sweeps.  Raises ValueError unless x is (n, d).
     """
-    x = np.array(x, dtype=float, copy=True)
+    x = instance._check_point(x).copy()
     n, d = x.shape
     unary = instance.unary
     backend = instance.pairwise

@@ -49,12 +49,12 @@ _LOG_ULPS = 4  # assumed error of numpy's float64 log; its own tests allow 1
 # A method's `steps(instance, x, px, r_x, config, params)` is a generator
 # that starts at x (px = P x, r_x = r(x)) and yields, once per iteration,
 #
-#     (x, P x or None, r(x), alpha, s_k, step_norm, ||p - x||^2 or None)
+#     (x, P x or None, r(x), alpha, s_k, step_norm)
 #
 # keeping its own state (momentum, duals) between iterations.  r(x) is
 # 0.0 for a method without a regularizer.  `params` holds the L_f and
-# sigma_g that the loop's decrease bounds read, or is None for a method
-# without a schedule.
+# sigma_g that the schedule and the loop's decrease bounds read, or is
+# None for a method without a schedule.
 
 class _Method:
     regularizer = None     # regularizer class the method takes, if any
@@ -107,7 +107,7 @@ class _FrankWolfe(_Method):
             else:
                 x, px = x + alpha * direction, px + alpha * p_direction
                 r_x = regularizer_value(reg, x)
-            yield x, px, r_x, alpha, s_k, alpha * math.sqrt(dir_sq), dir_sq
+            yield x, px, r_x, alpha, s_k, alpha * math.sqrt(dir_sq)
 
 
 def _gamma(k):
@@ -172,29 +172,24 @@ def _segment_error(reg, x, direction, quad_a, quad_b, base):
     return err if math.isfinite(err) else None
 
 
-@dataclass(frozen=True)
 class VanillaFW(_FrankWolfe):
     name = "fw"
 
 
-@dataclass(frozen=True)
 class ConvexFW(_FrankWolfe):
     name = "cfw"
 
 
-@dataclass(frozen=True)
 class L2FW(_FrankWolfe):
     name = "l2fw"
     regularizer = L2Regularizer
 
 
-@dataclass(frozen=True)
 class EntropicFW(_FrankWolfe):
     name = "efw"
     regularizer = EntropyRegularizer
 
 
-@dataclass(frozen=True)
 class MeanField(_FrankWolfe):
     """Entropic Frank-Wolfe at lam = 1 with a unit step."""
 
@@ -203,7 +198,6 @@ class MeanField(_FrankWolfe):
     schedule_types = ()
 
 
-@dataclass(frozen=True)
 class DampedMeanField(MeanField):
     """Mean field damped by a Constant schedule, Constant(0.5) by default."""
 
@@ -212,7 +206,6 @@ class DampedMeanField(MeanField):
     default_schedule = schedules.Constant(0.5)
 
 
-@dataclass(frozen=True)
 class PGD(_FrankWolfe):
     name = "pgd"
     bounded = False  # projected-gradient directions fall outside the analysis
@@ -228,22 +221,20 @@ def _gradient_stepsize(params, sched, k, s_k):
         s_k=s_k, dir_norm_sq=1.0, l_f=params.l_f, sigma_g=0.0))
 
 
-@dataclass(frozen=True)
 class FastPGM(_Method):
     """Accelerated projected gradient with the usual momentum sequence
     t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2.
 
-    The gradient point y is not an iterate, so each iteration applies P
-    twice: at y, and at the new iterate for its energy.
+    The gradient point y is not an iterate, so each iteration after the
+    first applies P twice: at y, and at the new iterate for its energy.
     """
 
     name = "pgm"
 
     def steps(self, instance, x, px, r_x, config, params):
-        del px  # the gradient is taken at y
-        y, t = x, 1.0
+        y, py, t = x, px, 1.0  # py = P y
         for k in itertools.count():
-            grad = instance.gradient(y)
+            grad = py + instance.unary
             s_k = _gap(grad, y, lmo_vanilla(grad))
             alpha = _gradient_stepsize(params, config.schedule, k, s_k)
             x_new = project_feasible(y - alpha * grad)
@@ -251,10 +242,10 @@ class FastPGM(_Method):
             y = x_new + ((t - 1.0) / t_new) * (x_new - x)
             step_norm = float(np.linalg.norm(x_new - x))
             x, t = x_new, t_new
-            yield x, None, 0.0, alpha, s_k, step_norm, None
+            yield x, None, 0.0, alpha, s_k, step_norm
+            py = instance.pairwise.matvec(y)
 
 
-@dataclass(frozen=True)
 class EMD(_Method):
     """Multiplicative (entropy-geometry) updates, numerically stabilized.
 
@@ -276,10 +267,9 @@ class EMD(_Method):
             step_norm = float(np.linalg.norm(x_new - x))
             x = x_new
             px = instance.pairwise.matvec(x)
-            yield x, px, 0.0, alpha, s_k, step_norm, None
+            yield x, px, 0.0, alpha, s_k, step_norm
 
 
-@dataclass(frozen=True)
 class ADMM(_Method):
     """Two-block splitting with dual ascent at the penalty rho = 1.
 
@@ -311,7 +301,7 @@ class ADMM(_Method):
             step_norm = float(np.linalg.norm(new_point - point))
             point = new_point
             m = instance.pairwise.matvec(point)
-            yield point, m, 0.0, math.nan, s_k, step_norm, None
+            yield point, m, 0.0, math.nan, s_k, step_norm
 
 
 METHODS = {m.name: m for m in (MeanField, DampedMeanField, VanillaFW, ConvexFW,
@@ -398,7 +388,6 @@ class IterationTrace:
     in the initial_* fields.
     """
 
-    method: str
     initial_e_cont: float = math.nan
     initial_e_reg: float = math.nan
     records: list = field(default_factory=list)
@@ -553,7 +542,7 @@ def run_generalized_fw(instance, config, pool=None):
     # builds every cache e_disc reads (the kernel), so the helper builds none
     x, px = work.start()
     r_x = regularizer_value(reg, x)
-    trace = IterationTrace(method=method.name)
+    trace = IterationTrace()
     trace.initial_e_cont = work.energy_relaxed(x, px)
     trace.initial_e_reg = trace.initial_e_cont + r_x
     if config.record_iterates:
@@ -568,7 +557,7 @@ def run_generalized_fw(instance, config, pool=None):
         for k in range(config.max_iters):
             t0 = time.perf_counter()
             try:
-                x, px, r_x, alpha, s_k, step_norm, dir_sq = next(steps)
+                x, px, r_x, alpha, s_k, step_norm = next(steps)
             except Diverged as exc:
                 raise Diverged(f"{exc} at iteration {k}", trace) from None
             done, pending = pending, None
@@ -584,7 +573,7 @@ def run_generalized_fw(instance, config, pool=None):
             _check_finite(trace, f"at iteration {k}", e_cont=e_cont, e_reg=e_reg)
 
             if method.bounded:
-                delta = diagnostics.decrease_bound(params, config.schedule, k, s_k, dir_sq)
+                delta = diagnostics.decrease_bound(params, config.schedule, k, s_k)
                 held = (f_prev - e_reg) >= (delta - _BOUND_TOL)
             else:
                 delta, held = math.nan, None

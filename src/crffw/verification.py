@@ -476,11 +476,11 @@ def suite_bounds(seed=0):
     checks.append(CheckResult("rounding_bounds", ok))
 
     params = diagnostics.ConvergenceParams(l_f=2.0, sigma_g=1.0, diameter=2.0)
-    adaptive_val = diagnostics.decrease_bound(params, schedules.Adaptive(), 0, 3.0, 1.0)
+    adaptive_val = diagnostics.decrease_bound(params, schedules.Adaptive(), 0, 3.0)
     concave = diagnostics.ConvergenceParams(l_f=0.0, sigma_g=0.0, diameter=2.0)
-    concave_val = diagnostics.decrease_bound(concave, schedules.Constant(0.5), 0, 3.0, 1.0)
+    concave_val = diagnostics.decrease_bound(concave, schedules.Constant(0.5), 0, 3.0)
     convex = diagnostics.ConvergenceParams(l_f=2.0, sigma_g=0.0, diameter=2.0)
-    convex_val = diagnostics.decrease_bound(convex, schedules.Constant(0.5), 0, 3.0, 1.0)
+    convex_val = diagnostics.decrease_bound(convex, schedules.Constant(0.5), 0, 3.0)
     table_ok = (abs(adaptive_val - (1.0 / 3.0) * 3.0) < 1e-12
                 and abs(concave_val - 1.5) < 1e-12
                 and abs(convex_val - (1.5 - 0.5 * 2.0 * 4.0 * 0.25)) < 1e-12)

@@ -151,37 +151,41 @@ class TestTightnessReport:
 class TestDecreaseBoundTable:
     def test_strongly_convex_adaptive(self):
         params = ConvergenceParams(l_f=3.0, sigma_g=1.0, diameter=2.0)
-        assert decrease_bound(params, Adaptive(), 0, 2.0, 1.0) == pytest.approx(
+        assert decrease_bound(params, Adaptive(), 0, 2.0) == pytest.approx(
             params.omega * 2.0)
 
     def test_concave_constant(self):
         params = ConvergenceParams(l_f=0.0, sigma_g=0.0, diameter=2.0)
-        assert decrease_bound(params, Constant(0.25), 5, 2.0, 1.0) == pytest.approx(0.5)
+        assert decrease_bound(params, Constant(0.25), 5, 2.0) == pytest.approx(0.5)
+
+    def test_concave_constant_length(self):
+        params = ConvergenceParams(l_f=0.0, sigma_g=0.0, diameter=2.0)
+        assert decrease_bound(params, ConstantLength(0.5), 0, 4.0) == pytest.approx(1.0)
 
     def test_convex_constant_with_slack(self):
         params = ConvergenceParams(l_f=2.0, sigma_g=0.0, diameter=2.0)
-        val = decrease_bound(params, Constant(0.5), 0, 3.0, 1.0)
+        val = decrease_bound(params, Constant(0.5), 0, 3.0)
         assert val == pytest.approx(0.5 * 3.0 - 0.5 * 2.0 * 4.0 * 0.25)
 
     def test_strongly_convex_small_constant(self):
         params = ConvergenceParams(l_f=1.0, sigma_g=1.0, diameter=2.0)
         # omega = 0.5, alpha = 0.25 < 2*omega: alpha*min(1, 2 - alpha/omega)*S
-        assert decrease_bound(params, Constant(0.25), 0, 4.0, 1.0) == pytest.approx(1.0)
+        assert decrease_bound(params, Constant(0.25), 0, 4.0) == pytest.approx(1.0)
 
     def test_line_search_shares_adaptive_row(self):
         params = ConvergenceParams(l_f=3.0, sigma_g=1.0, diameter=2.0)
-        assert decrease_bound(params, LineSearch(), 0, 2.0, 1.0) == pytest.approx(
-            decrease_bound(params, Adaptive(), 0, 2.0, 1.0))
+        assert decrease_bound(params, LineSearch(), 0, 2.0) == pytest.approx(
+            decrease_bound(params, Adaptive(), 0, 2.0))
 
     def test_squares_past_the_float_range(self):
         # a float ** raises there; each row keeps its value, or -inf
         for l_f, expect in ((1e200, 0.5 * 1e160 * (1e160 / 4e200)), (1.0, 0.5e160)):
             params = ConvergenceParams(l_f=l_f, sigma_g=0.0, diameter=2.0)
             for sched in (Adaptive(), LineSearch()):
-                assert decrease_bound(params, sched, 0, 1e160, 1.0) == pytest.approx(expect)
+                assert decrease_bound(params, sched, 0, 1e160) == pytest.approx(expect)
         for sigma in (0.0, 1.0):
             params = ConvergenceParams(l_f=1.0, sigma_g=sigma, diameter=2.0)
-            assert decrease_bound(params, ConstantLength(1e200), 0, 1.0, 1.0) == -math.inf
+            assert decrease_bound(params, ConstantLength(1e200), 0, 1.0) == -math.inf
 
 
 class TestConvergenceParams:
@@ -202,6 +206,8 @@ class TestVertexRegularizerConstancy:
         assert vertex_regularizer_constancy(L2Regularizer(0.5), 3, 2)
         assert vertex_regularizer_constancy(EntropyRegularizer(1.5), 3, 2)
         assert vertex_regularizer_constancy(None, 3, 2)
+        # 2^17 one-hot points: a sample of them
+        assert vertex_regularizer_constancy(EntropyRegularizer(1.5), 17, 2)
 
     def test_asymmetric_fixture_detected(self):
         class FavorsLabelZero:
@@ -209,6 +215,7 @@ class TestVertexRegularizerConstancy:
                 return float(x[:, 0].sum())
 
         assert not vertex_regularizer_constancy(FavorsLabelZero(), 2, 2)
+        assert not vertex_regularizer_constancy(FavorsLabelZero(), 17, 2)
 
 
 class TestDecodedQualityFloor:

@@ -131,13 +131,16 @@ class TestPairwiseMatvec:
         np.testing.assert_allclose(backend.matvec(x)[0], [2.0, 0.0])
 
     def test_matvec_row_agrees(self, rng):
-        for kind in ("edges", "dense", "gaussian"):
-            inst = random_instance(rng, kind=kind)
-            x = random_feasible(rng, inst.n_nodes, inst.n_labels)
-            full = inst.pairwise.matvec(x)
-            for i in range(inst.n_nodes):
-                np.testing.assert_allclose(inst.pairwise.matvec_row(i, x), full[i],
-                                           atol=1e-12)
+        for kind in ("edges", "dense", "gaussian", "shift"):
+            if kind == "shift":
+                backend = DiagonalShift(random_edge_backend(rng, 5, 3),
+                                        rng.standard_normal((5, 3)))
+            else:
+                backend = random_instance(rng, kind=kind).pairwise
+            x = random_feasible(rng, backend.n_nodes, backend.n_labels)
+            full = backend.matvec(x)
+            for i in range(backend.n_nodes):
+                np.testing.assert_allclose(backend.matvec_row(i, x), full[i], atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["edges", "no-edges", "dense", "gaussian", "shift"])
     @pytest.mark.parametrize("order", ["C", "F"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,14 @@ class TestRoundBcd:
             for other in all_labelings(3, 2):
                 if np.sum(other != lab) == 1:
                     assert e <= inst.energy_discrete(other) + 1e-9
+
+    @pytest.mark.parametrize("kind", ["edges", "dense", "gaussian"])
+    @pytest.mark.parametrize("shape", [(8, 2), (9, 3)], ids=["8x2", "9x3"])
+    def test_wrong_shape_is_refused(self, rng, kind, shape):
+        inst = random_instance(rng, n=9, d=2, kind=kind)
+        with pytest.raises(ValueError, match=re.escape(
+                f"point must have shape (9, 2), got {shape}")):
+            round_bcd(inst, np.full(shape, 0.5))
 
 
 class TestRoundingConstant:

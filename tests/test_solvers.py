@@ -331,27 +331,31 @@ class TestSharedStart:
 
 
 class TestOperatorWork:
-    """Each iteration applies the pairwise operator once; Px is carried."""
+    """Each iteration applies the pairwise operator once; Px is carried.
+    pgm also applies it at its gradient point, from its second iteration."""
 
     @pytest.mark.parametrize("make_backend", [random_gaussian_backend, random_edge_backend])
-    @pytest.mark.parametrize("config, uses_lipschitz", [
-        (SolverConfig(MeanField(), max_iters=7), True),
-        (SolverConfig(VanillaFW(), schedule=LineSearch(), max_iters=7), True),
+    @pytest.mark.parametrize("config, uses_lipschitz, per_run", [
+        (SolverConfig(MeanField(), max_iters=7), True, 1 + 7),
+        (SolverConfig(VanillaFW(), schedule=LineSearch(), max_iters=7), True, 1 + 7),
         (SolverConfig(EntropicFW(), lam=0.25,
-                      schedule=LineSearch(), max_iters=7), True),
-        (SolverConfig(ADMM(), max_iters=7), False),
-        (SolverConfig(EMD(), max_iters=7), True),
-        (SolverConfig(PGD(), max_iters=7), True),
-    ], ids=["mf", "fw-linesearch", "efw-linesearch", "admm", "emd", "pgd"])
-    def test_one_matvec_per_iteration(self, rng, make_backend, config, uses_lipschitz):
+                      schedule=LineSearch(), max_iters=7), True, 1 + 7),
+        (SolverConfig(ADMM(), max_iters=7), False, 1 + 7),
+        (SolverConfig(EMD(), max_iters=7), True, 1 + 7),
+        (SolverConfig(PGD(), max_iters=7), True, 1 + 7),
+        (SolverConfig(FastPGM(), max_iters=7), True, 2 * 7),
+    ], ids=["mf", "fw-linesearch", "efw-linesearch", "admm", "emd", "pgd", "pgm"])
+    def test_one_matvec_per_iteration(self, rng, make_backend, config, uses_lipschitz,
+                                      per_run):
         unary = rng.standard_normal((9, 3))
         base = make_backend(rng, 9, 3)
         lip = CountingBackend(base)
         CrfInstance(unary, lip).lipschitz_upper_bound()
         counting = CountingBackend(base)
         _, trace = run_generalized_fw(CrfInstance(unary, counting), config)
-        # the Lipschitz estimate, P at the starting point, one per iteration
-        expected = (lip.matvecs if uses_lipschitz else 0) + 1 + len(trace)
+        # the Lipschitz estimate, then P at the starting point and the
+        # iteration's products
+        expected = (lip.matvecs if uses_lipschitz else 0) + per_run
         assert len(trace) == config.max_iters
         assert counting.matvecs == expected
 
