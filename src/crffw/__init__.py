@@ -7,10 +7,6 @@ plus rounding schemes, brute-force oracles, and convergence-bound
 diagnostics for desk-scale instances.
 """
 
-from .diagnostics import (ConvergenceParams, OracleReport, TightnessReport,
-                          brute_force_map, convergence_params, decrease_bound,
-                          feasible_set_diameter, finite_diff_gradient,
-                          tightness_report, vertex_regularizer_constancy)
 from .errors import (CapacityError, Diverged, InstanceFormatError,
                      UnsupportedFeatureError)
 from .instances import (RandomDense, RandomEdgeList, RandomGrid, generate,
@@ -19,9 +15,10 @@ from .model import (CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
                     GaussianKernel)
 from .regularizers import (EntropyRegularizer, L2Regularizer,
                            regularizer_bounds, regularizer_value)
-from .schedules import (SCHEDULES, Adaptive, Constant, ConstantLength, Harmonic,
-                        InvSqrt, LineSearch, HarmonicRamp, StepContext,
-                        stepsize)
+from .schedules import (SCHEDULES, Adaptive, Constant, ConstantLength,
+                        ConvergenceParams, Harmonic, InvSqrt, LineSearch,
+                        HarmonicRamp, StepContext, convergence_params,
+                        decrease_bound, feasible_set_diameter, stepsize)
 from .simplex import (is_feasible, project_feasible, project_simplex,
                       round_bcd, round_nearest, rounding_constant,
                       softmax_rows)
@@ -30,5 +27,8 @@ from .solvers import (ADMM, EMD, METHODS, PGD, ConvexFW, DampedMeanField,
                       L2FW, MeanField, SolverConfig, VanillaFW,
                       conditional_gradient_norm, convexify, direction_point,
                       lmo_vanilla, run_generalized_fw)
+from .verification import (OracleReport, TightnessReport, brute_force_map,
+                           finite_diff_gradient, tightness_report,
+                           vertex_regularizer_constancy)
 
 __version__ = "0.1.0"

@@ -90,7 +90,12 @@ def _build_config(method_name, lam, schedule, steps, check_bounds=False):
 def cmd_generate(args, parser):
     # a flag's dest is its spec field; a flag left out is not in `args`
     spec_cls = _SPECS[args.kind]
-    spec = spec_cls(**{f.name: getattr(args, f.name) for f in fields(spec_cls) if f.name in args})
+    names = [f.name for f in fields(spec_cls)]
+    unread = [flag for dest, flag in args.flags.items()
+              if dest in args and dest not in names + ["kind", "out"]]
+    if unread:
+        parser.error(f"--kind {args.kind} does not read {', '.join(unread)}")
+    spec = spec_cls(**{name: getattr(args, name) for name in names if name in args})
     try:
         instance = generate(spec)
     except ValueError as exc:
@@ -323,10 +328,10 @@ def build_parser():
     g = sub.add_parser("generate", help="write a synthetic instance file",
                        argument_default=argparse.SUPPRESS)
     g.add_argument("--kind", choices=tuple(_SPECS), default="dense")
-    g.add_argument("--nodes", dest="n", type=int, default=100)
-    g.add_argument("--labels", dest="d", type=int, default=5)
-    g.add_argument("--rows", type=int, default=5)
-    g.add_argument("--cols", type=int, default=5)
+    g.add_argument("--nodes", dest="n", type=int)
+    g.add_argument("--labels", dest="d", type=int)
+    g.add_argument("--rows", type=int)
+    g.add_argument("--cols", type=int)
     g.add_argument("--edge-prob", type=float)
     g.add_argument("--image-size", type=float)
     g.add_argument("--w1", type=float)
@@ -337,9 +342,10 @@ def build_parser():
     g.add_argument("--compat", choices=("potts", "random"))
     g.add_argument("--potts-w", type=float)
     g.add_argument("--unary-scale", type=float)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_generate)
+    # only --kind has a default: a flag in `args` was typed
+    g.set_defaults(func=cmd_generate, flags={a.dest: a.option_strings[0] for a in g._actions})
 
     s = sub.add_parser("solve", help="run one solver, write a trace CSV")
     s.add_argument("--instance", required=True)

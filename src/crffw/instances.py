@@ -37,9 +37,9 @@ class RandomDense:
     [0, 255]^3, unaries i.i.d. normal scaled by `unary_scale`.
     """
 
-    n: int
-    d: int
-    seed: int
+    n: int = 100
+    d: int = 5
+    seed: int = 0
     image_size: float = 32.0
     w1: float = 1.0
     w2: float = 1.0
@@ -55,10 +55,10 @@ class RandomDense:
 class RandomGrid:
     """4-connected grid with Potts edge potentials."""
 
-    rows: int
-    cols: int
-    d: int
-    seed: int
+    rows: int = 5
+    cols: int = 5
+    d: int = 5
+    seed: int = 0
     potts_w: float = 1.0
     unary_scale: float = 1.0
 
@@ -67,9 +67,9 @@ class RandomGrid:
 class RandomEdgeList:
     """Erdos-Renyi graph with i.i.d. normal d x d edge blocks."""
 
-    n: int
-    d: int
-    seed: int
+    n: int = 100
+    d: int = 5
+    seed: int = 0
     edge_prob: float = 0.3
     unary_scale: float = 1.0
 
@@ -228,6 +228,9 @@ def read_json(path):
         raise InstanceFormatError(f"unsupported instance format version {version!r}")
     n = _scalar(doc, "n", "instance file", (int,))
     d = _scalar(doc, "d", "instance file", (int,))
+    for key, size in (("n", n), ("d", d)):
+        if size < 1:
+            raise InstanceFormatError(f"field '{key}' in instance file must be >= 1, got {size}")
     unary = _numbers(doc, "unary", "instance file")
     if unary.shape != (n, d):
         raise InstanceFormatError(f"field 'unary' must be {n} x {d}, got {unary.shape}")

@@ -6,6 +6,9 @@ curvature constants (L_f, sigma_g); line search minimizes the composite
 objective along the segment, in closed form when it is an exact
 quadratic and by grid plus golden-section refinement otherwise; on a
 segment certified convex the grid scan reads only the points that can win.
+
+`decrease_bound` holds the analysis's guaranteed per-iteration decrease
+for each schedule; the solver loop checks bounded steps against it.
 """
 
 from __future__ import annotations
@@ -220,3 +223,83 @@ def stepsize(schedule, k, ctx=None):
     if isinstance(schedule, LineSearch):
         return _clamp01(_line_search(ctx))
     raise TypeError(f"unknown stepsize schedule: {schedule!r}")
+
+
+@dataclass(frozen=True)
+class ConvergenceParams:
+    """Constants entering the decrease bounds.
+
+    omega = sigma_g / (L_f + sigma_g); diameter = sqrt(2 n) is the
+    diameter of the product of n simplices (each row pair differs by at
+    most sqrt(2)).
+    """
+
+    l_f: float
+    sigma_g: float
+    diameter: float
+
+    @property
+    def omega(self):
+        if self.l_f + self.sigma_g <= 0.0:
+            return 1.0
+        return self.sigma_g / (self.l_f + self.sigma_g)
+
+
+def feasible_set_diameter(n_nodes):
+    """Diameter sqrt(2 n) of the product of n probability simplices."""
+    return math.sqrt(2.0 * n_nodes)
+
+
+def convergence_params(instance, reg):
+    return ConvergenceParams(
+        l_f=instance.lipschitz_upper_bound(),
+        sigma_g=0.0 if reg is None else reg.lam,
+        diameter=feasible_set_diameter(instance.n_nodes),
+    )
+
+
+def decrease_bound(params, schedule, k, s_k):
+    """Guaranteed per-iteration decrease delta_k with F_k - F_{k+1} >= delta_k.
+
+    Row selection: concave part (L_f = 0), strongly convex regularizer
+    (sigma_g > 0), or merely convex regularizer.  For schedules where
+    the analysis only yields convergence to an approximate stationary
+    point, the returned bound includes the corresponding slack term and
+    may be negative.  Every row reads only S_k, the stepsize of `schedule`
+    at iteration k (a constant-length rule's `alpha`), L_f, sigma_g and
+    the diameter.
+    """
+    l_f, sig, omega = params.l_f, params.sigma_g, params.omega
+    diam_sq = params.diameter ** 2
+    if isinstance(schedule, (Adaptive, LineSearch)):
+        if l_f == 0.0:
+            return s_k
+        if sig > 0.0:
+            return omega * s_k
+        try:  # s_k ** 2 raises past the float range; the product form keeps the row
+            return 0.5 * min(s_k, s_k ** 2 / (l_f * diam_sq))
+        except OverflowError:
+            return 0.5 * min(s_k, s_k * (s_k / (l_f * diam_sq)))
+    if isinstance(schedule, ConstantLength):
+        a = schedule.alpha
+        if l_f == 0.0:
+            return (a / params.diameter) * s_k
+        try:
+            a_sq = a ** 2
+        except OverflowError:  # a^2 past the float range: no decrease is certain
+            return -math.inf
+        if sig > 0.0:
+            return a * math.sqrt(max(2.0 * sig * s_k, 0.0)) - 0.5 * (l_f + sig) * a_sq
+        return (a / params.diameter) * s_k - 0.5 * l_f * a_sq
+    if isinstance(schedule, (Constant, Harmonic, HarmonicRamp, InvSqrt)):
+        a = stepsize(schedule, k)
+        if l_f == 0.0:
+            return a * s_k
+        if sig > 0.0:
+            if a < 2.0 * omega:
+                return a * min(1.0, 2.0 - a / omega) * s_k
+            # large constant stepsize: approximate-stationarity row
+            k_of_a = 0.5 * a * ((l_f + sig) * a - sig)
+            return a * s_k - k_of_a * diam_sq
+        return a * s_k - 0.5 * l_f * diam_sq * a ** 2
+    raise ValueError(f"unsupported schedule for decrease bounds: {schedule!r}")

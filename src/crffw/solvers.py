@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import diagnostics, schedules
+from . import schedules
 from .errors import Diverged
 from .model import CrfInstance, DiagonalShift
 from .regularizers import _LOG_FLOOR, EntropyRegularizer, L2Regularizer, regularizer_value
@@ -537,7 +537,7 @@ def run_generalized_fw(instance, config, pool=None):
     work = convexify(instance) if isinstance(method, ConvexFW) else instance
     reg = config.regularizer
     # L_f is estimated here, outside the iteration times
-    params = None if config.schedule is None else diagnostics.convergence_params(work, reg)
+    params = None if config.schedule is None else schedules.convergence_params(work, reg)
 
     # builds every cache e_disc reads (the kernel), so the helper builds none
     x, px = work.start()
@@ -573,7 +573,7 @@ def run_generalized_fw(instance, config, pool=None):
             _check_finite(trace, f"at iteration {k}", e_cont=e_cont, e_reg=e_reg)
 
             if method.bounded:
-                delta = diagnostics.decrease_bound(params, config.schedule, k, s_k)
+                delta = schedules.decrease_bound(params, config.schedule, k, s_k)
                 held = (f_prev - e_reg) >= (delta - _BOUND_TOL)
             else:
                 delta, held = math.nan, None

@@ -5,6 +5,9 @@ independent re-computation), `invariants` (geometric and algorithmic
 properties), and `bounds` (per-iteration decrease guarantees and
 rounding bounds).  Each check returns a CheckResult; a suite passes iff
 all its checks do.
+
+The ground-truth oracles they run (brute-force MAP, central-difference
+gradients, rounding tightness) live here too, apart from the solver paths.
 """
 
 from __future__ import annotations
@@ -17,10 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics, schedules, simplex, solvers
+from . import schedules, simplex, solvers
+from .errors import CapacityError
 from .instances import RandomGrid, generate, potts_matrix, read_json, read_uai, write_json
 from .model import CrfInstance, DenseMatrix, EdgeList, GaussianKernel
 from .regularizers import EntropyRegularizer, L2Regularizer, regularizer_bounds
+
+_BRUTE_FORCE_CAP = 10_000_000
+_CHUNK = 1 << 14
+_FD_STEP = 1e-5  # finite_diff_gradient's central-difference step
 
 
 @dataclass
@@ -91,6 +99,147 @@ def mean_field_iterates(instance, iters):
 
 
 # ---------------------------------------------------------------------------
+# oracles
+
+@dataclass(frozen=True)
+class OracleReport:
+    optimal_labeling: np.ndarray
+    optimal_energy: float
+    enumerated_count: int
+
+
+def _decode_labelings(indices, n, d):
+    # mixed-radix decoding, first node most significant -> lexicographic order
+    return np.stack(np.unravel_index(indices, (d,) * n), axis=1)
+
+
+def _batch_energies(unary, blocks, labelings):
+    n = unary.shape[0]
+    e = unary[np.arange(n)[None, :], labelings].sum(axis=1)
+    for i, j, blk in blocks:
+        e = e + blk[labelings[:, i], labelings[:, j]]
+    return e
+
+
+def brute_force_map(instance):
+    """Exhaustive MAP: minimum-energy labeling, lexicographic tie-break.
+
+    Reads P through `to_dense()`, so an operator too large to hold (an
+    `EdgeList` with d = 1 and n = 9000) raises `CapacityError` at any d^n.
+    """
+    n, d = instance.n_nodes, instance.n_labels
+    total = d ** n
+    if total > _BRUTE_FORCE_CAP:
+        raise CapacityError(
+            f"d^n = {total} labelings exceeds the enumeration cap {_BRUTE_FORCE_CAP}")
+    P = instance.pairwise.to_dense()
+    # diagonal entries count half at one-hot points; each i < j block once
+    unary = instance.unary + 0.5 * np.diag(P).reshape(n, d)
+    blocks = [(i, j, blk) for i in range(n) for j in range(i + 1, n)
+              if (blk := P[i * d:(i + 1) * d, j * d:(j + 1) * d]).any()]
+    best_energy = math.inf
+    best_labeling = None
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        labelings = _decode_labelings(idx, n, d)
+        energies = _batch_energies(unary, blocks, labelings)
+        j = int(np.argmin(energies))
+        if energies[j] < best_energy:
+            best_energy = float(energies[j])
+            best_labeling = labelings[j].copy()
+    # report the canonical evaluation of the winning labeling so the
+    # energy matches energy_discrete bit for bit
+    return OracleReport(optimal_labeling=best_labeling,
+                        optimal_energy=instance.energy_discrete(best_labeling),
+                        enumerated_count=total)
+
+
+def finite_diff_gradient(instance, x):
+    """Central-difference gradient of the continuous energy.
+
+    The energy is a quadratic polynomial, so central differences are
+    exact up to rounding; off-simplex evaluation is fine.
+    """
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.shape[0]):
+        for s in range(x.shape[1]):
+            xp = x.copy()
+            xm = x.copy()
+            xp[i, s] += _FD_STEP
+            xm[i, s] -= _FD_STEP
+            grad[i, s] = (instance.energy_relaxed(xp)
+                          - instance.energy_relaxed(xm)) / (2.0 * _FD_STEP)
+    return grad
+
+
+@dataclass(frozen=True)
+class TightnessReport:
+    e_star: float
+    e_rounded_nearest: float
+    e_rounded_bcd: float
+    bound_nearest: float
+    bound_bcd: float
+
+
+def tightness_report(instance, x, reg=None, x_is_global_min=False):
+    """Rounding-gap report against the brute-force optimum.
+
+    Always verifies E* <= E(rounded).  When the caller certifies x as a
+    global minimizer of the regularized relaxation, also verifies the
+    additive upper bounds E* + M - m (+ C for nearest rounding).
+    """
+    report = brute_force_map(instance)
+    e_star = report.optimal_energy
+    m, big_m = regularizer_bounds(reg, instance.n_nodes, instance.n_labels)
+    c = simplex.rounding_constant(instance)
+    e_near = instance.energy_discrete(simplex.round_nearest(x))
+    e_bcd = instance.energy_discrete(simplex.round_bcd(instance, x))
+    out = TightnessReport(
+        e_star=e_star,
+        e_rounded_nearest=e_near,
+        e_rounded_bcd=e_bcd,
+        bound_nearest=e_star + (big_m - m) + c,
+        bound_bcd=e_star + (big_m - m),
+    )
+    if e_near < e_star - 1e-9 or e_bcd < e_star - 1e-9:
+        raise AssertionError("rounded energy below the brute-force optimum")
+    if x_is_global_min:
+        if e_near > out.bound_nearest + 1e-7:
+            raise AssertionError("nearest-rounding additive bound violated")
+        if e_bcd > out.bound_bcd + 1e-7:
+            raise AssertionError("coordinate-descent rounding bound violated")
+    return out
+
+
+def vertex_regularizer_constancy(reg, n, d):
+    """True iff the regularizer value is constant across one-hot points.
+
+    Evaluates every one-hot point when d^n <= 2^16, otherwise a random
+    sample of 256 of them, and allows a spread of 1e-12.
+    """
+    total = d ** n
+    x = np.zeros((n, d))
+
+    def value_at(labels):
+        x.fill(0.0)
+        x[np.arange(n), labels] = 1.0
+        return 0.0 if reg is None else float(reg.value(x))
+
+    values = []
+    if total <= 65536:
+        for start in range(0, total, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+            for labels in _decode_labelings(idx, n, d):
+                values.append(value_at(labels))
+    else:
+        rng = np.random.default_rng(0)
+        for _ in range(256):
+            values.append(value_at(rng.integers(0, d, size=n)))
+    return (max(values) - min(values)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # oracle suite
 
 def suite_oracle(seed=0):
@@ -110,7 +259,7 @@ def suite_oracle(seed=0):
     ok = True
     for _ in range(40):
         inst = small_instance(rng)
-        report = diagnostics.brute_force_map(inst)
+        report = brute_force_map(inst)
         best = min(
             (_energy_by_hand(inst, np.array(lab)), lab)
             for lab in itertools.product(range(inst.n_labels), repeat=inst.n_nodes))
@@ -127,7 +276,7 @@ def suite_oracle(seed=0):
             inst = small_instance(rng, kind)
             x = random_feasible(rng, inst.n_nodes, inst.n_labels)
             g = inst.gradient(x)
-            fd = diagnostics.finite_diff_gradient(inst, x)
+            fd = finite_diff_gradient(inst, x)
             scale = max(1.0, float(np.abs(g).max()))
             worst = max(worst, float(np.abs(g - fd).max()) / scale)
     checks.append(CheckResult("gradient_finite_differences", worst <= 1e-6,
@@ -203,7 +352,7 @@ def suite_oracle(seed=0):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
             inst = read_uai(path)
-            report = diagnostics.brute_force_map(inst)
+            report = brute_force_map(inst)
 
             def product_of(lab):
                 p = 1.0
@@ -224,10 +373,8 @@ def suite_oracle(seed=0):
 # invariants suite
 
 def _grid_search_projection(v, step=1e-3):
-    # dense search over the simplex for d <= 3
+    # dense search over the simplex for d = 2 or 3
     d = v.size
-    if d == 1:
-        return np.array([1.0])
     ticks = np.arange(0.0, 1.0 + 0.5 * step, step)
     if d == 2:
         cand = np.stack([ticks, 1.0 - ticks], axis=1)
@@ -307,7 +454,7 @@ def suite_invariants(seed=0):
     ok = True
     for reg in (L2Regularizer(0.7), EntropyRegularizer(0.9)):
         n, d = 3, 3
-        if not diagnostics.vertex_regularizer_constancy(reg, n, d):
+        if not vertex_regularizer_constancy(reg, n, d):
             ok = False
         m, big_m = regularizer_bounds(reg, n, d)
         pts = rng.exponential(size=(2000, n, d))
@@ -414,7 +561,7 @@ def suite_bounds(seed=0):
         inst = small_instance(rng)
         reg = L2Regularizer(1.0) if i % 2 == 0 else EntropyRegularizer(1.0)
         method = solvers.L2FW() if i % 2 == 0 else solvers.EntropicFW()
-        omega = diagnostics.convergence_params(inst, reg).omega
+        omega = schedules.convergence_params(inst, reg).omega
         alpha = min(1.0, 0.9 * 2.0 * omega)
         cfg = solvers.SolverConfig(method, lam=reg.lam,
                                    schedule=schedules.Constant(alpha), max_iters=20)
@@ -448,7 +595,7 @@ def suite_bounds(seed=0):
         # F_0 - min_i F_i, a computable surrogate for F_0 - F*
         f_all = [trace.initial_e_reg, *trace.e_reg]
         f0_excess = float(f_all[0] - min(f_all))
-        omega = diagnostics.convergence_params(inst, cfg.regularizer).omega
+        omega = schedules.convergence_params(inst, cfg.regularizer).omega
         running_min = math.inf
         for k, rec in enumerate(trace.records):
             running_min = min(running_min, rec.s_k)
@@ -465,22 +612,22 @@ def suite_bounds(seed=0):
         e_rounded = inst.energy_discrete(simplex.round_nearest(x))
         if abs(e_x - e_rounded) > c + 1e-9:
             ok = False
-        report = diagnostics.tightness_report(inst, x)
+        report = tightness_report(inst, x)
         if report.e_rounded_bcd > e_x + 1e-9:
             ok = False
-        star = diagnostics.brute_force_map(inst)
+        star = brute_force_map(inst)
         one_hot = inst.one_hot(star.optimal_labeling)
         if abs(inst.energy_discrete(simplex.round_nearest(one_hot))
                - star.optimal_energy) > 1e-12:
             ok = False
     checks.append(CheckResult("rounding_bounds", ok))
 
-    params = diagnostics.ConvergenceParams(l_f=2.0, sigma_g=1.0, diameter=2.0)
-    adaptive_val = diagnostics.decrease_bound(params, schedules.Adaptive(), 0, 3.0)
-    concave = diagnostics.ConvergenceParams(l_f=0.0, sigma_g=0.0, diameter=2.0)
-    concave_val = diagnostics.decrease_bound(concave, schedules.Constant(0.5), 0, 3.0)
-    convex = diagnostics.ConvergenceParams(l_f=2.0, sigma_g=0.0, diameter=2.0)
-    convex_val = diagnostics.decrease_bound(convex, schedules.Constant(0.5), 0, 3.0)
+    params = schedules.ConvergenceParams(l_f=2.0, sigma_g=1.0, diameter=2.0)
+    adaptive_val = schedules.decrease_bound(params, schedules.Adaptive(), 0, 3.0)
+    concave = schedules.ConvergenceParams(l_f=0.0, sigma_g=0.0, diameter=2.0)
+    concave_val = schedules.decrease_bound(concave, schedules.Constant(0.5), 0, 3.0)
+    convex = schedules.ConvergenceParams(l_f=2.0, sigma_g=0.0, diameter=2.0)
+    convex_val = schedules.decrease_bound(convex, schedules.Constant(0.5), 0, 3.0)
     table_ok = (abs(adaptive_val - (1.0 / 3.0) * 3.0) < 1e-12
                 and abs(concave_val - 1.5) < 1e-12
                 and abs(convex_val - (1.5 - 0.5 * 2.0 * 4.0 * 0.25)) < 1e-12)

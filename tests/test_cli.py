@@ -70,6 +70,7 @@ class TestGenerate:
         ("--image-size", "inf"),
         ("--w1", "nan"),
         ("--kernel-alpha", "nan"),
+        ("--kind", "grid"),
     ], ids="_".join)
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, flags):
         out = tmp_path / "x.json"
@@ -87,12 +88,26 @@ class TestGenerate:
         (("--kind", "edges", "--edge-prob", "1.5"), "--edge-prob must lie in [0, 1]"),
         (("--kernel-alpha", "1e200"), "--kernel-alpha, --kernel-beta and --kernel-gamma "
                                       "must be strictly positive, with 2 v^2 finite"),
+        (("--kind", "grid", "--nodes", "50"), "--kind grid does not read --nodes"),
+        (("--rows", "3", "--edge-prob", "0.9"), "--kind dense does not read --rows, --edge-prob"),
+        (("--kind", "edges", "--kernel-alpha", "5"), "--kind edges does not read --kernel-alpha"),
     ], ids=lambda v: "_".join(v) if isinstance(v, tuple) else None)
     def test_usage_error_names_the_flag(self, tmp_path, capsys, flags, message):
         with pytest.raises(SystemExit) as exc_info:
             run_cli("generate", *flags, "--out", str(tmp_path / "x.json"))
         assert exc_info.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("dense", ("--nodes", "100", "--labels", "5", "--seed", "0")),
+        ("grid", ("--rows", "5", "--cols", "5", "--labels", "5", "--seed", "0")),
+        ("edges", ("--nodes", "100", "--labels", "5", "--seed", "0")),
+    ])
+    def test_spec_defaults_match_the_flags(self, tmp_path, kind, flags):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run_cli("generate", "--kind", kind, "--out", str(a)) == 0
+        assert run_cli("generate", "--kind", kind, *flags, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_edges_file_keeps_its_hash(self, tmp_path):
         import hashlib
@@ -492,7 +507,9 @@ class TestCompareSpecs:
     (("compare", "--methods", "efw:abc"), "--methods 'efw:abc': 'abc' is not a number"),
     (("compare", "--methods", "mf,efw:0.5:constant:x1"),
      "--methods 'efw:0.5:constant:x1': 'x1' is not a number"),
-], ids=["stepsize", "lambda", "method_schedule"])
+    (("solve", "--method", "fw", "--stepsize", "foo"), "unknown stepsize schedule 'foo'"),
+    (("compare", "--methods", ","), "at least one method is required"),
+], ids=["stepsize", "lambda", "method_schedule", "unknown_stepsize", "no_methods"])
 def test_unparsable_number_names_the_flag(instance_file, tmp_path, capsys, argv, message):
     where = "--instance" if argv[0] == "solve" else "--instances"
     extra = () if argv[0] == "solve" else ("--out", str(tmp_path / "cmp"))
@@ -799,7 +816,8 @@ class TestComparePool:
         paths = []
         for seed, kind in enumerate(("dense", "dense", "grid", "edges", "dense")):
             path = tmp_path / f"i{seed}.json"
-            assert run_cli("generate", "--kind", kind, "--nodes", "20", "--labels", "4",
+            nodes = () if kind == "grid" else ("--nodes", "20")  # the grid is 5x5
+            assert run_cli("generate", "--kind", kind, *nodes, "--labels", "4",
                            "--seed", str(seed), "--out", str(path)) == 0
             paths.append(str(path))
         workers = []

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -127,8 +128,11 @@ class TestJsonRoundTrip:
          r"^field 'w1' in pairwise is out of range, got 1000+$"),
         (EDGES, lambda doc: doc["unary"][0].__setitem__(0, 10 ** 400),
          r"^field 'unary' in instance file must hold numbers$"),
+        (EDGES, lambda doc: doc.update(unary=[[0.0, 0.0]]),
+         r"^field 'unary' must be 3 x 2, got \(1, 2\)$"),
     ], ids=["unary-text", "pairwise-string", "edges-number", "w1-text", "alpha-null",
-            "fractional-endpoint", "endpoint-past-int64", "w1-past-float", "unary-past-float"])
+            "fractional-endpoint", "endpoint-past-int64", "w1-past-float", "unary-past-float",
+            "unary-shape"])
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, edit, message):
         path = tmp_path / "bad.json"
         write_json(generate(spec), path)
@@ -147,7 +151,9 @@ class TestJsonRoundTrip:
      r"^field 'n' in instance file must be an integer, got true$"),
     ({"n": 1, "d": True, "unary": [[0.0]]},
      r"^field 'd' in instance file must be an integer, got true$"),
-], ids=["n-true", "d-true"])
+    ({"n": 0, "d": 2, "unary": []}, r"^field 'n' in instance file must be >= 1, got 0$"),
+    ({"n": 1, "d": 0, "unary": [[]]}, r"^field 'd' in instance file must be >= 1, got 0$"),
+], ids=["n-true", "d-true", "n-zero", "d-zero"])
 def test_json_sizes_must_be_integers(tmp_path, capsys, doc, message):
     # (1, 2) == (True, 2): the shape check alone lets a boolean through
     path = tmp_path / "bool.json"
@@ -157,6 +163,21 @@ def test_json_sizes_must_be_integers(tmp_path, capsys, doc, message):
         read_json(path)
     assert main(["solve", "--instance", str(path), "--method", "mf"]) == 1
     assert capsys.readouterr().err.startswith("error: field '")
+
+
+@pytest.mark.parametrize("suffix, text, message", [
+    (".json", '{"version": 1, "n": 1, "d": 2, "unary": [[0, 0]], "pairwise": {"type": "sparse"}}',
+     "unknown pairwise type 'sparse'"),
+    (".uai", "MARKOV\n2\n2 2\n1\n2 0 2\n4\n1 1 1 1\n", "factor 0 references an unknown variable"),
+    (".uai", "MARKOV\n2\n2 2\n1\n2 1 1\n4\n1 1 1 1\n", "factor 0 repeats a variable in its scope"),
+], ids=["pairwise-type", "uai-unknown-variable", "uai-repeated-variable"])
+def test_bad_structure_is_one_error_line(tmp_path, capsys, suffix, text, message):
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+        (read_json if suffix == ".json" else read_uai)(path)
+    assert main(["solve", "--instance", str(path), "--method", "mf"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def write_uai(path, text):

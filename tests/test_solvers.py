@@ -18,7 +18,7 @@ from crffw import (ADMM, EMD, METHODS, PGD, Adaptive, Constant, ConvexFW,
                    L2Regularizer, LineSearch, MeanField, HarmonicRamp,
                    RandomDense, RandomGrid, SolverConfig, StepContext, VanillaFW,
                    conditional_gradient_norm, convergence_params, convexify,
-                   diagnostics, direction_point, generate,
+                   direction_point, generate,
                    is_feasible, lmo_vanilla, project_feasible, round_nearest,
                    run_generalized_fw, schedules, softmax_rows)
 from crffw.solvers import _segment_error
@@ -861,7 +861,7 @@ class TestDiscreteEnergyHelper:
         method, fail_at = {"return": (VanillaFW(), 5), "check": (_EnergyFails(), 3),
                            "step": (_StepFails(), 2), "bound": (VanillaFW(), 1)}[case]
         if case == "bound":
-            monkeypatch.setattr(diagnostics, "decrease_bound", lambda *a: math.inf)
+            monkeypatch.setattr(schedules, "decrease_bound", lambda *a: math.inf)
         instance = generate(CHANGING_E_DISC)
         config = SolverConfig(method, schedule=Constant(0.5), max_iters=5,
                               decrease_bound_check=case == "bound")
