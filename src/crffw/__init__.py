@@ -17,7 +17,7 @@ from .regularizers import (EntropyRegularizer, L2Regularizer,
                            regularizer_bounds, regularizer_value)
 from .schedules import (SCHEDULES, Adaptive, Constant, ConstantLength,
                         ConvergenceParams, Harmonic, InvSqrt, LineSearch,
-                        HarmonicRamp, StepContext, convergence_params,
+                        HarmonicRamp, convergence_params,
                         decrease_bound, feasible_set_diameter, stepsize)
 from .simplex import (is_feasible, project_feasible, project_simplex,
                       round_bcd, round_nearest, rounding_constant,

@@ -193,8 +193,7 @@ def write_json(instance, path):
            "unary": instance.unary.tolist(),
            "pairwise": _backend_to_json(instance.pairwise)}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")  # json.dump to a file runs the pure-Python encoder
 
 
 def _backend_to_json(backend):

@@ -3,9 +3,11 @@
 Every schedule emits values in [0, 1].  The adaptive schedule trades off
 the optimality measure S_k against the squared direction norm using the
 curvature constants (L_f, sigma_g); line search minimizes the composite
-objective along the segment, in closed form when it is an exact
-quadratic and by grid plus golden-section refinement otherwise; on a
-segment certified convex the grid scan reads only the points that can win.
+objective along the Frank-Wolfe segment from x to p, in closed form when
+it is an exact quadratic and by grid plus golden-section refinement
+otherwise.  `_segment_error` bounds the rounding error of the segment
+function and certifies it convex; on a certified segment the grid scan
+reads only the points that can win.
 
 `decrease_bound` holds the analysis's guaranteed per-iteration decrease
 for each schedule; the solver loop checks bounded steps against it.
@@ -15,10 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+
+import numpy as np
+
+from .regularizers import _LOG_FLOOR, L2Regularizer, regularizer_value
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 129
+_U, _TINY = 2.0 ** -53, 2.0 ** -1074  # unit roundoff, least subnormal
+_LOG_ULPS = 4  # assumed error of numpy's float64 log; its own tests allow 1
 
 
 @dataclass(frozen=True)
@@ -39,8 +46,8 @@ class ConstantLength:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError("step length must be > 0")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("step length must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -63,9 +70,9 @@ class Adaptive:
     """alpha_k = min(1, (S_k / ||p - x||^2 + sigma_g / 2) / (L_f + sigma_g)).
 
     The solver loop computes L_f (the instance's spectral-norm bound) and
-    sigma_g (the regularizer's strong convexity) once and passes them to
-    the step generator, which puts them in the StepContext, so the step
-    and the decrease bound of a row read the same constants.
+    sigma_g (the regularizer's strong convexity) once, as the
+    ConvergenceParams it passes to the step generator; the step and the
+    decrease bound of a row read that same object.
     """
 
 
@@ -78,30 +85,6 @@ class LineSearch:
 SCHEDULES = {"constant": Constant, "constlength": ConstantLength,
              "harmonic": Harmonic, "ramp": HarmonicRamp, "invsqrt": InvSqrt,
              "adaptive": Adaptive, "linesearch": LineSearch}
-
-
-@dataclass
-class StepContext:
-    """Per-iteration quantities a schedule may consume.
-
-    s_k:          conditional gradient norm at the current point
-    dir_norm_sq:  ||p - x||^2
-    quad_a:       <dir, P dir> when the segment objective is quadratic
-    quad_b:       <grad, dir> linear coefficient of the segment objective
-    f_along:      callable alpha -> F(x + alpha * dir) for non-quadratic F
-    f_err:        bound on |computed - exact| of one f_along value, set
-                  only when the exact segment function is convex
-    l_f, sigma_g: resolved curvature constants for the adaptive rule
-    """
-
-    s_k: Optional[float] = None
-    dir_norm_sq: Optional[float] = None
-    quad_a: Optional[float] = None
-    quad_b: Optional[float] = None
-    f_along: Optional[Callable[[float], float]] = None
-    f_err: Optional[float] = None
-    l_f: Optional[float] = None
-    sigma_g: Optional[float] = None
 
 
 def _clamp01(a):
@@ -130,6 +113,68 @@ def _golden_section(f, lo, hi, tol=1e-10):
             d = lo + _GOLDEN * (hi - lo)
             fd = f(d)
     return 0.5 * (lo + hi)
+
+
+def _gamma(k):
+    return k * _U / (1.0 - k * _U)
+
+
+def _segment_error(reg, x, direction, quad_a, quad_b, base):
+    """Bound E on |computed - exact| for every value of f_along, or None
+    unless the exact segment function is certified convex.
+
+    Exact: phi(a) = 0.5 qa a^2 + qb a + r(x + a dir) - base on [0, 1],
+    over the stored floats, with r(y) = lam/2 sum y^2 or lam sum y log y
+    (0 log 0 = 0).  Write u = 2^-53, eta = 2^-1074, gamma_k = k u /
+    (1 - k u), N = x.size and A_s = |x_s| + |dir_s| >= |y_s(a)|.
+
+    Convexity.  L2: phi'' = qa + lam ||dir||^2.  Entropy, given x >= 0
+    and x + dir >= 0 (exact tests: rounding keeps signs): y_s > 0 inside
+    [0, 1] wherever dir_s != 0, and Cauchy-Schwarz on each row gives
+    phi'' >= qa + lam sum_rows ||dir_row||_1^2 / D_row, D_row the larger
+    endpoint value of the row sum of y (affine in a).  Float sums are
+    shrunk by a gamma covering their rounding.
+
+    Error.  Rounding a dir_s and x_s + a dir_s moves y_s by at most
+    2u(1+u) A_s + eta, so y_s^2 by at most 5u A_s^2 plus eta terms, and
+    y_s log max(y_s, 1e-300) (the computed y_s >= 0 too, by monotone
+    rounding) by at most max(|log 1e-300|, 1 + log A) times that; the
+    floor adds at most 1e-300 / e per term.  The log (_LOG_ULPS ulps),
+    the products, the sum in any order (gamma_N) and the lam product err
+    relative to `mass`, a bound on the sum of absolute terms (y log y is
+    at most max(1/e, A log A) in size).  The scalar combination adds
+    gamma_5 (|qa| / 2 + |qb| + |r| + |base|).  The factor 1 + 2^-20
+    covers second-order terms and this computation's own rounding.
+    """
+    terms = x.size
+    big = np.abs(x) + np.abs(direction)
+    spread = float(big.sum()) * (1.0 + _gamma(terms + 1))  # >= sum A_s
+    top = float(big.max()) * (1.0 + 4.0 * _U) + _TINY     # >= |y|, |computed y|
+    if isinstance(reg, L2Regularizer):
+        scale, ulps = 0.5, 3.0
+        curvature = float((direction * direction).sum()) * (1.0 - _gamma(terms + 8))
+        mass = float((big * big).sum()) * (1.0 + _gamma(terms + 20))
+        moved = 5.0 * _U * mass
+    else:
+        end = x + direction
+        if not (np.all(x >= 0.0) and np.all(end >= 0.0)):
+            return None
+        l1 = np.abs(direction).sum(axis=1)
+        rows = np.maximum(x.sum(axis=1), end.sum(axis=1))
+        curvature = float((l1 * l1 / rows).sum()) * (1.0 - _gamma(4 * terms + 16))
+        scale, ulps = 1.0, 2.0 * _LOG_ULPS + 3.0
+        slope = max(-math.log(_LOG_FLOOR), 1.0 + math.log(max(top, 1.0)))
+        mass = terms * max(1.0 / math.e, top * math.log(max(top, 1.0))) * (1.0 + (ulps + 3.0) * _U)
+        moved = slope * 2.0 * (1.0 + _U) * _U * spread + terms * _LOG_FLOOR
+    # 0.5 * lam is exact from 2^-1000 up
+    if not (reg.lam * curvature >= -quad_a and reg.lam >= 2.0 ** -1000):
+        return None
+    underflow = terms * _TINY * (1e3 + 8.0 * top)  # every eta term
+    e_reg = scale * reg.lam * (moved + (ulps * _U + _gamma(terms)) * mass + underflow)
+    r_max = scale * reg.lam * (mass + underflow) * (1.0 + _gamma(terms + 2))
+    e_scalar = _gamma(5) * (0.5 * abs(quad_a) + abs(quad_b) + r_max + abs(base)) + 4.0 * _TINY
+    err = (e_reg + e_scalar) * (1.0 + 2.0 ** -20)
+    return err if math.isfinite(err) else None
 
 
 def _grid_argmin(f, f_err):
@@ -177,13 +222,10 @@ def _grid_argmin(f, f_err):
     return best, values[best]
 
 
-def _line_search(ctx):
-    if ctx.quad_a is not None and ctx.quad_b is not None and ctx.f_along is None:
-        return _quadratic_argmin(ctx.quad_a, ctx.quad_b)
-    if ctx.f_along is None:
-        raise ValueError("line search needs quadratic coefficients or f_along")
-    f = ctx.f_along
-    best, f_best = _grid_argmin(f, ctx.f_err)
+def _scan(f, f_err):
+    """alpha in [0, 1] minimizing f: the grid winner, refined by golden
+    section within one grid step of it."""
+    best, f_best = _grid_argmin(f, f_err)
     h = 1.0 / (_GRID_POINTS - 1)
     a_best = best / (_GRID_POINTS - 1)
     lo = max(0.0, a_best - h)
@@ -193,15 +235,34 @@ def _line_search(ctx):
     return a_ref if f(a_ref) <= f_best else a_best
 
 
-def stepsize(schedule, k, ctx=None):
-    """Stepsize alpha_k in [0, 1] for iteration k under `schedule`."""
-    ctx = ctx if ctx is not None else StepContext()
+def _line_search(segment):
+    x, direction, p_direction, grad, reg, r_x = segment
+    quad_a = float((direction * p_direction).sum())
+    quad_b = float((grad * direction).sum())
+    if reg is None:
+        return _quadratic_argmin(quad_a, quad_b)
+
+    def f_along(a):
+        return (0.5 * quad_a * a * a + quad_b * a
+                + regularizer_value(reg, x + a * direction) - r_x)
+
+    return _scan(f_along, _segment_error(reg, x, direction, quad_a, quad_b, r_x))
+
+
+def stepsize(schedule, k, s_k=None, dir_sq=None, params=None, segment=None):
+    """Stepsize alpha_k in [0, 1] for iteration k under `schedule`.
+
+    s_k:     conditional gradient norm at the current point
+    dir_sq:  ||p - x||^2
+    params:  the run's ConvergenceParams, read by the adaptive rule
+    segment: (x, p - x, P(p - x), grad, reg, r(x)), read by line search
+    """
     if isinstance(schedule, Constant):
         return schedule.alpha
     if isinstance(schedule, ConstantLength):
-        if not ctx.dir_norm_sq or ctx.dir_norm_sq <= 0.0:
+        if not dir_sq or dir_sq <= 0.0:
             return 1.0
-        return _clamp01(schedule.alpha / math.sqrt(ctx.dir_norm_sq))
+        return _clamp01(schedule.alpha / math.sqrt(dir_sq))
     if isinstance(schedule, Harmonic):
         return 2.0 / (k + 2.0)
     if isinstance(schedule, HarmonicRamp):
@@ -209,19 +270,17 @@ def stepsize(schedule, k, ctx=None):
     if isinstance(schedule, InvSqrt):
         return min(1.0, 1.0 / math.sqrt(k + 1.0))
     if isinstance(schedule, Adaptive):
-        l_f, sig = ctx.l_f, ctx.sigma_g
-        if l_f is None or sig is None:
-            raise ValueError("adaptive stepsize needs resolved L_f and sigma_g")
-        if not ctx.dir_norm_sq or ctx.dir_norm_sq <= 0.0:
+        if s_k is None or params is None:
+            raise ValueError("adaptive stepsize needs S_k and ConvergenceParams")
+        if not dir_sq or dir_sq <= 0.0:
             return 1.0
-        denom = l_f + sig
+        sig = params.sigma_g
+        denom = params.l_f + sig
         if denom <= 0.0:
             return 1.0
-        if ctx.s_k is None:
-            raise ValueError("adaptive stepsize needs S_k")
-        return _clamp01((ctx.s_k / ctx.dir_norm_sq + 0.5 * sig) / denom)
+        return _clamp01((s_k / dir_sq + 0.5 * sig) / denom)
     if isinstance(schedule, LineSearch):
-        return _clamp01(_line_search(ctx))
+        return _clamp01(_line_search(segment))
     raise TypeError(f"unknown stepsize schedule: {schedule!r}")
 
 

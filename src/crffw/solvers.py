@@ -34,13 +34,11 @@ import numpy as np
 from . import schedules
 from .errors import Diverged
 from .model import CrfInstance, DiagonalShift
-from .regularizers import _LOG_FLOOR, EntropyRegularizer, L2Regularizer, regularizer_value
+from .regularizers import EntropyRegularizer, L2Regularizer, regularizer_value
 from .simplex import project_feasible, round_nearest, softmax_rows
 
 _BOUND_TOL = 1e-7
 _ADMM_RHO = 1.0
-_U, _TINY = 2.0 ** -53, 2.0 ** -1074  # unit roundoff, least subnormal
-_LOG_ULPS = 4  # assumed error of numpy's float64 log; its own tests allow 1
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +52,8 @@ _LOG_ULPS = 4  # assumed error of numpy's float64 log; its own tests allow 1
 # keeping its own state (momentum, duals) between iterations.  r(x) is
 # 0.0 for a method without a regularizer.  `params` holds the L_f and
 # sigma_g that the schedule and the loop's decrease bounds read, or is
-# None for a method without a schedule.
+# None for a method without a schedule.  pgm and emd read theirs with
+# ||p - x||^2 = 1: alpha scales the gradient, not a convex combination.
 
 class _Method:
     regularizer = None     # regularizer class the method takes, if any
@@ -88,19 +87,8 @@ class _FrankWolfe(_Method):
             pp = instance.pairwise.matvec(p)
             p_direction = pp - px
 
-            ctx = schedules.StepContext(s_k=s_k, dir_norm_sq=dir_sq,
-                                        l_f=params.l_f, sigma_g=params.sigma_g)
-            if isinstance(sched, schedules.LineSearch):
-                quad_a = float((direction * p_direction).sum())
-                quad_b = float((grad * direction).sum())
-                if reg is None:
-                    ctx.quad_a, ctx.quad_b = quad_a, quad_b
-                else:
-                    ctx.f_along = lambda a: (0.5 * quad_a * a * a + quad_b * a
-                                             + regularizer_value(reg, x + a * direction)
-                                             - r_x)
-                    ctx.f_err = _segment_error(reg, x, direction, quad_a, quad_b, r_x)
-            alpha = schedules.stepsize(sched, k, ctx)
+            alpha = schedules.stepsize(sched, k, s_k, dir_sq, params,
+                                       (x, direction, p_direction, grad, reg, r_x))
 
             if alpha == 1.0:
                 x, px, r_x = p, pp, r_p
@@ -108,68 +96,6 @@ class _FrankWolfe(_Method):
                 x, px = x + alpha * direction, px + alpha * p_direction
                 r_x = regularizer_value(reg, x)
             yield x, px, r_x, alpha, s_k, alpha * math.sqrt(dir_sq)
-
-
-def _gamma(k):
-    return k * _U / (1.0 - k * _U)
-
-
-def _segment_error(reg, x, direction, quad_a, quad_b, base):
-    """Bound E on |computed - exact| for every value of f_along, or None
-    unless the exact segment function is certified convex.
-
-    Exact: phi(a) = 0.5 qa a^2 + qb a + r(x + a dir) - base on [0, 1],
-    over the stored floats, with r(y) = lam/2 sum y^2 or lam sum y log y
-    (0 log 0 = 0).  Write u = 2^-53, eta = 2^-1074, gamma_k = k u /
-    (1 - k u), N = x.size and A_s = |x_s| + |dir_s| >= |y_s(a)|.
-
-    Convexity.  L2: phi'' = qa + lam ||dir||^2.  Entropy, given x >= 0
-    and x + dir >= 0 (exact tests: rounding keeps signs): y_s > 0 inside
-    [0, 1] wherever dir_s != 0, and Cauchy-Schwarz on each row gives
-    phi'' >= qa + lam sum_rows ||dir_row||_1^2 / D_row, D_row the larger
-    endpoint value of the row sum of y (affine in a).  Float sums are
-    shrunk by a gamma covering their rounding.
-
-    Error.  Rounding a dir_s and x_s + a dir_s moves y_s by at most
-    2u(1+u) A_s + eta, so y_s^2 by at most 5u A_s^2 plus eta terms, and
-    y_s log max(y_s, 1e-300) (the computed y_s >= 0 too, by monotone
-    rounding) by at most max(|log 1e-300|, 1 + log A) times that; the
-    floor adds at most 1e-300 / e per term.  The log (_LOG_ULPS ulps),
-    the products, the sum in any order (gamma_N) and the lam product err
-    relative to `mass`, a bound on the sum of absolute terms (y log y is
-    at most max(1/e, A log A) in size).  The scalar combination adds
-    gamma_5 (|qa| / 2 + |qb| + |r| + |base|).  The factor 1 + 2^-20
-    covers second-order terms and this computation's own rounding.
-    """
-    terms = x.size
-    big = np.abs(x) + np.abs(direction)
-    spread = float(big.sum()) * (1.0 + _gamma(terms + 1))  # >= sum A_s
-    top = float(big.max()) * (1.0 + 4.0 * _U) + _TINY     # >= |y|, |computed y|
-    if isinstance(reg, L2Regularizer):
-        scale, ulps = 0.5, 3.0
-        curvature = float((direction * direction).sum()) * (1.0 - _gamma(terms + 8))
-        mass = float((big * big).sum()) * (1.0 + _gamma(terms + 20))
-        moved = 5.0 * _U * mass
-    else:
-        end = x + direction
-        if not (np.all(x >= 0.0) and np.all(end >= 0.0)):
-            return None
-        l1 = np.abs(direction).sum(axis=1)
-        rows = np.maximum(x.sum(axis=1), end.sum(axis=1))
-        curvature = float((l1 * l1 / rows).sum()) * (1.0 - _gamma(4 * terms + 16))
-        scale, ulps = 1.0, 2.0 * _LOG_ULPS + 3.0
-        slope = max(-math.log(_LOG_FLOOR), 1.0 + math.log(max(top, 1.0)))
-        mass = terms * max(1.0 / math.e, top * math.log(max(top, 1.0))) * (1.0 + (ulps + 3.0) * _U)
-        moved = slope * 2.0 * (1.0 + _U) * _U * spread + terms * _LOG_FLOOR
-    # 0.5 * lam is exact from 2^-1000 up
-    if not (reg.lam * curvature >= -quad_a and reg.lam >= 2.0 ** -1000):
-        return None
-    underflow = terms * _TINY * (1e3 + 8.0 * top)  # every eta term
-    e_reg = scale * reg.lam * (moved + (ulps * _U + _gamma(terms)) * mass + underflow)
-    r_max = scale * reg.lam * (mass + underflow) * (1.0 + _gamma(terms + 2))
-    e_scalar = _gamma(5) * (0.5 * abs(quad_a) + abs(quad_b) + r_max + abs(base)) + 4.0 * _TINY
-    err = (e_reg + e_scalar) * (1.0 + 2.0 ** -20)
-    return err if math.isfinite(err) else None
 
 
 class VanillaFW(_FrankWolfe):
@@ -215,12 +141,6 @@ class PGD(_FrankWolfe):
         return project_feasible(x - grad), s_k, 0.0
 
 
-def _gradient_stepsize(params, sched, k, s_k):
-    # alpha scales the gradient here, not a convex combination
-    return schedules.stepsize(sched, k, schedules.StepContext(
-        s_k=s_k, dir_norm_sq=1.0, l_f=params.l_f, sigma_g=0.0))
-
-
 class FastPGM(_Method):
     """Accelerated projected gradient with the usual momentum sequence
     t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2.
@@ -236,7 +156,7 @@ class FastPGM(_Method):
         for k in itertools.count():
             grad = py + instance.unary
             s_k = _gap(grad, y, lmo_vanilla(grad))
-            alpha = _gradient_stepsize(params, config.schedule, k, s_k)
+            alpha = schedules.stepsize(config.schedule, k, s_k, 1.0, params)
             x_new = project_feasible(y - alpha * grad)
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = x_new + ((t - 1.0) / t_new) * (x_new - x)
@@ -260,7 +180,7 @@ class EMD(_Method):
         for k in itertools.count():
             grad = px + instance.unary
             s_k = _gap(grad, x, lmo_vanilla(grad))
-            alpha = _gradient_stepsize(params, config.schedule, k, s_k)
+            alpha = schedules.stepsize(config.schedule, k, s_k, 1.0, params)
             shift = alpha * grad.min(axis=1, keepdims=True)
             weights = (x + eps) * np.exp(-alpha * grad + shift)
             x_new = weights / weights.sum(axis=1, keepdims=True)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -201,6 +202,17 @@ class TestSolve:
                        "--lambda", "0.5", "--stepsize", "adaptive", "--steps", "15",
                        "--check-bounds", "--trace", str(tmp_path / "t.csv"))
         assert code == 0
+
+    def test_failed_bound_check_is_one_line(self, instance_file, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(crffw.schedules, "decrease_bound", lambda *args: math.inf)
+        code = run_cli("solve", "--instance", str(instance_file), "--method", "efw",
+                       "--lambda", "0.5", "--stepsize", "adaptive", "--steps", "3",
+                       "--check-bounds")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: decrease bound violated at iteration 0: ")
+        assert err.count("\n") == 1
 
     def test_missing_instance_file_is_runtime_error(self, tmp_path):
         code = run_cli("solve", "--instance", str(tmp_path / "missing.json"),
@@ -518,6 +530,24 @@ def test_unparsable_number_names_the_flag(instance_file, tmp_path, capsys, argv,
     assert exc_info.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
     assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--method", "l2fw", "--stepsize", "constlength:inf"),
+    ("compare", "--methods", "fw::constlength:inf"),
+], ids=["solve", "compare"])
+def test_infinite_step_length_is_usage_error(instance_file, tmp_path, capsys, argv):
+    outputs = [tmp_path / "t.csv", tmp_path / "labels.json", tmp_path / "cmp"]
+    if argv[0] == "solve":
+        extra = ("--instance", str(instance_file), "--trace", str(outputs[0]),
+                 "--labels-out", str(outputs[1]))
+    else:
+        extra = ("--instances", str(instance_file), "--out", str(outputs[2]))
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(*argv, *extra)
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: step length must be finite and > 0\n")
+    assert not any(path.exists() for path in outputs)
 
 
 @pytest.mark.parametrize("case", ["solve_instance_dir", "solve_labels_out_dir",

@@ -1,12 +1,24 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crffw import (Adaptive, Constant, ConstantLength, Harmonic, InvSqrt,
-                   L2Regularizer, LineSearch, HarmonicRamp, StepContext,
+from crffw import (Adaptive, Constant, ConstantLength, ConvergenceParams, Harmonic,
+                   InvSqrt, L2Regularizer, LineSearch, HarmonicRamp, schedules,
                    stepsize)
+
+
+def params(l_f, sigma_g):
+    return ConvergenceParams(l_f=l_f, sigma_g=sigma_g, diameter=1.0)
+
+
+def segment(quad_a, quad_b):
+    """A one-entry segment without a regularizer: <d, P d> = quad_a and
+    <grad, d> = quad_b."""
+    one = np.ones((1, 1))
+    return one, one, np.full((1, 1), quad_a), np.full((1, 1), quad_b), None, 0.0
 
 
 class TestPlainSchedules:
@@ -31,55 +43,63 @@ class TestPlainSchedules:
         assert stepsize(Constant(0.3), 17) == 0.3
 
     def test_constant_length(self):
-        ctx = StepContext(dir_norm_sq=4.0)
-        assert stepsize(ConstantLength(1.0), 0, ctx) == 0.5
-        assert stepsize(ConstantLength(10.0), 0, ctx) == 1.0  # clamped
-        assert stepsize(ConstantLength(1.0), 0, StepContext(dir_norm_sq=0.0)) == 1.0
+        assert stepsize(ConstantLength(1.0), 0, dir_sq=4.0) == 0.5
+        assert stepsize(ConstantLength(10.0), 0, dir_sq=4.0) == 1.0  # clamped
+        assert stepsize(ConstantLength(1.0), 0, dir_sq=0.0) == 1.0
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_constant_length_validation(self, alpha):
+        with pytest.raises(ValueError, match="step length must be finite and > 0"):
+            ConstantLength(alpha)
 
 
 class TestAdaptive:
     def test_formula(self):
         # (S_k / ||p - x||^2 + sigma_g / 2) / (L_f + sigma_g) = (0.5 + 0.5) / 3
-        ctx = StepContext(s_k=1.0, dir_norm_sq=2.0, l_f=2.0, sigma_g=1.0)
-        assert stepsize(Adaptive(), 0, ctx) == pytest.approx(1.0 / 3.0)
+        assert stepsize(Adaptive(), 0, s_k=1.0, dir_sq=2.0,
+                        params=params(2.0, 1.0)) == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize("missing", ["s_k", "params"])
+    def test_needs_s_k_and_params(self, missing):
+        inputs = {"s_k": 1.0, "dir_sq": 1.0, "params": params(2.0, 1.0)}
+        del inputs[missing]
+        with pytest.raises(ValueError, match="adaptive stepsize needs"):
+            stepsize(Adaptive(), 0, **inputs)
 
     def test_zero_direction_returns_one(self):
-        ctx = StepContext(s_k=1.0, dir_norm_sq=0.0, l_f=2.0, sigma_g=1.0)
-        assert stepsize(Adaptive(), 0, ctx) == 1.0
+        assert stepsize(Adaptive(), 0, s_k=1.0, dir_sq=0.0, params=params(2.0, 1.0)) == 1.0
 
     def test_concave_case_returns_one(self):
-        ctx = StepContext(s_k=1.0, dir_norm_sq=1.0, l_f=0.0, sigma_g=0.0)
-        assert stepsize(Adaptive(), 0, ctx) == 1.0
+        assert stepsize(Adaptive(), 0, s_k=1.0, dir_sq=1.0, params=params(0.0, 0.0)) == 1.0
 
     def test_resolved_from_context(self):
-        ctx = StepContext(s_k=1.0, dir_norm_sq=1.0, l_f=2.0, sigma_g=1.0)
-        assert stepsize(Adaptive(), 0, ctx) == pytest.approx(0.5)
+        assert stepsize(Adaptive(), 0, s_k=1.0, dir_sq=1.0,
+                        params=params(2.0, 1.0)) == pytest.approx(0.5)
 
     def test_clamped_to_one(self):
-        ctx = StepContext(s_k=100.0, dir_norm_sq=1.0, l_f=1.0, sigma_g=1.0)
-        assert stepsize(Adaptive(), 0, ctx) == 1.0
+        assert stepsize(Adaptive(), 0, s_k=100.0, dir_sq=1.0, params=params(1.0, 1.0)) == 1.0
 
 
 class TestLineSearch:
     def test_closed_form_interior_minimum(self):
         # 0.5*a*t^2 + b*t with minimum at 0.3: a = 1, b = -0.3
-        ctx = StepContext(quad_a=1.0, quad_b=-0.3)
-        assert stepsize(LineSearch(), 0, ctx) == pytest.approx(0.3, abs=1e-9)
+        alpha = stepsize(LineSearch(), 0, segment=segment(1.0, -0.3))
+        assert alpha == pytest.approx(0.3, abs=1e-9)
 
     def test_closed_form_concave_segment(self):
         # concave along the segment: endpoint with the lower value wins
-        assert stepsize(LineSearch(), 0, StepContext(quad_a=-1.0, quad_b=0.2)) == 1.0
-        assert stepsize(LineSearch(), 0, StepContext(quad_a=-1.0, quad_b=2.0)) == 0.0
+        assert stepsize(LineSearch(), 0, segment=segment(-1.0, 0.2)) == 1.0
+        assert stepsize(LineSearch(), 0, segment=segment(-1.0, 2.0)) == 0.0
 
     def test_closed_form_clamping(self):
-        assert stepsize(LineSearch(), 0, StepContext(quad_a=1.0, quad_b=-5.0)) == 1.0
-        assert stepsize(LineSearch(), 0, StepContext(quad_a=1.0, quad_b=5.0)) == 0.0
+        assert stepsize(LineSearch(), 0, segment=segment(1.0, -5.0)) == 1.0
+        assert stepsize(LineSearch(), 0, segment=segment(1.0, 5.0)) == 0.0
 
     def test_grid_golden_refinement(self):
         # smooth strictly unimodal objective with known minimizer
         target = 0.377
-        ctx = StepContext(f_along=lambda a: (a - target) ** 2)
-        assert stepsize(LineSearch(), 0, ctx) == pytest.approx(target, abs=1e-8)
+        alpha = schedules._scan(lambda a: (a - target) ** 2, None)
+        assert alpha == pytest.approx(target, abs=1e-8)
 
     def test_never_worse_than_reference_alphas(self, rng):
         lam = 0.7
@@ -94,15 +114,15 @@ class TestLineSearch:
                 return (0.5 * a * alpha ** 2 + b * alpha
                         + reg.value(base + alpha * direction))
 
-            alpha_star = stepsize(LineSearch(), 0, StepContext(f_along=f))
+            alpha_star = schedules._scan(f, None)
             assert f(alpha_star) <= f(1.0) + 1e-9
             assert f(alpha_star) <= f(0.5) + 1e-9
 
 
 def _alphas(f, f_err):
     """(pruned, full) line-search alphas of f_along f, as float.hex."""
-    pruned = stepsize(LineSearch(), 0, StepContext(f_along=f, f_err=f_err))
-    full = stepsize(LineSearch(), 0, StepContext(f_along=f))
+    pruned = schedules._scan(f, f_err)
+    full = schedules._scan(f, None)
     return pruned.hex(), full.hex()
 
 
@@ -155,7 +175,7 @@ class TestPrunedScan:
             seen.append(a)
             return (a - 0.377) ** 2
 
-        stepsize(LineSearch(), 0, StepContext(f_along=f, f_err=1e-15))
+        schedules._scan(f, 1e-15)
         grid = {a for a in seen if (a * 128.0).is_integer()}
         assert len(grid) <= 16
         assert len(seen) == len(set(seen))  # no point is evaluated twice

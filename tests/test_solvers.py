@@ -16,12 +16,12 @@ from crffw import (ADMM, EMD, METHODS, PGD, Adaptive, Constant, ConvexFW,
                    CrfInstance, DampedMeanField, Diverged, EdgeList,
                    EntropicFW, EntropyRegularizer, FastPGM, Harmonic, L2FW,
                    L2Regularizer, LineSearch, MeanField, HarmonicRamp,
-                   RandomDense, RandomGrid, SolverConfig, StepContext, VanillaFW,
+                   RandomDense, RandomGrid, SolverConfig, VanillaFW,
                    conditional_gradient_norm, convergence_params, convexify,
                    direction_point, generate,
                    is_feasible, lmo_vanilla, project_feasible, round_nearest,
                    run_generalized_fw, schedules, softmax_rows)
-from crffw.solvers import _segment_error
+from crffw.schedules import _segment_error
 from crffw.verification import mean_field_iterates
 
 
@@ -428,7 +428,7 @@ def _random_segment(rng, entropic):
 
 
 class TestLineSearchCertificate:
-    """The solver's f_err bounds every f_along error, convexity holds
+    """The line search's f_err bounds every f_along error, convexity holds
     where it is certified, and the pruned scan then does less work for
     the same alpha."""
 
@@ -493,16 +493,16 @@ class TestLineSearchCertificate:
         inst = random_instance(rng, n=int(rng.integers(2, 12)), d=3, kind=kind)
         cfg = SolverConfig(METHODS[name](), lam=float(lam), schedule=LineSearch(),
                            max_iters=8)
-        real = schedules.stepsize
+        real = schedules._scan
 
-        def both(sched, k, ctx):
-            alpha = real(sched, k, ctx)
-            full = real(sched, k, StepContext(f_along=ctx.f_along))
+        def both(f, f_err):
+            alpha = real(f, f_err)
+            full = real(f, None)
             assert alpha.hex() == full.hex()
             return alpha
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(schedules, "stepsize", both)
+            mp.setattr(schedules, "_scan", both)
             run_generalized_fw(inst, cfg)
 
     def _evaluations(self, monkeypatch, certify):
@@ -510,19 +510,18 @@ class TestLineSearchCertificate:
         of efw --lambda 0.25 --stepsize linesearch on a 10 x 10 grid;
         every one of its 20 segments is certified convex."""
         inst = generate(RandomGrid(rows=10, cols=10, d=8, seed=3))
-        real, searches = schedules.stepsize, []
+        real, searches = schedules._scan, []
 
-        def counting(sched, k, ctx):
-            calls, f = [], ctx.f_along
-            ctx.f_along = lambda a: calls.append(a) or f(a)
+        def counting(f, f_err):
+            calls = []
             if not certify:
-                ctx.f_err = None
-            alpha = real(sched, k, ctx)
+                f_err = None
+            alpha = real(lambda a: calls.append(a) or f(a), f_err)
             grid = {a for a in calls if (a * 128).is_integer()}
-            searches.append((ctx.f_err is not None, len(calls), len(grid)))
+            searches.append((f_err is not None, len(calls), len(grid)))
             return alpha
 
-        monkeypatch.setattr(schedules, "stepsize", counting)
+        monkeypatch.setattr(schedules, "_scan", counting)
         cfg = SolverConfig(EntropicFW(), lam=0.25, schedule=LineSearch(), max_iters=20)
         run_generalized_fw(inst, cfg)
         return searches
