@@ -128,7 +128,7 @@ def _generate_grid(spec):
                 edges.append((i, i + spec.cols))
     edges = sorted(edges)
     thetas = np.repeat(potts[None, :, :], len(edges), axis=0)
-    return CrfInstance(unary, EdgeList(n, spec.d, np.array(edges, dtype=int).reshape(-1, 2), thetas))
+    return CrfInstance(unary, EdgeList(n, spec.d, edges, thetas))
 
 
 def _generate_edges(spec):
@@ -145,9 +145,7 @@ def _generate_edges(spec):
             if rng.uniform() < spec.edge_prob:
                 edges.append((i, j))
                 thetas.append(rng.standard_normal((spec.d, spec.d)))
-    thetas = np.array(thetas) if thetas else np.zeros((0, spec.d, spec.d))
-    return CrfInstance(unary, EdgeList(spec.n, spec.d,
-                                       np.array(edges, dtype=int).reshape(-1, 2), thetas))
+    return CrfInstance(unary, EdgeList(spec.n, spec.d, edges, thetas))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +243,11 @@ def read_json(path):
             edges = [(_scalar(e, "i", "edge entry", (int,)),
                       _scalar(e, "j", "edge entry", (int,))) for e in entries]
             thetas = [_numbers(e, "theta", "edge entry") for e in entries]
-            thetas = np.array(thetas) if thetas else np.zeros((0, d, d))
-            backend = EdgeList(n, d, np.array(edges, dtype=int).reshape(-1, 2), thetas)
+            for theta in thetas:
+                if theta.shape != (d, d):
+                    raise InstanceFormatError(
+                        f"field 'theta' in edge entry must be {d} x {d}, got {theta.shape}")
+            backend = EdgeList(n, d, edges, thetas)
         elif kind == "gaussian":
             backend = GaussianKernel(
                 _numbers(pw, "positions", "pairwise"), _numbers(pw, "colors", "pairwise"),

@@ -4,10 +4,10 @@ Every schedule emits values in [0, 1].  The adaptive schedule trades off
 the optimality measure S_k against the squared direction norm using the
 curvature constants (L_f, sigma_g); line search minimizes the composite
 objective along the Frank-Wolfe segment from x to p, in closed form when
-it is an exact quadratic and by grid plus golden-section refinement
-otherwise.  `_segment_error` bounds the rounding error of the segment
-function and certifies it convex; on a certified segment the grid scan
-reads only the points that can win.
+it is an exact quadratic (no regularizer, or l2) and by grid plus
+golden-section refinement for the entropy.  `_segment_error` bounds the
+rounding error of the entropic segment function and certifies it convex;
+on a certified segment the grid scan reads only the points that can win.
 
 `decrease_bound` holds the analysis's guaranteed per-iteration decrease
 for each schedule; the solver loop checks bounded steps against it.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regularizers import _LOG_FLOOR, L2Regularizer, regularizer_value
+from .regularizers import _LOG_FLOOR, L2Regularizer
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 129
@@ -120,58 +120,49 @@ def _gamma(k):
 
 
 def _segment_error(reg, x, direction, quad_a, quad_b, base):
-    """Bound E on |computed - exact| for every value of f_along, or None
-    unless the exact segment function is certified convex.
+    """Bound E on |computed - exact| for every value of the entropic
+    f_along, or None unless the exact segment function is certified convex.
 
     Exact: phi(a) = 0.5 qa a^2 + qb a + r(x + a dir) - base on [0, 1],
-    over the stored floats, with r(y) = lam/2 sum y^2 or lam sum y log y
-    (0 log 0 = 0).  Write u = 2^-53, eta = 2^-1074, gamma_k = k u /
-    (1 - k u), N = x.size and A_s = |x_s| + |dir_s| >= |y_s(a)|.
+    over the stored floats, with r(y) = lam sum y log y (0 log 0 = 0).
+    Write u = 2^-53, eta = 2^-1074, gamma_k = k u / (1 - k u), N = x.size
+    and A_s = |x_s| + |dir_s| >= |y_s(a)|.
 
-    Convexity.  L2: phi'' = qa + lam ||dir||^2.  Entropy, given x >= 0
-    and x + dir >= 0 (exact tests: rounding keeps signs): y_s > 0 inside
-    [0, 1] wherever dir_s != 0, and Cauchy-Schwarz on each row gives
-    phi'' >= qa + lam sum_rows ||dir_row||_1^2 / D_row, D_row the larger
-    endpoint value of the row sum of y (affine in a).  Float sums are
-    shrunk by a gamma covering their rounding.
+    Convexity, given x >= 0 and x + dir >= 0 (exact tests: rounding keeps
+    signs): y_s > 0 inside [0, 1] wherever dir_s != 0, and Cauchy-Schwarz
+    on each row gives phi'' >= qa + lam sum_rows ||dir_row||_1^2 / D_row,
+    D_row the larger endpoint value of the row sum of y (affine in a).
+    Float sums are shrunk by a gamma covering their rounding.
 
     Error.  Rounding a dir_s and x_s + a dir_s moves y_s by at most
-    2u(1+u) A_s + eta, so y_s^2 by at most 5u A_s^2 plus eta terms, and
-    y_s log max(y_s, 1e-300) (the computed y_s >= 0 too, by monotone
-    rounding) by at most max(|log 1e-300|, 1 + log A) times that; the
-    floor adds at most 1e-300 / e per term.  The log (_LOG_ULPS ulps),
-    the products, the sum in any order (gamma_N) and the lam product err
-    relative to `mass`, a bound on the sum of absolute terms (y log y is
-    at most max(1/e, A log A) in size).  The scalar combination adds
-    gamma_5 (|qa| / 2 + |qb| + |r| + |base|).  The factor 1 + 2^-20
-    covers second-order terms and this computation's own rounding.
+    2u(1+u) A_s + eta, so y_s log max(y_s, 1e-300) (the computed y_s >= 0
+    too, by monotone rounding) by at most max(|log 1e-300|, 1 + log A)
+    times that; the floor adds at most 1e-300 / e per term.  The log
+    (_LOG_ULPS ulps), the products, the sum in any order (gamma_N) and the
+    lam product err relative to `mass`, a bound on the sum of absolute
+    terms (y log y is at most max(1/e, A log A) in size).  The scalar
+    combination adds gamma_5 (|qa| / 2 + |qb| + |r| + |base|); the factor
+    1 + 2^-20 covers second-order terms and this computation's rounding.
     """
     terms = x.size
     big = np.abs(x) + np.abs(direction)
     spread = float(big.sum()) * (1.0 + _gamma(terms + 1))  # >= sum A_s
     top = float(big.max()) * (1.0 + 4.0 * _U) + _TINY     # >= |y|, |computed y|
-    if isinstance(reg, L2Regularizer):
-        scale, ulps = 0.5, 3.0
-        curvature = float((direction * direction).sum()) * (1.0 - _gamma(terms + 8))
-        mass = float((big * big).sum()) * (1.0 + _gamma(terms + 20))
-        moved = 5.0 * _U * mass
-    else:
-        end = x + direction
-        if not (np.all(x >= 0.0) and np.all(end >= 0.0)):
-            return None
-        l1 = np.abs(direction).sum(axis=1)
-        rows = np.maximum(x.sum(axis=1), end.sum(axis=1))
-        curvature = float((l1 * l1 / rows).sum()) * (1.0 - _gamma(4 * terms + 16))
-        scale, ulps = 1.0, 2.0 * _LOG_ULPS + 3.0
-        slope = max(-math.log(_LOG_FLOOR), 1.0 + math.log(max(top, 1.0)))
-        mass = terms * max(1.0 / math.e, top * math.log(max(top, 1.0))) * (1.0 + (ulps + 3.0) * _U)
-        moved = slope * 2.0 * (1.0 + _U) * _U * spread + terms * _LOG_FLOOR
-    # 0.5 * lam is exact from 2^-1000 up
+    end = x + direction
+    if not (np.all(x >= 0.0) and np.all(end >= 0.0)):
+        return None
+    l1 = np.abs(direction).sum(axis=1)
+    rows = np.maximum(x.sum(axis=1), end.sum(axis=1))
+    curvature = float((l1 * l1 / rows).sum()) * (1.0 - _gamma(4 * terms + 16))
+    ulps = 2.0 * _LOG_ULPS + 3.0
+    slope = max(-math.log(_LOG_FLOOR), 1.0 + math.log(max(top, 1.0)))
+    mass = terms * max(1.0 / math.e, top * math.log(max(top, 1.0))) * (1.0 + (ulps + 3.0) * _U)
+    moved = slope * 2.0 * (1.0 + _U) * _U * spread + terms * _LOG_FLOOR
     if not (reg.lam * curvature >= -quad_a and reg.lam >= 2.0 ** -1000):
         return None
     underflow = terms * _TINY * (1e3 + 8.0 * top)  # every eta term
-    e_reg = scale * reg.lam * (moved + (ulps * _U + _gamma(terms)) * mass + underflow)
-    r_max = scale * reg.lam * (mass + underflow) * (1.0 + _gamma(terms + 2))
+    e_reg = reg.lam * (moved + (ulps * _U + _gamma(terms)) * mass + underflow)
+    r_max = reg.lam * (mass + underflow) * (1.0 + _gamma(terms + 2))
     e_scalar = _gamma(5) * (0.5 * abs(quad_a) + abs(quad_b) + r_max + abs(base)) + 4.0 * _TINY
     err = (e_reg + e_scalar) * (1.0 + 2.0 ** -20)
     return err if math.isfinite(err) else None
@@ -241,10 +232,13 @@ def _line_search(segment):
     quad_b = float((grad * direction).sum())
     if reg is None:
         return _quadratic_argmin(quad_a, quad_b)
+    if isinstance(reg, L2Regularizer):  # r(x + a d) - r(x) = lam a (<x, d> + a <d, d> / 2)
+        return _quadratic_argmin(quad_a + reg.lam * float((direction * direction).sum()),
+                                 quad_b + reg.lam * float((x * direction).sum()))
 
     def f_along(a):
         return (0.5 * quad_a * a * a + quad_b * a
-                + regularizer_value(reg, x + a * direction) - r_x)
+                + reg.value(x + a * direction) - r_x)
 
     return _scan(f_along, _segment_error(reg, x, direction, quad_a, quad_b, r_x))
 
@@ -280,6 +274,8 @@ def stepsize(schedule, k, s_k=None, dir_sq=None, params=None, segment=None):
             return 1.0
         return _clamp01((s_k / dir_sq + 0.5 * sig) / denom)
     if isinstance(schedule, LineSearch):
+        if segment is None:
+            raise ValueError("line search needs the Frank-Wolfe segment")
         return _clamp01(_line_search(segment))
     raise TypeError(f"unknown stepsize schedule: {schedule!r}")
 

@@ -10,7 +10,7 @@ import pytest
 from conftest import random_feasible, random_instance, write_grid_uai
 from crffw import (InstanceFormatError, RandomDense, RandomEdgeList,
                    RandomGrid, UnsupportedFeatureError, brute_force_map,
-                   generate, read_json, read_uai, write_json)
+                   convexify, generate, read_json, read_uai, write_json)
 from crffw.cli import main
 
 
@@ -64,6 +64,14 @@ class TestGenerate:
             generate(RandomDense(n=0, d=3, seed=0))
         with pytest.raises(ValueError):
             generate(RandomEdgeList(n=3, d=3, seed=0, edge_prob=1.5))
+
+
+def every_theta(theta):
+    """An edit that gives every edge entry of a document `theta`."""
+    def edit(doc):
+        for entry in doc["pairwise"]["edges"]:
+            entry["theta"] = theta
+    return edit
 
 
 class TestJsonRoundTrip:
@@ -130,9 +138,17 @@ class TestJsonRoundTrip:
          r"^field 'unary' in instance file must hold numbers$"),
         (EDGES, lambda doc: doc.update(unary=[[0.0, 0.0]]),
          r"^field 'unary' must be 3 x 2, got \(1, 2\)$"),
+        (EDGES, every_theta([0, 1, 1, 0]),
+         r"^field 'theta' in edge entry must be 2 x 2, got \(4,\)$"),
+        (EDGES, every_theta([[0, 1, 1, 0]]),
+         r"^field 'theta' in edge entry must be 2 x 2, got \(1, 4\)$"),
+        (EDGES, every_theta([[0], [1], [1], [0]]),
+         r"^field 'theta' in edge entry must be 2 x 2, got \(4, 1\)$"),
+        (EDGES, every_theta([[0, 1, 1], [1, 0, 1]]),
+         r"^field 'theta' in edge entry must be 2 x 2, got \(2, 3\)$"),
     ], ids=["unary-text", "pairwise-string", "edges-number", "w1-text", "alpha-null",
             "fractional-endpoint", "endpoint-past-int64", "w1-past-float", "unary-past-float",
-            "unary-shape"])
+            "unary-shape", "theta-flat", "theta-row", "theta-column", "theta-2x3"])
     def test_malformed_field_is_named(self, tmp_path, capsys, spec, edit, message):
         path = tmp_path / "bad.json"
         write_json(generate(spec), path)
@@ -178,6 +194,18 @@ def test_bad_structure_is_one_error_line(tmp_path, capsys, suffix, text, message
         (read_json if suffix == ".json" else read_uai)(path)
     assert main(["solve", "--instance", str(path), "--method", "mf"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda path: generate("dense"), TypeError, "unknown generator spec: 'dense'"),
+    (lambda path: generate(RandomDense(n=2, d=2, compat="x")), ValueError,
+     "unknown compatibility kind: 'x'"),
+    (lambda path: write_json(convexify(generate(RandomGrid(rows=1, cols=2, d=2))), path),
+     TypeError, "cannot serialize backend <crffw.model.DiagonalShift object at"),
+], ids=["unknown-spec", "unknown-compat", "write-shifted"])
+def test_rejects_what_it_cannot_build(tmp_path, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call(tmp_path / "out.json")
 
 
 def write_uai(path, text):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -461,3 +462,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             CrfInstance(np.array([[np.nan, 0.0]]),
                         EdgeList(1, 2, np.zeros((0, 2), int), np.zeros((0, 2, 2))))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DenseMatrix(np.zeros((2, 3)), 1), "pairwise matrix must be square"),
+        (lambda: DenseMatrix(np.zeros((3, 3)), 2), "matrix size must be a multiple of n_labels"),
+        (lambda: EdgeList(3, 2, [[0, 1]], np.zeros((2, 2, 2))),
+         "edges and thetas must have the same length"),
+        (lambda: GaussianKernel(np.zeros((2, 3)), np.zeros((2, 3)), potts_matrix(2)),
+         "positions must have shape (n, 2)"),
+        (lambda: GaussianKernel(np.zeros((2, 2)), np.zeros((3, 3)), potts_matrix(2)),
+         "colors must have shape (n, 3)"),
+        (lambda: GaussianKernel(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3))),
+         "compat must be a square matrix"),
+        (lambda: DiagonalShift(zero_instance(3, 2).pairwise, np.zeros((2, 3))),
+         "diagonal shift shape must match the base operator"),
+        (lambda: CrfInstance(np.zeros(6), zero_instance(3, 2).pairwise),
+         "unary must be an (n, d) matrix"),
+        (lambda: CrfInstance(np.zeros((2, 3)), zero_instance(3, 2).pairwise),
+         "unary shape (2, 3) does not match pairwise backend (3, 2)"),
+    ], ids=["dense-not-square", "dense-size", "edge-count", "kernel-positions",
+            "kernel-colors", "kernel-compat", "shift-shape", "unary-1d", "unary-shape"])
+    def test_rejects_bad_shapes(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

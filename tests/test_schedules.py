@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crffw import (Adaptive, Constant, ConstantLength, ConvergenceParams, Harmonic,
-                   InvSqrt, L2Regularizer, LineSearch, HarmonicRamp, schedules,
-                   stepsize)
+                   InvSqrt, L2Regularizer, LineSearch, HarmonicRamp, decrease_bound,
+                   schedules, stepsize)
 
 
 def params(l_f, sigma_g):
@@ -95,6 +96,10 @@ class TestLineSearch:
         assert stepsize(LineSearch(), 0, segment=segment(1.0, -5.0)) == 1.0
         assert stepsize(LineSearch(), 0, segment=segment(1.0, 5.0)) == 0.0
 
+    def test_needs_the_segment(self):
+        with pytest.raises(ValueError, match="^line search needs the Frank-Wolfe segment$"):
+            stepsize(LineSearch(), 0, s_k=1.0, dir_sq=1.0, params=params(2.0, 1.0))
+
     def test_grid_golden_refinement(self):
         # smooth strictly unimodal objective with known minimizer
         target = 0.377
@@ -117,6 +122,16 @@ class TestLineSearch:
             alpha_star = schedules._scan(f, None)
             assert f(alpha_star) <= f(1.0) + 1e-9
             assert f(alpha_star) <= f(0.5) + 1e-9
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: stepsize("harmonic", 0), TypeError, "unknown stepsize schedule: 'harmonic'"),
+    (lambda: decrease_bound(params(1.0, 0.0), "harmonic", 0, 1.0), ValueError,
+     "unsupported schedule for decrease bounds: 'harmonic'"),
+], ids=["stepsize", "decrease-bound"])
+def test_rejects_unknown_schedule(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _alphas(f, f_err):

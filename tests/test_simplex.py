@@ -276,6 +276,16 @@ class TestRegularizerBounds:
         with pytest.raises(ValueError):
             EntropyRegularizer(-1.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: project_feasible(np.zeros(3)), "expected an (n, d) matrix with d >= 1"),
+        (lambda: project_feasible(np.array([[0.0, np.inf]])), "input contains non-finite entries"),
+        (lambda: softmax_rows(np.zeros(3)), "expected an (n, d) matrix"),
+        (lambda: regularizer_bounds(L2Regularizer(1.0), 0, 2), "n and d must be positive"),
+    ], ids=["project-1d", "project-inf", "softmax-1d", "bounds-no-nodes"])
+    def test_rejects_bad_input(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_vertex_values_exact(self, rng):
         n, d = 4, 3
         lam = 0.8

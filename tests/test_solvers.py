@@ -118,6 +118,11 @@ class TestDirectionOracles:
         with pytest.raises(ValueError):
             EntropyRegularizer(-1.0)
 
+    @pytest.mark.parametrize("reg, shown", [("l2", "'l2'"), (1.0, "1.0")], ids=["name", "weight"])
+    def test_unknown_regularizer_has_no_oracle(self, reg, shown):
+        with pytest.raises(TypeError, match=f"^no direction oracle for regularizer {shown}$"):
+            direction_point(np.array([[1.0, -2.0]]), reg)
+
     @pytest.mark.parametrize("reg", [L2Regularizer(1e-310), EntropyRegularizer(1e-310)],
                              ids=["l2", "entropic"])
     def test_non_finite_scaled_gradient_diverges(self, reg):
@@ -391,24 +396,21 @@ class TestOperatorWork:
 
 
 def _segment_values(reg, x, direction, quad_a, quad_b, base, alphas):
-    """f_along's values at `alphas` as the solver computes them, and
-    long double values of the exact function (0 log 0 = 0)."""
+    """The entropic f_along's values at `alphas` as the solver computes
+    them, and long double values of the exact function (0 log 0 = 0)."""
     L = np.longdouble
     got, ref = [], []
     for a in alphas:
         got.append(0.5 * quad_a * a * a + quad_b * a
                    + reg.value(x + a * direction) - base)
         y = x.astype(L) + L(a) * direction.astype(L)
-        if isinstance(reg, L2Regularizer):
-            r = L(0.5) * L(reg.lam) * (y * y).sum()
-        else:
-            pos = np.where(y > 0, y, L(1))
-            r = L(reg.lam) * (y * np.log(pos)).sum()
+        pos = np.where(y > 0, y, L(1))
+        r = L(reg.lam) * (y * np.log(pos)).sum()
         ref.append(L(0.5) * L(quad_a) * L(a) * L(a) + L(quad_b) * L(a) + r - L(base))
     return np.array(got, dtype=L), np.array(ref)
 
 
-def _random_segment(rng, entropic):
+def _random_segment(rng):
     """A point x and direction p - x on the feasible set, with rows
     that underflow to 0, sit near 1e-300, or reach 0 at an endpoint."""
     n, d = int(rng.integers(1, 30)), int(rng.integers(2, 9))
@@ -422,24 +424,20 @@ def _random_segment(rng, entropic):
     tiny = rng.uniform(size=x.shape) < 0.2
     x[tiny] = rng.choice([1e-300, 3e-301, 2e-300, 5e-324], size=int(tiny.sum()))
     x[0, 0] = 0.0                                      # y = 0 at alpha = 0
-    if not entropic:
-        x = x + rng.standard_normal(x.shape)            # any point for l2
     return x, p - x
 
 
 class TestLineSearchCertificate:
-    """The line search's f_err bounds every f_along error, convexity holds
-    where it is certified, and the pruned scan then does less work for
-    the same alpha."""
+    """The entropic line search's f_err bounds every f_along error,
+    convexity holds where it is certified, and the pruned scan then does
+    less work for the same alpha."""
 
-    @pytest.mark.parametrize("entropic", [True, False], ids=["entropy", "l2"])
-    def test_error_bound_holds(self, rng, entropic):
+    def test_error_bound_holds(self, rng):
         alphas = [0.0, 1.0 / 128, 0.5, 127.0 / 128, 1.0, *rng.uniform(size=4)]
         certified = 0
         for _ in range(150):
-            x, direction = _random_segment(rng, entropic)
-            lam = float(rng.choice([0.01, 0.25, 1.0, 7.0]))
-            reg = EntropyRegularizer(lam) if entropic else L2Regularizer(lam)
+            x, direction = _random_segment(rng)
+            reg = EntropyRegularizer(float(rng.choice([0.01, 0.25, 1.0, 7.0])))
             quad_a = float(rng.standard_normal() * rng.choice([0.01, 1.0, 100.0]))
             quad_b = float(rng.standard_normal() * 10.0)
             base = reg.value(x)
@@ -471,39 +469,27 @@ class TestLineSearchCertificate:
         assert _segment_error(reg, x, np.array([[-0.6, 0.6], [0.0, 0.0]]), 1.0, 0.0,
                               reg.value(x)) is None
 
-    def test_l2_certificate_is_exact_curvature(self, rng):
-        x, direction = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-        reg = L2Regularizer(0.7)
-        tight = -reg.lam * float((direction ** 2).sum())
-        grid = [i / 128 for i in range(129)]
-        for quad_a, certified in ((tight * 0.999, True), (tight * 1.001, False)):
-            base = reg.value(x)
-            err = _segment_error(reg, x, direction, quad_a, 0.0, base)
-            _, ref = _segment_values(reg, x, direction, quad_a, 0.0, base, grid)
-            assert (err is not None) == certified
-            assert bool(np.all(np.diff(ref, 2) >= -1e-15)) == certified
-
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            kind=st.sampled_from(["dense", "edges", "gaussian"]),
-           method=st.sampled_from(["efw:0.25", "efw:1", "l2fw:0.5", "l2fw:0.05"]))
-    def test_real_segments_pick_the_full_scan_alpha(self, seed, kind, method):
-        name, lam = method.split(":")
+           lam=st.sampled_from([0.05, 0.25, 1.0]))
+    def test_real_segments_pick_the_full_scan_alpha(self, seed, kind, lam):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, n=int(rng.integers(2, 12)), d=3, kind=kind)
-        cfg = SolverConfig(METHODS[name](), lam=float(lam), schedule=LineSearch(),
-                           max_iters=8)
-        real = schedules._scan
+        cfg = SolverConfig(EntropicFW(), lam=lam, schedule=LineSearch(), max_iters=8)
+        real, scans = schedules._scan, []
 
         def both(f, f_err):
             alpha = real(f, f_err)
             full = real(f, None)
             assert alpha.hex() == full.hex()
+            scans.append(alpha)
             return alpha
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(schedules, "_scan", both)
-            run_generalized_fw(inst, cfg)
+            _, trace = run_generalized_fw(inst, cfg)
+        assert len(scans) == len(trace)  # every step scanned
 
     def _evaluations(self, monkeypatch, certify):
         """(certified, evaluations, distinct grid points) per line search
@@ -537,6 +523,42 @@ class TestLineSearchCertificate:
             assert not certified
             assert grid == 129
             assert evals > 129 + 30  # plus the golden-section refinement
+
+
+class TestL2LineSearch:
+    """l2fw's segment is an exact quadratic, so its line search is the
+    closed-form minimizer and never reaches the scan."""
+
+    def test_golden_instance_takes_unit_steps(self):
+        inst = generate(RandomDense(n=40, d=5, seed=0, image_size=16.0, unary_scale=2.0))
+        cfg = SolverConfig(L2FW(), lam=0.05, schedule=LineSearch(), max_iters=5)
+        _, trace = run_generalized_fw(inst, cfg)
+        assert [r.alpha for r in trace.records] == [1.0] * 5
+
+    def test_alpha_is_the_quadratic_minimizer(self, monkeypatch):
+        def no_scan(f, f_err):
+            raise AssertionError("an l2 segment reached the scan")
+
+        monkeypatch.setattr(schedules, "_scan", no_scan)
+        inst = generate(RandomGrid(rows=8, cols=8, d=4, seed=0))
+        reg = L2Regularizer(0.5)
+        cfg = SolverConfig(L2FW(), lam=reg.lam, schedule=LineSearch(), max_iters=10,
+                           record_iterates=True)
+        _, trace = run_generalized_fw(inst, cfg)
+        interior = 0
+        for x, record in zip(trace.iterates, trace.records):
+            grad = inst.gradient(x)
+            d = direction_point(grad, reg) - x
+            # F(x + a d) - F(x) = 0.5 A a^2 + B a
+            quad_a = float((d * inst.pairwise.matvec(d)).sum()) + reg.lam * float((d * d).sum())
+            quad_b = float((grad * d).sum()) + reg.lam * float((x * d).sum())
+            if quad_a > 0.0:
+                expected = min(1.0, max(0.0, -quad_b / quad_a))
+            else:  # concave along the segment: the lower endpoint
+                expected = 1.0 if quad_b + 0.5 * quad_a < 0.0 else 0.0
+            assert math.isclose(record.alpha, expected, rel_tol=1e-12)
+            interior += 0.0 < record.alpha < 1.0
+        assert interior >= 3
 
 
 class TestMeanFieldRuns:
