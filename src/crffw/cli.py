@@ -9,8 +9,9 @@ The free threads are the usable cores (`taskset` limits them) divided
 by BLAS's threads (the first positive integer among
 OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS, else every
 core), so unpinned BLAS leaves one.  `compare` solves its instances on
-that many threads, one instance per task; each extra thread can hold
-one more kernel build's temporaries (2 n^2 doubles) at a time.  `solve`
+that many threads, one instance per task; each task holds the only
+reference to its instance, so peak memory is the parsed instances plus
+one kernel (n^2 doubles) and one build (2 n^2) per thread.  `solve`
 takes a second thread when there are two free: it computes each
 iteration's e_disc there while the next step runs.  Outputs and the
 reported error are those of the serial order, whatever the thread
@@ -236,7 +237,11 @@ def cmd_compare(args, parser):
     configs = list(longest.values())
     pool = ThreadPoolExecutor(_worker_threads(len(instances)))
     try:
-        results = list(pool.map(lambda inst: _solve_groups(inst, configs), instances))
+        # a task takes the only reference to its instance, so the instance's
+        # kernel, start, L_f and cfw copy are freed when the task ends
+        tasks = [pool.submit(_solve_groups, instances.pop(0), configs)
+                 for _ in args.instances]
+        results = [task.result() for task in tasks]
     finally:  # on an interrupt, start no further instance
         pool.shutdown(cancel_futures=True)
     failures = [(len(curves), i, exc) for i, (curves, exc) in enumerate(results)

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InstanceFormatError, UnsupportedFeatureError
+from .errors import CapacityError, InstanceFormatError, UnsupportedFeatureError
 from .model import CrfInstance, DenseMatrix, EdgeList, GaussianKernel
 
 _PHI_FLOOR = 1e-300
+MAX_EDGE_PAIRS = 1 << 22  # RandomEdgeList draws once per node pair: n <= 2,896
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +66,11 @@ class RandomGrid:
 
 @dataclass(frozen=True)
 class RandomEdgeList:
-    """Erdos-Renyi graph with i.i.d. normal d x d edge blocks."""
+    """Erdos-Renyi graph with i.i.d. normal d x d edge blocks.
+
+    One draw per node pair; `generate` refuses more than
+    `MAX_EDGE_PAIRS` pairs with `CapacityError`.
+    """
 
     n: int = 100
     d: int = 5
@@ -136,6 +141,8 @@ def _generate_edges(spec):
         raise ValueError("n and d must be positive")
     if not 0.0 <= spec.edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
+    if spec.n * (spec.n - 1) // 2 > MAX_EDGE_PAIRS:
+        raise CapacityError(f"a random edge list over {spec.n} nodes is too large")
     rng = np.random.default_rng(spec.seed)
     unary = rng.standard_normal((spec.n, spec.d)) * spec.unary_scale
     edges = []

@@ -102,7 +102,12 @@ class EdgeList:
         self.n_nodes = int(n_nodes)
         self.n_labels = d = int(n_labels)
         edges = np.array(edges, dtype=int, copy=True).reshape(-1, 2)
-        thetas = _float_copy(thetas, "edge potentials").reshape(-1, d, d)
+        thetas = _float_copy(thetas, "edge potentials")
+        if thetas.shape == (0,):  # `[]`: no blocks
+            thetas = thetas.reshape(0, d, d)
+        if thetas.shape[1:] != (d, d):
+            raise ValueError(f"edge potentials must have shape (E, {d}, {d}), "
+                             f"got {thetas.shape}")
         if thetas.shape[0] != edges.shape[0]:
             raise ValueError("edges and thetas must have the same length")
         _check_edges(edges, self.n_nodes)

@@ -1,10 +1,12 @@
 import csv
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -109,6 +111,13 @@ class TestGenerate:
         assert run_cli("generate", "--kind", kind, "--out", str(a)) == 0
         assert run_cli("generate", "--kind", kind, *flags, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_edge_pair_budget_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "e.json"
+        assert run_cli("generate", "--kind", "edges", "--nodes", "5000", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a random edge list over 5000 nodes is too large\n"
+        assert not out.exists()
 
     def test_edges_file_keeps_its_hash(self, tmp_path):
         import hashlib
@@ -876,6 +885,34 @@ class TestComparePool:
         assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1]
 
+    def test_each_instance_is_freed_when_its_task_ends(self, tmp_path, monkeypatch):
+        paths = []
+        for seed in range(4):
+            paths.append(str(tmp_path / f"i{seed}.json"))
+            assert run_cli("generate", "--kind", "dense", "--nodes", "20", "--labels", "3",
+                           "--seed", str(seed), "--out", paths[-1]) == 0
+
+        def compare(out):
+            assert run_cli("compare", "--instances", *paths, "--methods", "mf,cfw,efw:0.5",
+                           "--steps", "3", "--sweep-at", "2", "--lambda-grid", "0.5", "1", "0.5",
+                           "--out", str(out)) == 0
+            return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+        expected = compare(tmp_path / "plain")
+        monkeypatch.setattr(cli, "_worker_threads", lambda n_tasks: 1)
+        seen, alive = [], []
+        original = cli._solve_groups
+
+        def watching(instance, configs):
+            gc.collect()
+            alive.append([ref() is not None for ref in seen])
+            seen.append(weakref.ref(instance))
+            return original(instance, configs)
+
+        monkeypatch.setattr(cli, "_solve_groups", watching)
+        assert compare(tmp_path / "watched") == expected
+        assert alive == [[], [False], [False, False], [False, False, False]]
+
     def test_load_error_comes_first(self, tmp_path, monkeypatch, capsys):
         force_workers(monkeypatch, 8, 2)
         at_start, at_one = write_diverging(tmp_path)
@@ -908,6 +945,8 @@ class TestComparePool:
         assert not (out / "summary.json").exists()
 
     def test_cfw_convexifies_each_instance_once(self, instance_file, tmp_path, monkeypatch):
+        # the objects, not their ids: `compare` frees an instance when its
+        # task ends, so a later object can take a freed one's id
         shifts, starts, bounds = [], [], []
         kernel, inst_cls = model.GaussianKernel, model.CrfInstance
         matvec, start = kernel.matvec, inst_cls.start
@@ -915,16 +954,16 @@ class TestComparePool:
 
         def counting_matvec(self, x):
             if np.all(x == 1.0):
-                shifts.append(id(self))
+                shifts.append(self)
             return matvec(self, x)
 
         def counting_start(self):
             if self._start is None:
-                starts.append(id(self))
+                starts.append(self)
             return start(self)
 
         def counting_bound(self):
-            bounds.append(id(self))
+            bounds.append(self)
             return bound(self)
 
         monkeypatch.setattr(kernel, "matvec", counting_matvec)

@@ -1,19 +1,15 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import potts_pair, random_feasible, random_instance, zero_instance
-from crffw import (Adaptive, CapacityError, Constant, ConstantLength, ConvergenceParams,
-                   CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
+from crffw import (CapacityError, CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
                    EntropyRegularizer, L2Regularizer, LineSearch, SolverConfig,
-                   VanillaFW, brute_force_map, convergence_params, convexify,
-                   decrease_bound, feasible_set_diameter,
-                   finite_diff_gradient, potts_matrix, project_feasible,
-                   round_bcd, run_generalized_fw, tightness_report,
-                   vertex_regularizer_constancy)
+                   VanillaFW, brute_force_map, convexify, finite_diff_gradient,
+                   potts_matrix, project_feasible, round_bcd, run_generalized_fw,
+                   tightness_report, vertex_regularizer_constancy)
 
 
 def hand_enumeration(instance):
@@ -146,59 +142,6 @@ class TestTightnessReport:
         inst = CrfInstance(u, EdgeList(3, 3, np.zeros((0, 2), int), np.zeros((0, 3, 3))))
         x_star = project_feasible(-u / lam)
         tightness_report(inst, x_star, reg=L2Regularizer(lam), x_is_global_min=True)
-
-
-class TestDecreaseBoundTable:
-    def test_strongly_convex_adaptive(self):
-        params = ConvergenceParams(l_f=3.0, sigma_g=1.0, diameter=2.0)
-        assert decrease_bound(params, Adaptive(), 0, 2.0) == pytest.approx(
-            params.omega * 2.0)
-
-    def test_concave_constant(self):
-        params = ConvergenceParams(l_f=0.0, sigma_g=0.0, diameter=2.0)
-        assert decrease_bound(params, Constant(0.25), 5, 2.0) == pytest.approx(0.5)
-
-    def test_concave_constant_length(self):
-        params = ConvergenceParams(l_f=0.0, sigma_g=0.0, diameter=2.0)
-        assert decrease_bound(params, ConstantLength(0.5), 0, 4.0) == pytest.approx(1.0)
-
-    def test_convex_constant_with_slack(self):
-        params = ConvergenceParams(l_f=2.0, sigma_g=0.0, diameter=2.0)
-        val = decrease_bound(params, Constant(0.5), 0, 3.0)
-        assert val == pytest.approx(0.5 * 3.0 - 0.5 * 2.0 * 4.0 * 0.25)
-
-    def test_strongly_convex_small_constant(self):
-        params = ConvergenceParams(l_f=1.0, sigma_g=1.0, diameter=2.0)
-        # omega = 0.5, alpha = 0.25 < 2*omega: alpha*min(1, 2 - alpha/omega)*S
-        assert decrease_bound(params, Constant(0.25), 0, 4.0) == pytest.approx(1.0)
-
-    def test_line_search_shares_adaptive_row(self):
-        params = ConvergenceParams(l_f=3.0, sigma_g=1.0, diameter=2.0)
-        assert decrease_bound(params, LineSearch(), 0, 2.0) == pytest.approx(
-            decrease_bound(params, Adaptive(), 0, 2.0))
-
-    def test_squares_past_the_float_range(self):
-        # a float ** raises there; each row keeps its value, or -inf
-        for l_f, expect in ((1e200, 0.5 * 1e160 * (1e160 / 4e200)), (1.0, 0.5e160)):
-            params = ConvergenceParams(l_f=l_f, sigma_g=0.0, diameter=2.0)
-            for sched in (Adaptive(), LineSearch()):
-                assert decrease_bound(params, sched, 0, 1e160) == pytest.approx(expect)
-        for sigma in (0.0, 1.0):
-            params = ConvergenceParams(l_f=1.0, sigma_g=sigma, diameter=2.0)
-            assert decrease_bound(params, ConstantLength(1e200), 0, 1.0) == -math.inf
-
-
-class TestConvergenceParams:
-    def test_omega_and_diameter(self, rng):
-        inst = random_instance(rng, n=8)
-        params = convergence_params(inst, L2Regularizer(2.0))
-        assert params.sigma_g == 2.0
-        assert params.omega == pytest.approx(2.0 / (params.l_f + 2.0))
-        assert params.diameter == pytest.approx(math.sqrt(16.0))
-        assert feasible_set_diameter(2) == pytest.approx(2.0)
-
-    def test_omega_degenerate(self):
-        assert ConvergenceParams(l_f=0.0, sigma_g=0.0, diameter=1.0).omega == 1.0
 
 
 class TestVertexRegularizerConstancy:

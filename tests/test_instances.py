@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible, random_instance, write_grid_uai
-from crffw import (InstanceFormatError, RandomDense, RandomEdgeList,
+from crffw import (CapacityError, InstanceFormatError, RandomDense, RandomEdgeList,
                    RandomGrid, UnsupportedFeatureError, brute_force_map,
-                   convexify, generate, read_json, read_uai, write_json)
+                   convexify, generate, instances, read_json, read_uai, write_json)
 from crffw.cli import main
 
 
@@ -50,6 +50,15 @@ class TestGenerate:
     def test_zero_edge_probability(self):
         inst = generate(RandomEdgeList(n=5, d=3, seed=0, edge_prob=0.0))
         assert len(inst.pairwise.edges) == 0
+
+    def test_edge_pair_budget(self, monkeypatch):
+        # refused before any draw: 2,897 nodes have 4,194,856 > 2^22 pairs
+        with pytest.raises(CapacityError, match="^a random edge list over 2897 nodes"):
+            generate(RandomEdgeList(n=2897))
+        monkeypatch.setattr(instances, "MAX_EDGE_PAIRS", 10)
+        assert len(generate(RandomEdgeList(n=5, edge_prob=1.0)).pairwise.edges) == 10
+        with pytest.raises(CapacityError):
+            generate(RandomEdgeList(n=6))
 
     def test_grid_edge_count(self):
         inst = generate(RandomGrid(rows=3, cols=4, d=2, seed=0))

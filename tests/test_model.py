@@ -468,6 +468,10 @@ class TestValidation:
         (lambda: DenseMatrix(np.zeros((3, 3)), 2), "matrix size must be a multiple of n_labels"),
         (lambda: EdgeList(3, 2, [[0, 1]], np.zeros((2, 2, 2))),
          "edges and thetas must have the same length"),
+        (lambda: EdgeList(2, 2, [[0, 1]], [0, 1, 1, 0]),
+         "edge potentials must have shape (E, 2, 2), got (4,)"),
+        (lambda: EdgeList(3, 2, [[0, 1]], np.zeros((1, 8))),
+         "edge potentials must have shape (E, 2, 2), got (1, 8)"),
         (lambda: GaussianKernel(np.zeros((2, 3)), np.zeros((2, 3)), potts_matrix(2)),
          "positions must have shape (n, 2)"),
         (lambda: GaussianKernel(np.zeros((2, 2)), np.zeros((3, 3)), potts_matrix(2)),
@@ -480,8 +484,9 @@ class TestValidation:
          "unary must be an (n, d) matrix"),
         (lambda: CrfInstance(np.zeros((2, 3)), zero_instance(3, 2).pairwise),
          "unary shape (2, 3) does not match pairwise backend (3, 2)"),
-    ], ids=["dense-not-square", "dense-size", "edge-count", "kernel-positions",
-            "kernel-colors", "kernel-compat", "shift-shape", "unary-1d", "unary-shape"])
+    ], ids=["dense-not-square", "dense-size", "edge-count", "edge-flat", "edge-block",
+            "kernel-positions", "kernel-colors", "kernel-compat", "shift-shape", "unary-1d",
+            "unary-shape"])
     def test_rejects_bad_shapes(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
