@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -122,11 +122,10 @@ def cmd_solve(args, parser):
     pool = ThreadPoolExecutor(1) if _worker_threads(2) == 2 else None
     try:
         x, trace = solvers.run_generalized_fw(instance, config, pool)
-    except Diverged as exc:
+    except Diverged as exc:  # reported by main, after the partial trace
         if args.trace and exc.trace is not None:
             exc.trace.write_csv(args.trace, include_times=args.times)
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise
     finally:
         if pool is not None:
             pool.shutdown()
@@ -204,6 +203,13 @@ def _solve_groups(instance, configs):
     return curves, None
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_compare(args, parser):
     if args.sweep_at < 1:
         parser.error("--sweep-at must be >= 1")
@@ -248,11 +254,7 @@ def cmd_compare(args, parser):
                 if exc is not None]
     if failures:
         # the error the serial (group, instance) loop would have met first
-        exc = min(failures, key=lambda f: f[:2])[2]
-        if not isinstance(exc, Diverged):
-            raise exc
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise min(failures, key=lambda f: f[:2])[2]
     energies = {key: [curves[g] for curves, _ in results] for g, key in enumerate(longest)}
 
     def curves_for(config):
@@ -267,30 +269,18 @@ def cmd_compare(args, parser):
             rows.append((lam, float(np.mean(finals)), [float(e) for e in finals]))
         sweep[name] = rows
 
-    mean_rows = []
-    with open(os.path.join(args.out, "energy_vs_iteration.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "instance", "k", "e_disc"])
-        for label, curves in all_curves.items():
-            for idx, curve in enumerate(curves):
-                for k, e in enumerate(curve):
-                    writer.writerow([label, idx, k, repr(e)])
-            mean_curve = np.mean(np.array(curves), axis=0)
-            mean_rows.extend((label, k, repr(float(e))) for k, e in enumerate(mean_curve))
-    with open(os.path.join(args.out, "mean_energy_vs_iteration.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "k", "mean_e_disc"])
-        writer.writerows(mean_rows)
-
-    with open(os.path.join(args.out, "lambda_sweep.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "lambda", "mean_e_disc"])
-        for name, rows in sweep.items():
-            for lam, mean_e, _ in rows:
-                writer.writerow([name, repr(lam), repr(mean_e)])
+    _write_csv(os.path.join(args.out, "energy_vs_iteration.csv"),
+               ["method", "instance", "k", "e_disc"],
+               ((label, idx, k, repr(e)) for label, curves in all_curves.items()
+                for idx, curve in enumerate(curves) for k, e in enumerate(curve)))
+    _write_csv(os.path.join(args.out, "mean_energy_vs_iteration.csv"),
+               ["method", "k", "mean_e_disc"],
+               ((label, k, repr(float(e))) for label, curves in all_curves.items()
+                for k, e in enumerate(np.mean(np.array(curves), axis=0))))
+    _write_csv(os.path.join(args.out, "lambda_sweep.csv"),
+               ["method", "lambda", "mean_e_disc"],
+               ((name, repr(lam), repr(mean_e)) for name, rows in sweep.items()
+                for lam, mean_e, _ in rows))
 
     summary = {
         "instances": list(args.instances),
@@ -316,7 +306,7 @@ def cmd_verify(args, parser):
     results = verification.SUITES[args.suite](seed=args.seed)
     report = {"suite": args.suite, "seed": args.seed,
               "passed": all(r.passed for r in results),
-              "checks": [r.as_dict() for r in results]}
+              "checks": [asdict(r) for r in results]}
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else EXIT_RUNTIME
 
@@ -396,6 +386,9 @@ def main(argv=None):
         return args.func(args, parser)
     except (InstanceFormatError, OSError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Diverged as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except AssertionError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

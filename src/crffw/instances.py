@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InstanceFormatError, UnsupportedFeatureError
-from .model import CrfInstance, DenseMatrix, EdgeList, GaussianKernel
+from .model import MAX_ENTRIES, CrfInstance, DenseMatrix, EdgeList, GaussianKernel, check_entries
 
 _PHI_FLOOR = 1e-300
+_CHUNK_CHARS = 1 << 16  # read_uai reads its file this many characters at a time
 MAX_EDGE_PAIRS = 1 << 22  # RandomEdgeList draws once per node pair: n <= 2,896
 
 
@@ -100,6 +101,10 @@ def _generate_dense(spec):
         raise ValueError("n and d must be positive")
     if not 0.0 <= spec.image_size < math.inf:
         raise ValueError("image_size must be finite and >= 0")
+    # positions, colors and unaries; then the compatibility matrix
+    check_entries(spec.n * (5 + spec.d), MAX_ENTRIES,
+                  f"a dense instance of {spec.n} nodes and {spec.d} labels")
+    check_entries(spec.d * spec.d, MAX_ENTRIES, f"a {spec.d} x {spec.d} compatibility matrix")
     rng = np.random.default_rng(spec.seed)
     positions = rng.uniform(0.0, spec.image_size, size=(spec.n, 2))
     colors = rng.uniform(0.0, 255.0, size=(spec.n, 3))
@@ -119,11 +124,15 @@ def _generate_dense(spec):
 def _generate_grid(spec):
     if spec.rows < 1 or spec.cols < 1 or spec.d < 1:
         raise ValueError("grid dimensions must be positive")
+    n, d = spec.rows * spec.cols, spec.d
+    n_edges = spec.rows * (spec.cols - 1) + (spec.rows - 1) * spec.cols
+    check_entries(n * d, MAX_ENTRIES, f"a {n} x {d} unary table")
+    check_entries(d * d, MAX_ENTRIES, f"a {d} x {d} Potts matrix")
+    check_entries(n_edges * d * d, MAX_ENTRIES, f"{n_edges} edge blocks of {d} x {d}")
     rng = np.random.default_rng(spec.seed)
-    n = spec.rows * spec.cols
-    unary = rng.standard_normal((n, spec.d)) * spec.unary_scale
-    potts = potts_matrix(spec.d, spec.potts_w)
-    edges = []
+    unary = rng.standard_normal((n, d)) * spec.unary_scale
+    potts = potts_matrix(d, spec.potts_w)
+    edges = []  # in sorted order
     for r in range(spec.rows):
         for c in range(spec.cols):
             i = r * spec.cols + c
@@ -131,9 +140,8 @@ def _generate_grid(spec):
                 edges.append((i, i + 1))
             if r + 1 < spec.rows:
                 edges.append((i, i + spec.cols))
-    edges = sorted(edges)
     thetas = np.repeat(potts[None, :, :], len(edges), axis=0)
-    return CrfInstance(unary, EdgeList(n, spec.d, edges, thetas))
+    return CrfInstance(unary, EdgeList(n, d, edges, thetas))
 
 
 def _generate_edges(spec):
@@ -141,8 +149,10 @@ def _generate_edges(spec):
         raise ValueError("n and d must be positive")
     if not 0.0 <= spec.edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in [0, 1]")
-    if spec.n * (spec.n - 1) // 2 > MAX_EDGE_PAIRS:
-        raise CapacityError(f"a random edge list over {spec.n} nodes is too large")
+    check_entries(spec.n * (spec.n - 1) // 2, MAX_EDGE_PAIRS,
+                  f"a random edge list over {spec.n} nodes")
+    check_entries(spec.n * spec.d, MAX_ENTRIES, f"a {spec.n} x {spec.d} unary table")
+    max_blocks = MAX_ENTRIES // (spec.d * spec.d)  # counted as they are drawn
     rng = np.random.default_rng(spec.seed)
     unary = rng.standard_normal((spec.n, spec.d)) * spec.unary_scale
     edges = []
@@ -150,6 +160,9 @@ def _generate_edges(spec):
     for i in range(spec.n):
         for j in range(i + 1, spec.n):
             if rng.uniform() < spec.edge_prob:
+                if len(thetas) == max_blocks:
+                    raise CapacityError(f"a random edge list of more than {max_blocks} "
+                                        f"{spec.d} x {spec.d} blocks is too large")
                 edges.append((i, j))
                 thetas.append(rng.standard_normal((spec.d, spec.d)))
     return CrfInstance(unary, EdgeList(spec.n, spec.d, edges, thetas))
@@ -289,12 +302,12 @@ def read_uai(path):
         return _parse_uai(itertools.chain.from_iterable(_token_chunks(fh)))
 
 
-def _token_chunks(fh, size=1 << 16):
+def _token_chunks(fh):
     """Lists of the whitespace-separated tokens of a text file read
-    `size` characters at a time; a token cut by a chunk's end is carried
-    into the next chunk's list."""
+    `_CHUNK_CHARS` characters at a time; a token cut by a chunk's end is
+    carried into the next chunk's list."""
     tail = ""
-    while chunk := fh.read(size):
+    while chunk := fh.read(_CHUNK_CHARS):
         tokens = (tail + chunk).split()
         tail = "" if chunk[-1].isspace() else tokens.pop()
         yield tokens
@@ -330,6 +343,9 @@ def _parse_uai(toks):
         raise UnsupportedFeatureError("non-uniform label cardinalities are not supported")
     if d < 1:
         raise InstanceFormatError("label cardinalities must be positive")
+    # np.arange(d) and np.arange(d * d) index the tables, whatever they hold
+    check_entries(n * d, MAX_ENTRIES, f"a {n} x {d} unary table")
+    check_entries(d * d, MAX_ENTRIES, f"a {d} x {d} pairwise block")
     n_factors = next_int("factor count")
     if n_factors < 0:
         raise InstanceFormatError(f"negative factor count {n_factors}")

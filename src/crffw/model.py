@@ -27,9 +27,17 @@ from .errors import CapacityError
 from .simplex import softmax_rows
 
 MAX_DENSE_ENTRIES = 1 << 26  # to_dense() refuses larger operators (512 MiB)
-MAX_KERNEL_ENTRIES = 1 << 28  # a kernel build holds 2 n^2 doubles: at most 2 GiB
+# arrays sized by a count (a file header, a generator flag), not by data,
+# such as a kernel build's 2 n^2 doubles: at most 2 GiB
+MAX_ENTRIES = 1 << 28
 BLOCK = 1 << 16  # entries per row block, and per pair_energy summation leaf
 CW_RTOL, CW_MAX_PRODUCTS = 1e-3, 100  # when the Collatz-Wielandt bound stops
+
+
+def check_entries(count, budget, what):
+    """Raise CapacityError before allocating `count` entries past `budget`."""
+    if count > budget:
+        raise CapacityError(f"{what} is too large")
 
 
 def _float_copy(a, name):
@@ -153,8 +161,7 @@ class EdgeList:
 
     def to_dense(self):
         n, d = self.n_nodes, self.n_labels
-        if (n * d) ** 2 > MAX_DENSE_ENTRIES:
-            raise CapacityError(f"a dense operator of order {n * d} is too large")
+        check_entries((n * d) ** 2, MAX_DENSE_ENTRIES, f"a dense operator of order {n * d}")
         P = np.zeros((n * d, n * d))
         for e, (i, j) in enumerate(self.edges):
             P[i * d:(i + 1) * d, j * d:(j + 1) * d] = self.thetas[e]
@@ -268,8 +275,7 @@ class GaussianKernel:
         """
         if self._kernel is None:
             n, feats = self.n_nodes, (self.positions, self.colors)
-            if 2 * n * n > MAX_KERNEL_ENTRIES:
-                raise CapacityError(f"a Gaussian kernel over {n} nodes is too large")
+            check_entries(2 * n * n, MAX_ENTRIES, f"a Gaussian kernel over {n} nodes")
             sq_pos, sq_col = ((f ** 2).sum(axis=1) for f in feats)
             pos_sq, K = (f @ f.T for f in feats)
             for rows in _row_blocks(n):
@@ -315,8 +321,7 @@ class GaussianKernel:
 
     def to_dense(self):
         n, d = self.n_nodes, self.n_labels
-        if (n * d) ** 2 > MAX_DENSE_ENTRIES:
-            raise CapacityError(f"a dense operator of order {n * d} is too large")
+        check_entries((n * d) ** 2, MAX_DENSE_ENTRIES, f"a dense operator of order {n * d}")
         return np.kron(self.kernel_matrix, self.compat)
 
     def spectral_norm_bound(self):

@@ -23,6 +23,7 @@ import numpy as np
 from .regularizers import _LOG_FLOOR, L2Regularizer
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-10  # _golden_section stops at a bracket this narrow
 _GRID_POINTS = 129
 _U, _TINY = 2.0 ** -53, 2.0 ** -1074  # unit roundoff, least subnormal
 _LOG_ULPS = 4  # assumed error of numpy's float64 log; its own tests allow 1
@@ -99,11 +100,11 @@ def _quadratic_argmin(a, b):
     return 1.0 if (b + 0.5 * a) < 0.0 else 0.0
 
 
-def _golden_section(f, lo, hi, tol=1e-10):
+def _golden_section(f, lo, hi):
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    while hi - lo > _GOLDEN_TOL:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)

@@ -11,11 +11,12 @@ import math
 import numpy as np
 
 _MAX_SWEEPS = 100
+_ROW_SUM_ATOL = 1e-9  # is_feasible's tolerance on each row's sum
 
 
-def is_feasible(x, atol=1e-9):
+def is_feasible(x):
     x = np.asarray(x, dtype=float)
-    return bool(np.all(x >= -1e-12) and np.all(np.abs(x.sum(axis=1) - 1.0) <= atol))
+    return bool(np.all(x >= -1e-12) and np.all(np.abs(x.sum(axis=1) - 1.0) <= _ROW_SUM_ATOL))
 
 
 def project_simplex(v):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -279,8 +279,9 @@ def iterate_key(config):
 
 @dataclass
 class IterationRecord:
-    """One row of the trace.  `time_ms` is the iteration's wall time;
-    when `run_generalized_fw` gets a pool it leaves out `e_disc`."""
+    """One row of the trace; the trace CSV's columns are these fields, in
+    this order.  `time_ms` is the iteration's wall time; when
+    `run_generalized_fw` gets a pool it leaves out `e_disc`."""
 
     k: int
     alpha: float
@@ -292,10 +293,6 @@ class IterationRecord:
     bound_delta: float
     bound_held: Optional[bool]
     time_ms: float
-
-
-CSV_COLUMNS = ("k", "alpha", "e_cont", "e_reg", "e_disc", "s_k",
-               "step_norm", "bound_delta", "bound_held", "time_ms")
 
 
 @dataclass
@@ -326,13 +323,11 @@ class IterationTrace:
 
     def write_csv(self, path, include_times=True):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
+            fh.write(",".join(f.name for f in fields(IterationRecord)) + "\n")
             for r in self.records:
-                held = "" if r.bound_held is None else str(int(r.bound_held))
-                t = repr(r.time_ms) if include_times else "0.0"
-                fh.write(f"{r.k},{r.alpha!r},{r.e_cont!r},{r.e_reg!r},"
-                         f"{r.e_disc!r},{r.s_k!r},{r.step_norm!r},"
-                         f"{r.bound_delta!r},{held},{t}\n")
+                *values, held, t = astuple(r)
+                fh.write(",".join([*map(repr, values), "" if held is None else str(int(held)),
+                                   repr(t) if include_times else "0.0"]) + "\n")
 
 
 # ---------------------------------------------------------------------------

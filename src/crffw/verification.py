@@ -29,6 +29,7 @@ from .regularizers import EntropyRegularizer, L2Regularizer, regularizer_bounds
 _BRUTE_FORCE_CAP = 10_000_000
 _CHUNK = 1 << 14
 _FD_STEP = 1e-5  # finite_diff_gradient's central-difference step
+_GRID_STEP = 1e-3  # _grid_search_projection's tick spacing
 
 
 @dataclass
@@ -36,9 +37,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
-
-    def as_dict(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def random_feasible(rng, n, d):
@@ -372,10 +370,10 @@ def suite_oracle(seed=0):
 # ---------------------------------------------------------------------------
 # invariants suite
 
-def _grid_search_projection(v, step=1e-3):
+def _grid_search_projection(v):
     # dense search over the simplex for d = 2 or 3
     d = v.size
-    ticks = np.arange(0.0, 1.0 + 0.5 * step, step)
+    ticks = np.arange(0.0, 1.0 + 0.5 * _GRID_STEP, _GRID_STEP)
     if d == 2:
         cand = np.stack([ticks, 1.0 - ticks], axis=1)
     else:

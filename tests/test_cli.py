@@ -119,6 +119,15 @@ class TestGenerate:
         assert err == "error: a random edge list over 5000 nodes is too large\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, message", [
+        ("grid", "a 1000000 x 1000000 Potts matrix"),
+        ("dense", "a 1000000 x 1000000 compatibility matrix")], ids=["grid", "dense"])
+    def test_entry_budget_is_runtime_error(self, tmp_path, capsys, kind, message):
+        out = tmp_path / "x.json"
+        assert run_cli("generate", "--kind", kind, "--labels", "1000000", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message} is too large\n"
+        assert not out.exists()
+
     def test_edges_file_keeps_its_hash(self, tmp_path):
         import hashlib
         out = tmp_path / "e.json"
@@ -227,6 +236,13 @@ class TestSolve:
         code = run_cli("solve", "--instance", str(tmp_path / "missing.json"),
                        "--method", "mf")
         assert code == 1
+
+    def test_oversized_uai_header_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "big.uai"
+        path.write_text("MARKOV\n1\n1000000000000\n0\n")
+        assert run_cli("solve", "--instance", str(path), "--method", "mf") == 1
+        assert capsys.readouterr().err == (
+            "error: a 1 x 1000000000000 unary table is too large\n")
 
     def test_divergence_exit_code_and_partial_trace(self, tmp_path):
         from crffw import CrfInstance, EdgeList, write_json
@@ -361,7 +377,7 @@ class TestCapacity:
 
     @pytest.fixture(autouse=True)
     def small_cap(self, monkeypatch):
-        monkeypatch.setattr(model, "MAX_KERNEL_ENTRIES", 2 * 29 * 29)
+        monkeypatch.setattr(model, "MAX_ENTRIES", 2 * 29 * 29)
 
     def test_solve(self, instance_file, tmp_path, capsys):
         trace, labels = tmp_path / "t.csv", tmp_path / "labels.json"
@@ -418,6 +434,22 @@ class TestCompare:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["methods"]) == {"mf", "fw", "efw:0.25"}
         assert len(summary["methods"]["mf"][0]) == 6
+
+    def test_outputs_match_goldens(self, tmp_path, monkeypatch):
+        # relative paths, so that summary.json names the instances as given;
+        # the CSVs end their lines with \r\n, summary.json with \n
+        monkeypatch.chdir(tmp_path)
+        for seed in ("0", "1"):
+            assert run_cli("generate", "--kind", "dense", "--nodes", "12", "--labels", "3",
+                           "--seed", seed, "--out", f"d{seed}.json") == 0
+        assert run_cli("compare", "--instances", "d0.json", "d1.json", "--steps", "4",
+                       "--sweep-at", "2", "--lambda-grid", "0.5", "1", "0.5",
+                       "--out", "cmp") == 0
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden_compare")
+        for name in ("energy_vs_iteration.csv", "mean_energy_vs_iteration.csv",
+                     "lambda_sweep.csv", "summary.json"):
+            with open(os.path.join(golden, name), "rb") as fh:
+                assert (tmp_path / "cmp" / name).read_bytes() == fh.read(), name
 
     def test_single_method_degenerate(self, instance_file, tmp_path):
         out = tmp_path / "cmp1"

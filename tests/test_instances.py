@@ -60,6 +60,37 @@ class TestGenerate:
         with pytest.raises(CapacityError):
             generate(RandomEdgeList(n=6))
 
+    @pytest.mark.parametrize("spec, message", [
+        (RandomDense(d=10 ** 6), "a 1000000 x 1000000 compatibility matrix"),
+        (RandomDense(n=10 ** 8, d=2), "a dense instance of 100000000 nodes and 2 labels"),
+        (RandomGrid(d=10 ** 6), "a 1000000 x 1000000 Potts matrix"),
+        (RandomGrid(rows=10 ** 5, cols=10 ** 5, d=1), "a 10000000000 x 1 unary table"),
+        (RandomGrid(rows=3000, cols=3000, d=8), "17994000 edge blocks of 8 x 8"),
+        (RandomEdgeList(n=3, d=20_000, edge_prob=1.0),
+         "a random edge list of more than 0 20000 x 20000 blocks"),
+    ], ids=["dense-compat", "dense-nodes", "grid-potts", "grid-unary", "grid-blocks",
+            "edges-blocks"])
+    def test_entry_budget_refuses_before_allocating(self, spec, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"^{message} is too large$"):
+                generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_edge_blocks_are_counted_as_drawn(self, monkeypatch):
+        # 10 pairs at edge_prob 0.5: the budget binds on the blocks drawn
+        full = generate(RandomEdgeList(n=5, d=2, seed=1, edge_prob=0.5))
+        n_edges = len(full.pairwise.edges)
+        monkeypatch.setattr(instances, "MAX_ENTRIES", 4 * n_edges)
+        again = generate(RandomEdgeList(n=5, d=2, seed=1, edge_prob=0.5))
+        np.testing.assert_array_equal(again.pairwise.thetas, full.pairwise.thetas)
+        monkeypatch.setattr(instances, "MAX_ENTRIES", 4 * n_edges - 1)
+        with pytest.raises(CapacityError):
+            generate(RandomEdgeList(n=5, d=2, seed=1, edge_prob=0.5))
+
     def test_grid_edge_count(self):
         inst = generate(RandomGrid(rows=3, cols=4, d=2, seed=0))
         assert len(inst.pairwise.edges) == 3 * 3 + 2 * 4
@@ -241,6 +272,21 @@ def test_read_uai_streams(tmp_path):
 
 
 class TestReadUai:
+    @pytest.mark.parametrize("text, message", [
+        ("MARKOV\n1\n1000000000000\n0\n", "a 1 x 1000000000000 unary table"),
+        ("MARKOV\n1\n100000\n0\n", "a 100000 x 100000 pairwise block"),
+    ], ids=["unary", "block"])
+    def test_entry_budget_refuses_before_allocating(self, tmp_path, text, message):
+        path = write_uai(tmp_path / "big.uai", text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"^{message} is too large$"):
+                read_uai(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_single_variable_factor(self, tmp_path):
         path = write_uai(tmp_path / "a.uai", """MARKOV
 1

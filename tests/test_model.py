@@ -260,7 +260,7 @@ class TestKernelBuild:
 
     def test_guard_refuses_before_allocating(self, monkeypatch):
         n = 1000
-        monkeypatch.setattr(model, "MAX_KERNEL_ENTRIES", 2 * n * n - 1)
+        monkeypatch.setattr(model, "MAX_ENTRIES", 2 * n * n - 1)
         backend = GaussianKernel(np.zeros((n, 2)), np.zeros((n, 3)), potts_matrix(4))
 
         def build():
@@ -269,7 +269,7 @@ class TestKernelBuild:
 
         assert _traced_peak(build) < 8 * n * n
         assert backend._kernel is None
-        monkeypatch.setattr(model, "MAX_KERNEL_ENTRIES", 2 * n * n)
+        monkeypatch.setattr(model, "MAX_ENTRIES", 2 * n * n)
         assert backend.kernel_matrix.shape == (n, n)
 
 
@@ -387,6 +387,14 @@ class TestSpectralNormBound:
         backend = random_edge_backend(rng, 12, 3, p=0.3)
         inst = CrfInstance(np.zeros((12, 3)), backend)
         assert inst.lipschitz_upper_bound() == np.abs(backend.to_dense()).sum(axis=1).max()
+
+    @pytest.mark.parametrize("backend", [
+        DenseMatrix(np.zeros((0, 0)), 1),
+        GaussianKernel(np.zeros((0, 2)), np.zeros((0, 3)), potts_matrix(3)),
+        GaussianKernel(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((0, 0)))],
+        ids=["dense-0x0", "gaussian-n0", "gaussian-d0"])
+    def test_empty_operator(self, backend):
+        assert backend.spectral_norm_bound() == 0.0
 
 
 class TestDenseCapacity:

@@ -223,6 +223,7 @@ class TestGeneralizedFw:
             rows_golden = list(csv.DictReader(fa))
             rows_new = list(csv.DictReader(fb))
         assert len(rows_new) == len(rows_golden) == 5
+        assert out.read_bytes() == golden.read_bytes()  # header, order and line ends too
         for a, b in zip(rows_golden, rows_new):
             for col in ("k", "alpha", "e_cont", "e_reg", "e_disc", "s_k",
                         "step_norm", "bound_delta", "bound_held"):
