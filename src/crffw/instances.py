@@ -25,7 +25,9 @@ from .model import MAX_ENTRIES, CrfInstance, DenseMatrix, EdgeList, GaussianKern
 
 _PHI_FLOOR = 1e-300
 _CHUNK_CHARS = 1 << 16  # read_uai reads its file this many characters at a time
+_SLICE_TOKENS = 1 << 16  # and converts at most this many header tokens in one slice
 MAX_EDGE_PAIRS = 1 << 22  # RandomEdgeList draws once per node pair: n <= 2,896
+GRID_EDGE_ENTRIES = 21  # a grid edge's index arrays in EdgeList and their build: about 170 B
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +130,15 @@ def _generate_grid(spec):
     n_edges = spec.rows * (spec.cols - 1) + (spec.rows - 1) * spec.cols
     check_entries(n * d, MAX_ENTRIES, f"a {n} x {d} unary table")
     check_entries(d * d, MAX_ENTRIES, f"a {d} x {d} Potts matrix")
-    check_entries(n_edges * d * d, MAX_ENTRIES, f"{n_edges} edge blocks of {d} x {d}")
+    check_entries(n_edges * (d * d + GRID_EDGE_ENTRIES), MAX_ENTRIES,
+                  f"{n_edges} edge blocks of {d} x {d}")
     rng = np.random.default_rng(spec.seed)
     unary = rng.standard_normal((n, d)) * spec.unary_scale
     potts = potts_matrix(d, spec.potts_w)
-    edges = []  # in sorted order
-    for r in range(spec.rows):
-        for c in range(spec.cols):
-            i = r * spec.cols + c
-            if c + 1 < spec.cols:
-                edges.append((i, i + 1))
-            if r + 1 < spec.rows:
-                edges.append((i, i + spec.cols))
+    # in sorted order: node i's edge to the right, then its edge down
+    i = np.arange(n)
+    edges = np.stack((i, i + 1, i, i + spec.cols), axis=1).reshape(n, 2, 2)
+    edges = edges[np.stack(((i + 1) % spec.cols != 0, i + spec.cols < n), axis=1)]
     thetas = np.repeat(potts[None, :, :], len(edges), axis=0)
     return CrfInstance(unary, EdgeList(n, d, edges, thetas))
 
@@ -284,6 +283,18 @@ def read_json(path):
 # ---------------------------------------------------------------------------
 # UAI MARKOV subset
 
+def _leading(kind, found):
+    """`kind` applied to the tokens `found` up to the first it rejects
+    (floats as an array), and that token's index (None if there is none)."""
+    try:
+        if kind is float:
+            return np.fromiter(map(float, found), float, count=len(found)), None
+        return list(map(kind, found)), None
+    except ValueError:
+        bad = next(k for k, tok in enumerate(found) if not _parses(kind, tok))
+        return _leading(kind, found[:bad])[0], bad
+
+
 def _parses(kind, tok):
     try:
         kind(tok)
@@ -292,11 +303,35 @@ def _parses(kind, tok):
     return True
 
 
+def _token_error(name, tok=None, kind=int):
+    # the error for the token named `name`: `tok`, or the end of the file if None
+    if tok is None:
+        return InstanceFormatError(f"unexpected end of file while reading {name}")
+    noun = "integer" if kind is int else "number"
+    return InstanceFormatError(f"expected {noun} for {name}, got {tok!r}")
+
+
+def _expect(kind, found, count, what, start=0):
+    """`found`, the tokens read where `count` were asked for, as `kind`;
+    or the first error in file order: a token `kind` rejects, or the end
+    of the file.  `what.format(k)` names the section's token `start + k`."""
+    values, bad = _leading(kind, found)
+    if bad is not None:
+        raise _token_error(what.format(start + bad), found[bad], kind)
+    if len(found) < count:
+        raise _token_error(what.format(start + len(found)))
+    return values
+
+
 def read_uai(path):
     """Read a pairwise UAI MARKOV network as a CRF instance.
 
     The factor tables are probabilities; potentials are their negated
-    logs, so minimizing the energy maximizes the factor product.
+    logs, so minimizing the energy maximizes the factor product.  The
+    file is read in 64 KiB chunks.  A table whose tokens repeat those of
+    the previous table of its size (as in a Potts grid, one table on
+    every edge) reuses that table's values, so a read parses only the
+    tables that differ.
     """
     with open(path, "r", encoding="utf-8") as fh:
         return _parse_uai(itertools.chain.from_iterable(_token_chunks(fh)))
@@ -315,29 +350,22 @@ def _token_chunks(fh):
 
 
 def _parse_uai(toks):
-    def take(count, what, kind):
-        found = list(itertools.islice(toks, count))
-        try:
-            values = (np.fromiter(map(float, found), float, count=len(found))
-                      if kind is float else list(map(kind, found)))
-        except ValueError:
-            bad = next(t for t in found if not _parses(kind, t))
-            noun = "integer" if kind is int else "number"
-            raise InstanceFormatError(f"expected {noun} for {what}, got {bad!r}") from None
-        if len(values) < count:
-            raise InstanceFormatError(f"unexpected end of file while reading {what}")
+    def take(count, kind, what):
+        # the next `count` tokens, converted `_SLICE_TOKENS` at a time
+        values = []
+        while len(values) < count:
+            ask = min(count - len(values), _SLICE_TOKENS)
+            found = list(itertools.islice(toks, ask))
+            values += _expect(kind, found, ask, what, len(values))
         return values
 
-    def next_int(what):
-        return take(1, what, int)[0]
-
-    network_type = take(1, "network type", str)[0]
+    network_type, = take(1, str, "network type")
     if network_type.upper() != "MARKOV":
         raise UnsupportedFeatureError(f"unsupported network type {network_type!r}")
-    n = next_int("variable count")
+    n, = take(1, int, "variable count")
     if n < 1:
         raise InstanceFormatError("network has no variables")
-    cards = [next_int(f"cardinality of variable {i}") for i in range(n)]
+    cards = take(n, int, "cardinality of variable {}")
     d = cards[0]
     if any(c != d for c in cards):
         raise UnsupportedFeatureError("non-uniform label cardinalities are not supported")
@@ -346,30 +374,58 @@ def _parse_uai(toks):
     # np.arange(d) and np.arange(d * d) index the tables, whatever they hold
     check_entries(n * d, MAX_ENTRIES, f"a {n} x {d} unary table")
     check_entries(d * d, MAX_ENTRIES, f"a {d} x {d} pairwise block")
-    n_factors = next_int("factor count")
+    n_factors, = take(1, int, "factor count")
     if n_factors < 0:
         raise InstanceFormatError(f"negative factor count {n_factors}")
+
+    # Scopes are read in slices.  A factor holds at least two tokens, so
+    # a slice never reaches past the scopes into the tables.
     scopes = []
-    for f in range(n_factors):
-        size = next_int(f"scope size of factor {f}")
-        if size not in (1, 2):
-            raise UnsupportedFeatureError(
-                f"factor {f} has arity {size}; only unary and pairwise factors are supported")
-        scope = take(size, f"scope of factor {f}", int)
-        if any(not 0 <= v < n for v in scope):
-            raise InstanceFormatError(f"factor {f} references an unknown variable")
-        if size == 2 and scope[0] == scope[1]:
-            raise InstanceFormatError(f"factor {f} repeats a variable in its scope")
-        scopes.append(scope)
+    head, bad, eof = [], None, False  # the ints read past the last parsed factor
+    while True:
+        at = 0
+        while len(scopes) < n_factors and at < len(head):
+            f, size = len(scopes), head[at]
+            if size not in (1, 2):
+                raise UnsupportedFeatureError(
+                    f"factor {f} has arity {size}; only unary and pairwise factors are supported")
+            if at + size >= len(head):
+                break
+            first, last = head[at + 1], head[at + size]
+            if not (0 <= first < n and 0 <= last < n):
+                raise InstanceFormatError(f"factor {f} references an unknown variable")
+            if size == 2 and first == last:
+                raise InstanceFormatError(f"factor {f} repeats a variable in its scope")
+            scopes.append(head[at + 1:at + 1 + size])
+            at += 1 + size
+        del head[:at]
+        if len(scopes) == n_factors:
+            break
+        name = f"scope{'' if head else ' size'} of factor {len(scopes)}"
+        if bad is not None or eof:
+            raise _token_error(name, bad)
+        ask = min(2 * (n_factors - len(scopes)) + (head[0] - 1 - len(head) if head else 0),
+                  _SLICE_TOKENS)
+        found = list(itertools.islice(toks, ask))
+        values, stop = _leading(int, found)
+        head += values
+        bad = None if stop is None else found[stop]
+        eof = len(found) < ask
 
     sizes = [d ** len(scope) for scope in scopes]
     tables = []
+    previous = {}  # table size -> the tokens and values of the latest table of that size
     for f, expected in enumerate(sizes):
-        n_entries = next_int(f"table size of factor {f}")
-        if n_entries != expected:
-            raise InstanceFormatError(
-                f"factor {f} table has {n_entries} entries, expected {expected}")
-        tables.append(take(n_entries, f"table entry of factor {f}", float))
+        found = list(itertools.islice(toks, 1 + expected))  # the table's size, then its entries
+        seen, values = previous.get(expected, (None, None))
+        if found != seen:
+            n_entries, = _expect(int, found[:1], 1, f"table size of factor {f}")
+            if n_entries != expected:
+                raise InstanceFormatError(
+                    f"factor {f} table has {n_entries} entries, expected {expected}")
+            values = _expect(float, found[1:], expected, f"table entry of factor {f}")
+            previous[expected] = found, values
+        tables.append(values)
     # every table in one array, in file order; theta = -log(max(phi, floor))
     theta = np.concatenate(tables) if tables else np.zeros(0)
     del tables

@@ -13,17 +13,24 @@ def potts_pair(w=1.0):
     return CrfInstance(unary, backend)
 
 
-def write_grid_uai(path, rows, cols, d, seed):
+def write_grid_uai(path, rows, cols, d, seed, potts_w=None):
     """A rows x cols 4-neighbour grid in the UAI MARKOV format, with
-    random positive unary and pairwise tables."""
+    random positive unary and pairwise tables.  With `potts_w`, every
+    pairwise table is instead the Potts table exp(-potts_w [s != t]), as
+    in the benchmark's grid file."""
     rng = np.random.default_rng(seed)
     n = rows * cols
     edges = ([(i, i + 1) for i in range(n) if (i + 1) % cols]
              + [(i, i + cols) for i in range(n - cols)])
     lines = ["MARKOV", str(n), " ".join([str(d)] * n), str(n + len(edges))]
     lines += [f"1 {i}" for i in range(n)] + [f"2 {i} {j}" for i, j in edges] + [""]
-    for size in [d] * n + [d * d] * len(edges):
-        lines += [str(size), " ".join(map(repr, rng.uniform(0.05, 1.0, size).tolist())), ""]
+    tables = [rng.uniform(0.05, 1.0, d) for _ in range(n)]
+    if potts_w is None:
+        tables += [rng.uniform(0.05, 1.0, d * d) for _ in edges]
+    else:
+        tables += [np.exp(-potts_matrix(d, potts_w)).reshape(-1)] * len(edges)
+    for table in tables:
+        lines += [str(table.size), " ".join(map(repr, table.tolist())), ""]
     path.write_text("\n".join(lines))
     return path
 

@@ -66,10 +66,12 @@ class TestGenerate:
         (RandomGrid(d=10 ** 6), "a 1000000 x 1000000 Potts matrix"),
         (RandomGrid(rows=10 ** 5, cols=10 ** 5, d=1), "a 10000000000 x 1 unary table"),
         (RandomGrid(rows=3000, cols=3000, d=8), "17994000 edge blocks of 8 x 8"),
+        # the blocks alone fit, but not EdgeList's per-edge index
+        (RandomGrid(rows=11585, cols=11585, d=1), "268401280 edge blocks of 1 x 1"),
         (RandomEdgeList(n=3, d=20_000, edge_prob=1.0),
          "a random edge list of more than 0 20000 x 20000 blocks"),
     ], ids=["dense-compat", "dense-nodes", "grid-potts", "grid-unary", "grid-blocks",
-            "edges-blocks"])
+            "grid-index", "edges-blocks"])
     def test_entry_budget_refuses_before_allocating(self, spec, message):
         tracemalloc.start()
         try:
@@ -257,10 +259,13 @@ def test_read_uai_streams(tmp_path):
     # the file's tokens are read 65,536 characters at a time: reading it
     # whole first, or a line at a time from the one-line layout, peaks at
     # about 5.5 times its size
-    path = write_grid_uai(tmp_path / "g.uai", 30, 30, 8, seed=0)
-    one_line = tmp_path / "one_line.uai"
-    one_line.write_text(path.read_text().replace("\n", " "))
-    for layout in (path, one_line):
+    layouts = []
+    for name, potts_w in (("g", None), ("potts", 1.0)):
+        path = write_grid_uai(tmp_path / f"{name}.uai", 30, 30, 8, seed=0, potts_w=potts_w)
+        one_line = tmp_path / f"{name}_one_line.uai"
+        one_line.write_text(path.read_text().replace("\n", " "))
+        layouts += [path, one_line]
+    for layout in layouts:
         read_uai(layout)  # leave first-call allocations out of the measurement
         tracemalloc.start()
         try:
@@ -517,3 +522,133 @@ class TestReadUaiBulkTables:
         inst = read_uai(write_uai(tmp_path / "z.uai", "MARKOV\n2\n3 3\n0\n"))
         assert inst.unary.shape == (2, 3) and not inst.unary.any()
         assert inst.pairwise.edges.shape == (0, 2)
+
+
+def naive_read_uai(path):
+    """`read_uai`'s instance, parsed a token at a time and each table on its
+    own: potentials -log(max(phi, 1e-300)) summed per scope in file order."""
+    toks = iter(path.read_text().split())
+    assert next(toks) == "MARKOV"
+    n = int(next(toks))
+    d = [int(next(toks)) for _ in range(n)][0]
+    scopes = [[int(next(toks)) for _ in range(int(next(toks)))]
+              for _ in range(int(next(toks)))]
+    unary, blocks = np.zeros((n, d)), {}
+    for scope in scopes:
+        phi = np.array([float(next(toks)) for _ in range(int(next(toks)))])
+        theta = -np.log(np.maximum(phi, 1e-300))
+        if len(scope) == 1:
+            unary[scope[0]] += theta
+        else:
+            (i, j), block = scope, theta.reshape(d, d)
+            if i > j:
+                i, j, block = j, i, block.T
+            blocks[i, j] = blocks.get((i, j), 0.0) + block
+    edges = sorted(blocks)
+    return unary, edges, np.array([blocks[e] for e in edges]).reshape(-1, d, d)
+
+
+class TestReadUaiTableReuse:
+    """A table whose tokens repeat the previous table of its size reuses
+    that table's values; the instance is the one a naive parse gives."""
+
+    MIXED = """MARKOV
+3
+2 2 2
+9
+1 0
+2 0 1
+1 1
+2 1 2
+2 2 1
+1 2
+2 0 2
+1 0
+2 1 0
+
+2 0.25 0.75
+4 0.5 0.25 0.125 1
+2 0.25 0.75
+4 0.5 0.25 0.125 1
+4 0.5 0.25 0.125 0.0625
+2 0.25 0.5
+4 0.5 0.25 0.125 0.0625
+2 2.5e-1 0.5
+4 5e-1 0.25 0.125 0.0625
+"""
+
+    @pytest.fixture(params=[1, 2, 3, None], ids=["slice-1", "slice-2", "slice-3", "slice-default"])
+    def slice_tokens(self, request, monkeypatch):
+        # the header sections are converted in slices; tiny slices cut
+        # every factor's scope somewhere
+        if request.param is not None:
+            monkeypatch.setattr(instances, "_SLICE_TOKENS", request.param)
+
+    def parsed_tables(self, monkeypatch):
+        parsed = []
+        leading = instances._leading
+
+        def counting(kind, found):
+            if kind is float:
+                parsed.append(list(found))
+            return leading(kind, found)
+
+        monkeypatch.setattr(instances, "_leading", counting)
+        return parsed
+
+    def assert_naive(self, path):
+        unary, edges, thetas = naive_read_uai(path)
+        inst = read_uai(path)
+        assert inst.unary.tobytes() == unary.tobytes()
+        assert inst.pairwise.edges.tolist() == [list(e) for e in edges]
+        assert inst.pairwise.thetas.tobytes() == thetas.tobytes()
+
+    def test_potts_grid_parses_each_distinct_table_once(self, tmp_path, monkeypatch,
+                                                        slice_tokens):
+        path = write_grid_uai(tmp_path / "potts.uai", 4, 5, 3, seed=2, potts_w=1.0)
+        self.assert_naive(path)
+        parsed = self.parsed_tables(monkeypatch)
+        read_uai(path)
+        assert len(parsed) == 20 + 1  # each random unary table, then the one Potts table
+
+    def test_interleaved_near_repeats_and_respellings(self, tmp_path, monkeypatch,
+                                                      slice_tokens):
+        # unary and pairwise tables interleave; a table equal to the previous
+        # one but for its last token, and values written differently (0.5
+        # and 5e-1), are parsed anew
+        path = write_uai(tmp_path / "mixed.uai", self.MIXED)
+        self.assert_naive(path)
+        parsed = self.parsed_tables(monkeypatch)
+        read_uai(path)
+        assert parsed == [["0.25", "0.75"], ["0.5", "0.25", "0.125", "1"],
+                          ["0.5", "0.25", "0.125", "0.0625"], ["0.25", "0.5"],
+                          ["2.5e-1", "0.5"], ["5e-1", "0.25", "0.125", "0.0625"]]
+
+    @pytest.mark.parametrize("table, message", [
+        ("4\n0.5 0.5 0.5 x\n", "expected number for table entry of factor 2, got 'x'"),
+        ("4\n0.5 0.5 0.5\n", "unexpected end of file while reading table entry of factor 2"),
+        ("3\n0.5 0.5 0.5 0.5\n", "factor 2 table has 3 entries, expected 4"),
+        ("x\n0.5 0.5 0.5 0.5\n", "expected integer for table size of factor 2, got 'x'"),
+    ], ids=["bad-token", "truncated", "wrong-size", "bad-size"])
+    def test_errors_in_a_near_repeat_name_its_factor(self, tmp_path, table, message):
+        repeat = "4\n0.5 0.5 0.5 0.5\n"  # factor 1 reuses factor 0's table
+        path = write_uai(tmp_path / "near.uai", "MARKOV\n3\n2 2 2\n3\n2 0 1\n2 1 2\n2 0 2\n"
+                         + repeat + repeat + table)
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            read_uai(path)
+
+    @pytest.mark.parametrize("scopes, message", [
+        ("1 0\n2 1 y\n", "expected integer for scope of factor 1, got 'y'"),
+        ("1 0\ny 1\n", "expected integer for scope size of factor 1, got 'y'"),
+        ("1 0\n2 1", "unexpected end of file while reading scope of factor 1"),
+        ("1 0\n", "unexpected end of file while reading scope size of factor 1"),
+        ("1 3\n2 1 y\n", "factor 0 references an unknown variable"),
+        ("2 1 1\n3 0 1 2\n", "factor 0 repeats a variable in its scope"),
+        ("1 0\n3 0 1 2\n", "factor 1 has arity 3; only unary and pairwise factors "
+                              "are supported"),
+    ], ids=["scope", "scope-size", "eof-scope", "eof-scope-size", "first-of-two",
+            "repeat-before-arity", "arity"])
+    def test_scope_errors_in_file_order(self, tmp_path, slice_tokens, scopes, message):
+        path = write_uai(tmp_path / "s.uai", "MARKOV\n3\n2 2 2\n2\n" + scopes)
+        with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
+            read_uai(path)
