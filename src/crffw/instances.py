@@ -25,7 +25,6 @@ from .model import MAX_ENTRIES, CrfInstance, DenseMatrix, EdgeList, GaussianKern
 
 _PHI_FLOOR = 1e-300
 _CHUNK_CHARS = 1 << 16  # read_uai reads its file this many characters at a time
-_SLICE_TOKENS = 1 << 16  # and converts at most this many header tokens in one slice
 MAX_EDGE_PAIRS = 1 << 22  # RandomEdgeList draws once per node pair: n <= 2,896
 GRID_EDGE_ENTRIES = 21  # a grid edge's index arrays in EdgeList and their build: about 170 B
 
@@ -283,43 +282,27 @@ def read_json(path):
 # ---------------------------------------------------------------------------
 # UAI MARKOV subset
 
-def _leading(kind, found):
-    """`kind` applied to the tokens `found` up to the first it rejects
-    (floats as an array), and that token's index (None if there is none)."""
+def _tokens(kind, found, count, what, *args):
+    """`found`, the tokens read where `count` were asked for, as `kind`
+    (floats as an array); or the first error in file order: a token
+    `kind` rejects, or the end of the file.  `what.format(*args, k=k)`
+    names token `k`, and is formatted only for an error."""
     try:
         if kind is float:
-            return np.fromiter(map(float, found), float, count=len(found)), None
-        return list(map(kind, found)), None
+            values = np.fromiter(map(float, found), float, count=len(found))
+        else:
+            values = list(map(kind, found))
     except ValueError:
-        bad = next(k for k, tok in enumerate(found) if not _parses(kind, tok))
-        return _leading(kind, found[:bad])[0], bad
-
-
-def _parses(kind, tok):
-    try:
-        kind(tok)
-    except ValueError:
-        return False
-    return True
-
-
-def _token_error(name, tok=None, kind=int):
-    # the error for the token named `name`: `tok`, or the end of the file if None
-    if tok is None:
-        return InstanceFormatError(f"unexpected end of file while reading {name}")
-    noun = "integer" if kind is int else "number"
-    return InstanceFormatError(f"expected {noun} for {name}, got {tok!r}")
-
-
-def _expect(kind, found, count, what, start=0):
-    """`found`, the tokens read where `count` were asked for, as `kind`;
-    or the first error in file order: a token `kind` rejects, or the end
-    of the file.  `what.format(k)` names the section's token `start + k`."""
-    values, bad = _leading(kind, found)
-    if bad is not None:
-        raise _token_error(what.format(start + bad), found[bad], kind)
+        for k, tok in enumerate(found):
+            try:
+                kind(tok)
+            except ValueError:
+                noun = "integer" if kind is int else "number"
+                raise InstanceFormatError(
+                    f"expected {noun} for {what.format(*args, k=k)}, got {tok!r}") from None
     if len(found) < count:
-        raise _token_error(what.format(start + len(found)))
+        raise InstanceFormatError(
+            f"unexpected end of file while reading {what.format(*args, k=len(found))}")
     return values
 
 
@@ -328,10 +311,10 @@ def read_uai(path):
 
     The factor tables are probabilities; potentials are their negated
     logs, so minimizing the energy maximizes the factor product.  The
-    file is read in 64 KiB chunks.  A table whose tokens repeat those of
-    the previous table of its size (as in a Potts grid, one table on
-    every edge) reuses that table's values, so a read parses only the
-    tables that differ.
+    file is read `_CHUNK_CHARS` (65,536) characters at a time.  A table
+    whose tokens repeat those of the previous table of its size (as in a
+    Potts grid, one table on every edge) reuses that table's values, so a
+    read parses only the tables that differ.
     """
     with open(path, "r", encoding="utf-8") as fh:
         return _parse_uai(itertools.chain.from_iterable(_token_chunks(fh)))
@@ -350,14 +333,8 @@ def _token_chunks(fh):
 
 
 def _parse_uai(toks):
-    def take(count, kind, what):
-        # the next `count` tokens, converted `_SLICE_TOKENS` at a time
-        values = []
-        while len(values) < count:
-            ask = min(count - len(values), _SLICE_TOKENS)
-            found = list(itertools.islice(toks, ask))
-            values += _expect(kind, found, ask, what, len(values))
-        return values
+    def take(count, kind, what, *args):
+        return _tokens(kind, list(itertools.islice(toks, count)), count, what, *args)
 
     network_type, = take(1, str, "network type")
     if network_type.upper() != "MARKOV":
@@ -365,7 +342,7 @@ def _parse_uai(toks):
     n, = take(1, int, "variable count")
     if n < 1:
         raise InstanceFormatError("network has no variables")
-    cards = take(n, int, "cardinality of variable {}")
+    cards = take(n, int, "cardinality of variable {k}")
     d = cards[0]
     if any(c != d for c in cards):
         raise UnsupportedFeatureError("non-uniform label cardinalities are not supported")
@@ -378,39 +355,23 @@ def _parse_uai(toks):
     if n_factors < 0:
         raise InstanceFormatError(f"negative factor count {n_factors}")
 
-    # Scopes are read in slices.  A factor holds at least two tokens, so
-    # a slice never reaches past the scopes into the tables.
     scopes = []
-    head, bad, eof = [], None, False  # the ints read past the last parsed factor
-    while True:
-        at = 0
-        while len(scopes) < n_factors and at < len(head):
-            f, size = len(scopes), head[at]
-            if size not in (1, 2):
-                raise UnsupportedFeatureError(
-                    f"factor {f} has arity {size}; only unary and pairwise factors are supported")
-            if at + size >= len(head):
-                break
-            first, last = head[at + 1], head[at + size]
-            if not (0 <= first < n and 0 <= last < n):
-                raise InstanceFormatError(f"factor {f} references an unknown variable")
-            if size == 2 and first == last:
-                raise InstanceFormatError(f"factor {f} repeats a variable in its scope")
-            scopes.append(head[at + 1:at + 1 + size])
-            at += 1 + size
-        del head[:at]
-        if len(scopes) == n_factors:
-            break
-        name = f"scope{'' if head else ' size'} of factor {len(scopes)}"
-        if bad is not None or eof:
-            raise _token_error(name, bad)
-        ask = min(2 * (n_factors - len(scopes)) + (head[0] - 1 - len(head) if head else 0),
-                  _SLICE_TOKENS)
-        found = list(itertools.islice(toks, ask))
-        values, stop = _leading(int, found)
-        head += values
-        bad = None if stop is None else found[stop]
-        eof = len(found) < ask
+    for f in range(n_factors):
+        tok = next(toks, None)
+        try:
+            size = int(tok)
+        except (TypeError, ValueError):  # int(None): the end of the file
+            _tokens(int, [] if tok is None else [tok], 1, "scope size of factor {}", f)  # raises
+        if size not in (1, 2):
+            raise UnsupportedFeatureError(
+                f"factor {f} has arity {size}; only unary and pairwise factors are supported")
+        # _tokens itself, not take: a second call per factor costs 20% of the loop
+        scope = _tokens(int, list(itertools.islice(toks, size)), size, "scope of factor {}", f)
+        if not (0 <= scope[0] < n and 0 <= scope[-1] < n):
+            raise InstanceFormatError(f"factor {f} references an unknown variable")
+        if size == 2 and scope[0] == scope[1]:
+            raise InstanceFormatError(f"factor {f} repeats a variable in its scope")
+        scopes.append(scope[:])  # exact size; list(map(...)) leaves 8 slots per scope
 
     sizes = [d ** len(scope) for scope in scopes]
     tables = []
@@ -419,23 +380,25 @@ def _parse_uai(toks):
         found = list(itertools.islice(toks, 1 + expected))  # the table's size, then its entries
         seen, values = previous.get(expected, (None, None))
         if found != seen:
-            n_entries, = _expect(int, found[:1], 1, f"table size of factor {f}")
+            n_entries, = _tokens(int, found[:1], 1, "table size of factor {}", f)
             if n_entries != expected:
                 raise InstanceFormatError(
                     f"factor {f} table has {n_entries} entries, expected {expected}")
-            values = _expect(float, found[1:], expected, f"table entry of factor {f}")
+            values = _tokens(float, found[1:], expected, "table entry of factor {}", f)
             previous[expected] = found, values
         tables.append(values)
     # every table in one array, in file order; theta = -log(max(phi, floor))
     theta = np.concatenate(tables) if tables else np.zeros(0)
     del tables
     offsets = np.cumsum([0] + sizes[:-1], dtype=int)
-    for ok, noun in ((np.isfinite(theta), "finite"), (theta >= 0.0, "nonnegative")):
-        if not ok.all():
-            bad = int(np.argmin(ok))  # the first failing entry
-            f = int(np.searchsorted(offsets, bad, side="right")) - 1
-            raise InstanceFormatError(f"expected {noun} number for table entry of factor {f}, "
-                                      f"got {float(theta[bad])!r}")
+    ok = np.isfinite(theta) & (theta >= 0.0)
+    if not ok.all():
+        bad = int(np.argmin(ok))  # the first failing entry, named for its own fault
+        f = int(np.searchsorted(offsets, bad, side="right")) - 1
+        value = float(theta[bad])
+        noun = "nonnegative" if math.isfinite(value) else "finite"
+        raise InstanceFormatError(f"expected {noun} number for table entry of factor {f}, "
+                                  f"got {value!r}")
     np.negative(np.log(np.maximum(theta, _PHI_FLOOR, out=theta), out=theta), out=theta)
 
     # potentials of repeated scopes add in file order, as a running sum would

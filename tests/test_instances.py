@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_feasible, random_instance, write_grid_uai
 from crffw import (CapacityError, InstanceFormatError, RandomDense, RandomEdgeList,
@@ -276,6 +278,38 @@ def test_read_uai_streams(tmp_path):
         assert peak < 2 * layout.stat().st_size, layout.name
 
 
+class _Pieces:
+    """A text file whose `read` returns the next of `lengths` characters
+    (cycling through them), whatever size it is asked for."""
+
+    def __init__(self, text, lengths):
+        self.text, self.lengths = text, itertools.cycle(lengths)
+
+    def read(self, size):
+        cut = next(self.lengths)
+        piece, self.text = self.text[:cut], self.text[cut:]
+        return piece
+
+
+@st.composite
+def spaced_tokens(draw):
+    # tokens between runs of spaces, tabs, \n and \r\n, with optional
+    # leading and trailing runs; possibly no tokens at all
+    space = st.lists(st.sampled_from([" ", "\t", "\n", "\r\n"]), min_size=1,
+                     max_size=3).map("".join)
+    edge = st.just("") | space
+    words = draw(st.lists(st.text("0123456789.-e", min_size=1, max_size=6), max_size=12))
+    gaps = [draw(space) for _ in words[1:]]
+    return draw(edge) + "".join(w + g for w, g in zip(words, gaps + [""])) + draw(edge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaced_tokens(), st.lists(st.integers(1, 9), min_size=1, max_size=8))
+def test_token_chunks_split_like_the_whole_text(text, lengths):
+    chunks = instances._token_chunks(_Pieces(text, lengths))
+    assert list(itertools.chain.from_iterable(chunks)) == text.split()
+
+
 class TestReadUai:
     @pytest.mark.parametrize("text, message", [
         ("MARKOV\n1\n1000000000000\n0\n", "a 1 x 1000000000000 unary table"),
@@ -482,8 +516,23 @@ class TestReadUaiBulkTables:
                                        r"of factor 0, got nan$"),
         ("4\n0.5 0.5 0.5 0.5\n2\n1 inf\n", r"^expected finite number for table entry "
                                          r"of factor 1, got inf$"),
+        # the first bad entry in the file is named, for its own fault
+        ("4\n0.5 -0.5 0.5 0.5\n2\n1 nan\n", r"^expected nonnegative number for table "
+                                          r"entry of factor 0, got -0.5$"),
+        ("4\n0.5 0.5 -inf -0.5\n2\n1 1\n", r"^expected finite number for table entry "
+                                          r"of factor 0, got -inf$"),
+        # entries are checked once every table is read: token errors win
+        ("4\n0.5 -0.5 0.5 0.5\n2\n1 x\n", r"^expected number for table entry of factor 1, "
+                                        r"got 'x'$"),
+        ("4\nnan 0.5 0.5 0.5\n3\n1 1 1\n", r"^factor 1 table has 3 entries, expected 2$"),
+        ("4\ninf 0.5 0.5 0.5\nx\n1 1\n", r"^expected integer for table size of factor 1, "
+                                       r"got 'x'$"),
+        ("4\n-1 0.5 0.5 0.5\n2\n1\n", r"^unexpected end of file while reading table entry "
+                                    r"of factor 1$"),
     ], ids=["non-numeric", "truncated", "size-mismatch", "second-table", "missing-table",
-            "nan-entry", "inf-entry"])
+            "nan-entry", "inf-entry", "negative-then-nan", "infinite-then-negative",
+            "token-after-negative", "size-after-nan", "bad-size-after-inf",
+            "truncated-after-negative"])
     def test_table_errors(self, tmp_path, body, message):
         path = write_uai(tmp_path / "bad.uai", "MARKOV\n2\n2 2\n2\n2 0 1\n1 1\n" + body)
         with pytest.raises(InstanceFormatError, match=message):
@@ -578,22 +627,22 @@ class TestReadUaiTableReuse:
 """
 
     @pytest.fixture(params=[1, 2, 3, None], ids=["slice-1", "slice-2", "slice-3", "slice-default"])
-    def slice_tokens(self, request, monkeypatch):
-        # the header sections are converted in slices; tiny slices cut
-        # every factor's scope somewhere
+    def chunk_chars(self, request, monkeypatch):
+        # the file is read in slices of `_CHUNK_CHARS` characters; slices of
+        # 1 to 3 cut tokens, scopes and tables at every place
         if request.param is not None:
-            monkeypatch.setattr(instances, "_SLICE_TOKENS", request.param)
+            monkeypatch.setattr(instances, "_CHUNK_CHARS", request.param)
 
     def parsed_tables(self, monkeypatch):
         parsed = []
-        leading = instances._leading
+        tokens = instances._tokens
 
-        def counting(kind, found):
+        def counting(kind, found, *rest):
             if kind is float:
                 parsed.append(list(found))
-            return leading(kind, found)
+            return tokens(kind, found, *rest)
 
-        monkeypatch.setattr(instances, "_leading", counting)
+        monkeypatch.setattr(instances, "_tokens", counting)
         return parsed
 
     def assert_naive(self, path):
@@ -603,8 +652,12 @@ class TestReadUaiTableReuse:
         assert inst.pairwise.edges.tolist() == [list(e) for e in edges]
         assert inst.pairwise.thetas.tobytes() == thetas.tobytes()
 
+    def test_all_distinct_grid(self, tmp_path):
+        # default chunks cut this file's tokens, scopes and tables
+        self.assert_naive(write_grid_uai(tmp_path / "distinct.uai", 30, 30, 8, seed=4))
+
     def test_potts_grid_parses_each_distinct_table_once(self, tmp_path, monkeypatch,
-                                                        slice_tokens):
+                                                        chunk_chars):
         path = write_grid_uai(tmp_path / "potts.uai", 4, 5, 3, seed=2, potts_w=1.0)
         self.assert_naive(path)
         parsed = self.parsed_tables(monkeypatch)
@@ -612,7 +665,7 @@ class TestReadUaiTableReuse:
         assert len(parsed) == 20 + 1  # each random unary table, then the one Potts table
 
     def test_interleaved_near_repeats_and_respellings(self, tmp_path, monkeypatch,
-                                                      slice_tokens):
+                                                      chunk_chars):
         # unary and pairwise tables interleave; a table equal to the previous
         # one but for its last token, and values written differently (0.5
         # and 5e-1), are parsed anew
@@ -648,7 +701,7 @@ class TestReadUaiTableReuse:
                               "are supported"),
     ], ids=["scope", "scope-size", "eof-scope", "eof-scope-size", "first-of-two",
             "repeat-before-arity", "arity"])
-    def test_scope_errors_in_file_order(self, tmp_path, slice_tokens, scopes, message):
+    def test_scope_errors_in_file_order(self, tmp_path, chunk_chars, scopes, message):
         path = write_uai(tmp_path / "s.uai", "MARKOV\n3\n2 2 2\n2\n" + scopes)
         with pytest.raises(InstanceFormatError, match=f"^{re.escape(message)}$"):
             read_uai(path)

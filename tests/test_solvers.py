@@ -16,10 +16,10 @@ from crffw import (ADMM, EMD, METHODS, PGD, Adaptive, Constant, ConvexFW,
                    CrfInstance, DampedMeanField, Diverged, EdgeList,
                    EntropicFW, EntropyRegularizer, FastPGM, Harmonic, L2FW,
                    L2Regularizer, LineSearch, MeanField, HarmonicRamp,
-                   RandomDense, RandomGrid, SolverConfig, VanillaFW,
+                   RandomDense, RandomGrid, SolverConfig, VanillaFW, brute_force_map,
                    conditional_gradient_norm, convergence_params, convexify,
                    direction_point, generate,
-                   is_feasible, lmo_vanilla, project_feasible, round_nearest,
+                   is_feasible, lmo_vanilla, project_feasible, round_bcd, round_nearest,
                    run_generalized_fw, schedules, softmax_rows)
 from crffw.schedules import _segment_error
 from crffw.verification import mean_field_iterates
@@ -919,3 +919,20 @@ class TestDiscreteEnergyHelper:
             _, trace = run_generalized_fw(instance, SolverConfig(MeanField()), pool)
         assert caught == []
         assert all(r.e_disc == math.inf for r in trace.records)
+
+
+class TestDecodedQualityFloor:
+    def test_fw_line_search_often_finds_the_optimum(self, rng):
+        hits = 0
+        total = 100
+        for _ in range(total):
+            inst = random_instance(rng, n=int(rng.integers(2, 7)),
+                                   d=int(rng.integers(2, 4)))
+            report = brute_force_map(inst)
+            cfg = SolverConfig(VanillaFW(), schedule=LineSearch(), max_iters=200)
+            x, _ = run_generalized_fw(inst, cfg)
+            decoded = inst.energy_discrete(round_bcd(inst, x))
+            assert decoded >= report.optimal_energy - 1e-9
+            if decoded <= report.optimal_energy + 1e-9:
+                hits += 1
+        assert hits >= 0.7 * total

@@ -6,8 +6,9 @@ import pytest
 
 from conftest import potts_pair, random_feasible, random_instance, zero_instance
 from crffw import (CapacityError, CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
-                   L2Regularizer, brute_force_map, convexify, finite_diff_gradient,
-                   project_feasible, tightness_report)
+                   EntropyRegularizer, L2Regularizer, brute_force_map, convexify,
+                   finite_diff_gradient, project_feasible, tightness_report,
+                   vertex_regularizer_constancy)
 
 
 def hand_enumeration(instance):
@@ -140,3 +141,20 @@ class TestTightnessReport:
         inst = CrfInstance(u, EdgeList(3, 3, np.zeros((0, 2), int), np.zeros((0, 3, 3))))
         x_star = project_feasible(-u / lam)
         tightness_report(inst, x_star, reg=L2Regularizer(lam), x_is_global_min=True)
+
+
+class TestVertexRegularizerConstancy:
+    def test_builtin_regularizers_constant(self):
+        assert vertex_regularizer_constancy(L2Regularizer(0.5), 3, 2)
+        assert vertex_regularizer_constancy(EntropyRegularizer(1.5), 3, 2)
+        assert vertex_regularizer_constancy(None, 3, 2)
+        # 2^17 one-hot points: a sample of them
+        assert vertex_regularizer_constancy(EntropyRegularizer(1.5), 17, 2)
+
+    def test_asymmetric_fixture_detected(self):
+        class FavorsLabelZero:
+            def value(self, x):
+                return float(x[:, 0].sum())
+
+        assert not vertex_regularizer_constancy(FavorsLabelZero(), 2, 2)
+        assert not vertex_regularizer_constancy(FavorsLabelZero(), 17, 2)
