@@ -239,7 +239,7 @@ def read_json(path):
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     version = _require(doc, "version", "instance file")
-    if version != 1:
+    if type(version) is not int or version != 1:  # not true, nor 1.0
         raise InstanceFormatError(f"unsupported instance format version {version!r}")
     n = _scalar(doc, "n", "instance file", (int,))
     d = _scalar(doc, "d", "instance file", (int,))

@@ -21,6 +21,8 @@ Lipschitz constant L_f of the energy's gradient.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CapacityError
@@ -30,7 +32,7 @@ MAX_DENSE_ENTRIES = 1 << 26  # to_dense() refuses larger operators (512 MiB)
 # arrays sized by a count (a file header, a generator flag), not by data,
 # such as a kernel build's 2 n^2 doubles: at most 2 GiB
 MAX_ENTRIES = 1 << 28
-BLOCK = 1 << 16  # entries per row block, and per pair_energy summation leaf
+BLOCK = 1 << 16  # entries per row block (one row if a row is longer)
 CW_RTOL, CW_MAX_PRODUCTS = 1e-3, 100  # when the Collatz-Wielandt bound stops
 
 
@@ -192,15 +194,6 @@ def _row_blocks(n):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
-def _pairwise_sum(run_sum, lo, m):
-    """numpy's pairwise sum of entries [lo, lo + m) of a flat array, with
-    `run_sum(lo, m)` summing each node of at most BLOCK entries."""
-    if m <= BLOCK:
-        return run_sum(lo, m)
-    h = m // 2 - (m // 2) % 8
-    return _pairwise_sum(run_sum, lo, h) + _pairwise_sum(run_sum, lo + h, m - h)
-
-
 def _check_edges(edges, n):
     """Raise for the first edge, in edge order, that is out of range,
     not ordered i < j, or a repeat of an earlier edge."""
@@ -296,28 +289,20 @@ class GaussianKernel:
         return (self.kernel_matrix[i] @ x) @ self.compat.T
 
     def pair_energy(self, labels):
-        """0.5 * sum_ij K[i, j] compat[l_i, l_j], bitwise equal to numpy's
-        sum over the n x n array of terms, without building that array.
-
-        numpy sums a contiguous run of m > 128 entries as the sum of its
-        first h = m // 2 - (m // 2) % 8 entries plus the sum of the rest.
-        `_pairwise_sum` follows that tree down to runs of at most BLOCK
-        entries, each built from the rows that cover it in one scratch of
-        BLOCK + 2n entries: a run's `.sum()` is numpy's value at its node.
-        """
+        """0.5 * sum_ij K[i, j] compat[l_i, l_j] with no n x n temporary:
+        numpy sums each row block's terms, and `math.fsum` adds the block
+        sums, rounding once.  When n * n <= BLOCK one block holds every
+        term: the result is bitwise numpy's one sum over the whole array."""
         K, n = self.kernel_matrix, self.n_nodes
         cols = self.compat[:, labels]  # cols[a, j] = compat[a, l_j]; checks the labels
-        scratch = np.empty(BLOCK + 2 * n)
-
-        def run_sum(lo, m):
-            r0, r1 = lo // n, -(-(lo + m) // n)
-            rows = scratch[:(r1 - r0) * n].reshape(r1 - r0, n)
+        scratch = np.empty(min(n * n, max(BLOCK, n)))
+        sums = []
+        for rows in _row_blocks(n):
+            terms = scratch[:K[rows].size].reshape(-1, n)
             # mode="raise" would copy through a buffer; `cols` checked the labels
-            cols.take(labels[r0:r1], axis=0, out=rows, mode="wrap")
-            np.multiply(K[r0:r1], rows, out=rows)
-            return rows.reshape(-1)[lo - r0 * n:][:m].sum()
-
-        return 0.5 * float(_pairwise_sum(run_sum, 0, n * n)) if n else 0.0
+            cols.take(labels[rows], axis=0, out=terms, mode="wrap")
+            sums.append(np.multiply(terms, K[rows], out=terms).sum())
+        return 0.5 * math.fsum(sums)
 
     def to_dense(self):
         n, d = self.n_nodes, self.n_labels

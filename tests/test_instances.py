@@ -149,10 +149,12 @@ class TestJsonRoundTrip:
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"version": 2, "n": 1, "d": 2, "unary": [[0, 0]], '
-                        '"pairwise": {"type": "dense", "matrix": [[0,0],[0,0]]}}')
-        with pytest.raises(InstanceFormatError, match="version"):
-            read_json(path)
+        for version, shown in (("2", "2"), ("true", "True"), ("1.0", "1.0"), ('"1"', "'1'")):
+            path.write_text(f'{{"version": {version}, "n": 1, "d": 2, "unary": [[0, 0]], '
+                            '"pairwise": {"type": "dense", "matrix": [[0,0],[0,0]]}}')
+            with pytest.raises(InstanceFormatError,
+                               match=f"^unsupported instance format version {re.escape(shown)}$"):
+                read_json(path)
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -169,10 +170,22 @@ def _random_compat(rng, d, potts):
     return m + m.T
 
 
+def _pair_energy_terms(backend, labels):
+    """The whole n x n array of terms K[i, j] compat[l_i, l_j]."""
+    return backend.kernel_matrix * backend.compat[np.ix_(labels, labels)]
+
+
 def _pair_energy_reference(backend, labels):
     """The whole n x n array of terms, summed by numpy in one call."""
-    mu_ll = backend.compat[np.ix_(labels, labels)]
-    return 0.5 * float((backend.kernel_matrix * mu_ll).sum())
+    return 0.5 * float(_pair_energy_terms(backend, labels).sum())
+
+
+def _row_block_reference(backend, labels, block):
+    """The whole array of terms summed by numpy `block // n` rows at a
+    time (one row at least), and the row sums added by math.fsum."""
+    terms, n = _pair_energy_terms(backend, labels), backend.n_nodes
+    step = max(1, block // max(n, 1))
+    return 0.5 * math.fsum(terms[lo:lo + step].sum() for lo in range(0, n, step))
 
 
 def _traced_peak(fn):
@@ -195,23 +208,48 @@ class TestGaussianPairEnergy:
         backend = GaussianKernel(rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3)),
                                  _random_compat(rng, d, potts))
         labels = rng.integers(0, d, n)
-        with pytest.MonkeyPatch.context() as mp:  # small leaves: a deep summation tree
+        with pytest.MonkeyPatch.context() as mp:  # small blocks: many of them
             mp.setattr(model, "BLOCK", block)
             energy = backend.pair_energy(labels)
-        assert energy.hex() == _pair_energy_reference(backend, labels).hex()
+        assert energy.hex() == _row_block_reference(backend, labels, block).hex()
+        if n * n <= block:  # one block: numpy's sum over the whole array
+            assert energy.hex() == _pair_energy_reference(backend, labels).hex()
 
     @pytest.mark.parametrize("n", [0, 3, 255, 256, 257, 500, 777])
     @pytest.mark.parametrize("potts", [True, False])
     def test_bitwise_equal_across_leaves(self, n, potts):
-        # n * n past one leaf, with leaves that start mid-row, and n * n
-        # not a multiple of 8 (3, 255, 257, 777)
+        # one block up to n = 256; past it blocks of 255, 131 and 84 rows,
+        # each with a shorter last block
         rng = np.random.default_rng(n)
         backend = GaussianKernel(rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3)),
                                  _random_compat(rng, 21, potts))
         for _ in range(3):
             labels = rng.integers(0, 21, n)
-            assert (backend.pair_energy(labels).hex()
-                    == _pair_energy_reference(backend, labels).hex())
+            energy = backend.pair_energy(labels)
+            assert energy.hex() == _row_block_reference(backend, labels, model.BLOCK).hex()
+            if n * n <= model.BLOCK:
+                assert energy.hex() == _pair_energy_reference(backend, labels).hex()
+
+    @pytest.mark.parametrize("n, block", [(257, model.BLOCK), (777, model.BLOCK),
+                                          (100, 128), (60, 200)])
+    @pytest.mark.parametrize("potts", [True, False])
+    def test_error_within_block_bound(self, n, block, potts):
+        # numpy's sum of a block of B terms errs by at most (B - 1) u
+        # sum |t| / (1 - (B - 1) u) <= B u sum |t|, and each math.fsum,
+        # this one's and the exact reference's, rounds once: at most
+        # 2 u sum |t| more, halved with the energy
+        rng = np.random.default_rng(n + block)
+        backend = GaussianKernel(rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3)),
+                                 _random_compat(rng, 21, potts))
+        labels = rng.integers(0, 21, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "BLOCK", block)
+            energy = backend.pair_energy(labels)
+        terms = _pair_energy_terms(backend, labels).ravel()
+        exact = 0.5 * math.fsum(terms.tolist())
+        b = max(1, block // n) * n
+        bound = 0.5 * (b + 3) * 2.0 ** -53 * math.fsum(np.abs(terms).tolist())
+        assert abs(energy - exact) <= bound
 
     def test_transient_memory_is_one_leaf(self, rng):
         n, d = 1000, 21

@@ -7,8 +7,8 @@ import pytest
 from conftest import potts_pair, random_feasible, random_instance, zero_instance
 from crffw import (CapacityError, CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
                    EntropyRegularizer, L2Regularizer, brute_force_map, convexify,
-                   finite_diff_gradient, project_feasible, tightness_report,
-                   vertex_regularizer_constancy)
+                   finite_diff_gradient, project_feasible, schedules, simplex, solvers,
+                   tightness_report, verification, vertex_regularizer_constancy)
 
 
 def hand_enumeration(instance):
@@ -158,3 +158,64 @@ class TestVertexRegularizerConstancy:
 
         assert not vertex_regularizer_constancy(FavorsLabelZero(), 2, 2)
         assert not vertex_regularizer_constancy(FavorsLabelZero(), 17, 2)
+
+
+_STEPSIZE, _DECREASE_BOUND = schedules.stepsize, schedules.decrease_bound
+
+
+def _tiny_adaptive_step(schedule, *args, **kwargs):
+    if isinstance(schedule, schedules.Adaptive):
+        return 1e-6
+    return _STEPSIZE(schedule, *args, **kwargs)
+
+
+def _bound_for(family, row):
+    """decrease_bound with `row(params, schedule, k, s_k)` for one family."""
+    def bound(params, schedule, k, s_k):
+        if isinstance(schedule, family):
+            return row(params, schedule, k, s_k)
+        return _DECREASE_BOUND(params, schedule, k, s_k)
+    return bound
+
+
+def _loose_convex_row(params, schedule, k, s_k):
+    # the curvature term doubled: a weaker bound, which no trace violates
+    if params.l_f > 0.0 and params.sigma_g == 0.0:
+        a = schedule.alpha
+        return a * s_k - params.l_f * params.diameter ** 2 * a ** 2
+    return _DECREASE_BOUND(params, schedule, k, s_k)
+
+
+def _half_shift_convexify(instance):
+    # a quarter of the row mass, compensated: one-hot energies still match
+    c = 0.25 * instance.pairwise.matvec(np.ones((instance.n_nodes, instance.n_labels)))
+    return CrfInstance(instance.unary - c, DiagonalShift(instance.pairwise, 2.0 * c))
+
+
+# each `bounds` check, and a defect in what it guards: module, name, stand-in
+_BOUNDS_DEFECTS = [
+    # the adaptive rows doubled
+    ("adaptive_decrease_bound", schedules, "decrease_bound",
+     _bound_for(schedules.Adaptive, lambda p, s, k, s_k: 2.0 * _DECREASE_BOUND(p, s, k, s_k))),
+    # constant steps: the curvature factor dropped
+    ("constant_stepsize_decrease_bound", schedules, "decrease_bound",
+     _bound_for(schedules.Constant, lambda p, s, k, s_k: s.alpha * s_k)),
+    # harmonic steps: the L_f = 0 row whatever L_f
+    ("schedule_matrix_decrease_bounds", schedules, "decrease_bound",
+     _bound_for(schedules.Harmonic, lambda p, s, k, s_k: 2.0 / (k + 2.0) * s_k)),
+    ("sublinear_stationarity_trend", schedules, "stepsize", _tiny_adaptive_step),
+    ("rounding_bounds", simplex, "rounding_constant", lambda instance: 0.0),
+    ("decrease_bound_table_values", schedules, "decrease_bound",
+     _bound_for(schedules.Constant, _loose_convex_row)),
+    ("convexified_energy", solvers, "convexify", _half_shift_convexify),
+]
+
+
+class TestBoundsSuiteDefects:
+    @pytest.mark.parametrize("check, module, name, defect", _BOUNDS_DEFECTS,
+                             ids=[case[0] for case in _BOUNDS_DEFECTS])
+    def test_defect_fails_its_check(self, monkeypatch, check, module, name, defect):
+        monkeypatch.setattr(module, name, defect)
+        results = {c.name: c.passed for c in verification.suite_bounds(0)}
+        assert set(results) == {case[0] for case in _BOUNDS_DEFECTS}
+        assert results[check] is False
