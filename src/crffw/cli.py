@@ -12,10 +12,10 @@ core), so unpinned BLAS leaves one.  `compare` solves its instances on
 that many threads, one instance per task; each task holds the only
 reference to its instance, so peak memory is the parsed instances plus
 one kernel (n^2 doubles) and one build (2 n^2) per thread.  `solve`
-takes a second thread when there are two free: it computes each
-iteration's e_disc there while the next step runs.  Outputs and the
-reported error are those of the serial order, whatever the thread
-count; only --times' time_ms then leaves out e_disc.
+takes a second thread when there are two free: it computes every
+iteration's e_disc there, collected when the loop ends.  Outputs and the
+reported error are those of the serial order, whatever the thread count
+(an e_disc error surfaces late); --times' time_ms then leaves out e_disc.
 """
 
 from __future__ import annotations

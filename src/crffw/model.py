@@ -291,7 +291,8 @@ class GaussianKernel:
     def pair_energy(self, labels):
         """0.5 * sum_ij K[i, j] compat[l_i, l_j] with no n x n temporary:
         numpy sums each row block's terms, and `math.fsum` adds the block
-        sums, rounding once.  When n * n <= BLOCK one block holds every
+        sums, rounding once; past the float range numpy's sum of them gives
+        +-inf or nan instead.  When n * n <= BLOCK one block holds every
         term: the result is bitwise numpy's one sum over the whole array."""
         K, n = self.kernel_matrix, self.n_nodes
         cols = self.compat[:, labels]  # cols[a, j] = compat[a, l_j]; checks the labels
@@ -302,7 +303,10 @@ class GaussianKernel:
             # mode="raise" would copy through a buffer; `cols` checked the labels
             cols.take(labels[rows], axis=0, out=terms, mode="wrap")
             sums.append(np.multiply(terms, K[rows], out=terms).sum())
-        return 0.5 * math.fsum(sums)
+        try:
+            return 0.5 * math.fsum(sums)
+        except (OverflowError, ValueError):  # a total past the float range, or inf - inf
+            return 0.5 * float(np.sum(sums))
 
     def to_dense(self):
         n, d = self.n_nodes, self.n_labels

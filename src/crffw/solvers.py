@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from concurrent.futures import wait
 from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
 
@@ -280,8 +281,8 @@ def iterate_key(config):
 @dataclass
 class IterationRecord:
     """One row of the trace; the trace CSV's columns are these fields, in
-    this order.  `time_ms` is the iteration's wall time; when
-    `run_generalized_fw` gets a pool it leaves out `e_disc`."""
+    this order.  `time_ms` is the iteration's wall time, which leaves out
+    `e_disc` when `run_generalized_fw` fills that in from a pool."""
 
     k: int
     alpha: float
@@ -421,15 +422,6 @@ def _energy_discrete(work, labels):
         return work.energy_discrete(labels)
 
 
-def _settle(trace, pending):
-    """Wait for the helper's e_disc of iteration k and fill it into
-    record k, once that is recorded; its error is raised here."""
-    k, future = pending
-    e_disc = future.result()
-    if k < len(trace.records):
-        trace.records[k].e_disc = e_disc
-
-
 @np.errstate(all="ignore")
 def run_generalized_fw(instance, config, pool=None):
     """Run a solver; returns (point, trace).
@@ -442,11 +434,11 @@ def run_generalized_fw(instance, config, pool=None):
     combination.
 
     `pool`, a one-thread executor, computes each iteration's e_disc
-    while the loop takes the next step; nothing in the loop reads it.
-    The trace, the point and the error raised are those of a run
-    without `pool`, and every call sent to it has finished on return.
-    Only `time_ms` differs: it then leaves out e_disc, apart from any
-    wait for the previous iteration's after the step.
+    beside the loop, which never reads it; the run waits for every call
+    once the loop ends.  The trace, point and error are those of a run
+    without `pool` (the first e_disc error beats any later loop error),
+    but `time_ms` leaves out e_disc, and an e_disc error surfaces only
+    after the later iterations have run.
     """
     method = config.method
     work = convexify(instance) if isinstance(method, ConvexFW) else instance
@@ -467,7 +459,7 @@ def run_generalized_fw(instance, config, pool=None):
     f_prev = trace.initial_e_reg
 
     steps = method.steps(work, x, px, r_x, config, params)
-    pending = None  # (k, future) of the helper's e_disc call, at most one
+    futures = []  # the helper's e_disc calls, one per iteration
     try:
         for k in range(config.max_iters):
             t0 = time.perf_counter()
@@ -475,16 +467,14 @@ def run_generalized_fw(instance, config, pool=None):
                 x, px, r_x, alpha, s_k, step_norm = next(steps)
             except Diverged as exc:
                 raise Diverged(f"{exc} at iteration {k}", trace) from None
-            done, pending = pending, None
-            if done is not None:
-                _settle(trace, done)
             e_cont = work.energy_relaxed(x, px)
             e_reg = e_cont + r_x
             labels = round_nearest(x)
             if pool is None:
                 e_disc = work.energy_discrete(labels)
             else:
-                pending, e_disc = (k, pool.submit(_energy_discrete, work, labels)), math.nan
+                futures.append(pool.submit(_energy_discrete, work, labels))
+                e_disc = math.nan
             _check_finite(trace, f"at iteration {k}", e_cont=e_cont, e_reg=e_reg)
 
             if method.bounded:
@@ -504,7 +494,7 @@ def run_generalized_fw(instance, config, pool=None):
                     f"F_k - F_k+1 = {f_prev - e_reg:.3e} < delta_k = {delta:.3e}")
             f_prev = e_reg
     finally:
-        # computed inline, e_disc would come before any later error
-        if pending is not None:
-            _settle(trace, pending)
+        wait(futures)
+        for record, e_disc in zip(trace.records, [f.result() for f in futures]):
+            record.e_disc = e_disc
     return x, trace

@@ -224,16 +224,12 @@ def vertex_regularizer_constancy(reg, n, d):
         x[np.arange(n), labels] = 1.0
         return 0.0 if reg is None else float(reg.value(x))
 
-    values = []
     if total <= 65536:
-        for start in range(0, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            for labels in _decode_labelings(idx, n, d):
-                values.append(value_at(labels))
+        labelings = itertools.product(range(d), repeat=n)
     else:
         rng = np.random.default_rng(0)
-        for _ in range(256):
-            values.append(value_at(rng.integers(0, d, size=n)))
+        labelings = (rng.integers(0, d, size=n) for _ in range(256))
+    values = [value_at(labels) for labels in labelings]
     return (max(values) - min(values)) <= 1e-12
 
 

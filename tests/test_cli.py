@@ -21,6 +21,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_cli_process(*argv):
+    """`crffw` in a subprocess where a numpy warning is an error."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crffw.__file__)))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "crffw.cli",
+                           *argv], capture_output=True, text=True, env=env, check=False)
+
+
 def exit_code(*argv):
     try:
         return run_cli(*argv)
@@ -287,12 +294,30 @@ def test_overflowing_direction_is_divergence(instance_file, tmp_path, command, m
         args = ["compare", "--instances", str(instance_file), "--methods",
                 f"{method}:1e-310", "--steps", "3", "--sweep-methods", "",
                 "--out", str(tmp_path / "cmp")]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(crffw.__file__)))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "crffw.cli",
-                           *args], capture_output=True, text=True, env=env, check=False)
+    proc = run_cli_process(*args)
     assert proc.returncode == 1
     assert proc.stderr.startswith("diverged: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_pair_energy_past_the_float_range_is_divergence(tmp_path, command):
+    # e_disc's block sums are finite, their total is not: -inf, not an
+    # OverflowError from math.fsum
+    from crffw import CrfInstance, GaussianKernel, write_json
+    path = tmp_path / "pairs.json"
+    backend = GaussianKernel(np.zeros((512, 2)), np.zeros((512, 3)),
+                             [[1e303, 0.0], [0.0, -1e303]])
+    write_json(CrfInstance(np.zeros((512, 2)), backend), path)
+    if command == "solve":
+        args = ["solve", "--instance", str(path), "--method", "fw", "--steps", "3",
+                "--trace", str(tmp_path / "t.csv")]
+    else:
+        args = ["compare", "--instances", str(path), "--methods", "fw", "--steps", "3",
+                "--sweep-methods", "", "--out", str(tmp_path / "cmp")]
+    proc = run_cli_process(*args)
+    assert proc.returncode == 1
+    assert proc.stderr == "diverged: non-finite e_cont at iteration 0\n"
 
 
 class TestFloatPowerOverflow:

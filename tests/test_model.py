@@ -251,6 +251,21 @@ class TestGaussianPairEnergy:
         bound = 0.5 * (b + 3) * 2.0 ** -53 * math.fsum(np.abs(terms).tolist())
         assert abs(energy - exact) <= bound
 
+    @pytest.mark.parametrize("scale, half, expected", [
+        (1e303, False, -math.inf),  # finite block sums whose total overflows
+        (1e308, True, math.nan),    # block sums of +inf and -inf
+    ])
+    def test_past_the_float_range(self, scale, half, expected):
+        # numpy's sum where math.fsum raises, as numpy's one sum did
+        n = 512
+        backend = GaussianKernel(np.zeros((n, 2)), np.zeros((n, 3)),
+                                 [[scale, 0.0], [0.0, -scale]])
+        labels = np.repeat([0, 1], n // 2) if half else np.ones(n, dtype=int)
+        with np.errstate(all="ignore"):
+            energy = backend.pair_energy(labels)
+        assert type(energy) is float
+        assert energy == expected or math.isnan(expected) and math.isnan(energy)
+
     def test_transient_memory_is_one_leaf(self, rng):
         n, d = 1000, 21
         backend = GaussianKernel(rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3)),

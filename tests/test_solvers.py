@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -902,6 +903,37 @@ class TestDiscreteEnergyHelper:
             with pytest.raises(RuntimeError, match="e_disc failed"):
                 run_generalized_fw(instance, config, use)
             assert len(calls) == fail_at
+
+    def test_energy_discrete_error_after_the_loop(self, monkeypatch):
+        # e_disc fails at iteration 0 and the loop raises nothing later:
+        # the helper's run goes on to the end and waits for every call
+        instance = generate(CHANGING_E_DISC)
+        config = SolverConfig(VanillaFW(), schedule=Constant(0.5), max_iters=5)
+        energy = CrfInstance.energy_discrete
+        started, finished = [], []
+
+        def failing(self, labels):
+            started.append(None)
+            try:
+                if len(started) == 1:
+                    raise RuntimeError("e_disc failed")
+                return energy(self, labels)
+            finally:
+                finished.append(None)
+
+        monkeypatch.setattr(CrfInstance, "energy_discrete", failing)
+        with pytest.raises(RuntimeError, match="e_disc failed") as inline:
+            run_generalized_fw(instance, config)
+        assert len(started) == len(finished) == 1
+        started.clear()
+        finished.clear()
+        before = threading.enumerate()
+        with ThreadPoolExecutor(1) as pool:
+            with pytest.raises(RuntimeError, match="e_disc failed") as helper:
+                run_generalized_fw(instance, config, pool)
+            assert len(started) == len(finished) == config.max_iters
+        assert threading.enumerate() == before
+        assert (helper.type, str(helper.value)) == (inline.type, str(inline.value))
 
     def test_overflow_on_the_helper_warns_nothing(self, pool, monkeypatch):
         def overflowing(self, labels):
