@@ -6,16 +6,15 @@ usage errors.  All outputs are byte-deterministic given the same flags;
 pass --times to `solve` to include real wall times in the trace CSV.
 
 The free threads are the usable cores (`taskset` limits them) divided
-by BLAS's threads (the first positive integer among
-OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS, else every
-core), so unpinned BLAS leaves one.  `compare` solves its instances on
-that many threads, one instance per task; each task holds the only
-reference to its instance, so peak memory is the parsed instances plus
-one kernel (n^2 doubles) and one build (2 n^2) per thread.  `solve`
-takes a second thread when there are two free: it computes every
-iteration's e_disc there, collected when the loop ends.  Outputs and the
-reported error are those of the serial order, whatever the thread count
-(an e_disc error surfaces late); --times' time_ms then leaves out e_disc.
+by BLAS's threads (the first positive integer among the thread
+variables that numpy's BLAS reads, else every core), so unpinned BLAS
+leaves one.  `compare` solves its instances on that many threads, one
+instance per task; each task holds the only reference to its instance,
+so peak memory is the parsed instances plus one kernel (n^2 doubles)
+and one build (2 n^2) per thread.  `solve` runs with the solver's
+e_disc helper thread when there are two free.  Outputs and the reported
+error are those of the serial order, whatever the thread count (an
+e_disc error surfaces late); --times' time_ms then leaves out e_disc.
 """
 
 from __future__ import annotations
@@ -45,6 +44,13 @@ _FLAGS = {"max_iters": "--steps", "n and d": "--nodes and --labels",
           "grid dimensions": "--rows, --cols and --labels",
           "kernel bandwidths": "--kernel-alpha, --kernel-beta and --kernel-gamma"}
 _SPECS = {"dense": RandomDense, "grid": RandomGrid, "edges": RandomEdgeList}  # generate --kind
+try:  # the BLAS numpy was built with, as numpy >= 1.26 names it
+    _BLAS = (np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] or "").lower()
+except (TypeError, KeyError):
+    _BLAS = ""
+# the thread variables each BLAS reads, in its order ("": any other BLAS)
+_THREAD_VARS = {"openblas": ("OPENBLAS", "GOTO", "OMP"), "mkl": ("MKL", "OMP"),
+                "": ("OPENBLAS", "MKL", "OMP")}
 
 
 def _load_instance(path):
@@ -119,16 +125,12 @@ def cmd_solve(args, parser):
     except ValueError as exc:
         _usage_error(parser, exc)
     instance = _load_instance(args.instance)
-    pool = ThreadPoolExecutor(1) if _worker_threads(2) == 2 else None
     try:
-        x, trace = solvers.run_generalized_fw(instance, config, pool)
+        x, trace = solvers.run_generalized_fw(instance, config, helper=_worker_threads(2) == 2)
     except Diverged as exc:  # reported by main, after the partial trace
         if args.trace and exc.trace is not None:
             exc.trace.write_csv(args.trace, include_times=args.times)
         raise
-    finally:
-        if pool is not None:
-            pool.shutdown()
     if args.trace:
         trace.write_csv(args.trace, include_times=args.times)
     labels = round_bcd(instance, x) if args.round == "bcd" else round_nearest(x)
@@ -177,9 +179,9 @@ def _worker_threads(n_tasks):
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     blas = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in next(names for blas_kind, names in _THREAD_VARS.items() if blas_kind in _BLAS):
         try:
-            threads = int(os.environ.get(var, ""))
+            threads = int(os.environ.get(f"{var}_NUM_THREADS", ""))
         except ValueError:
             continue
         if threads > 0:

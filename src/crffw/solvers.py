@@ -18,15 +18,16 @@ mean-field updates exactly.  The remaining comparison methods
 (FISTA-style accelerated projections, multiplicative entropy updates,
 and a two-block splitting scheme) do not fit the direction/stepsize
 template, but run in the same loop: every method is a step generator
-and `run_generalized_fw` owns the energies, checks and trace.
+and `run_generalized_fw` owns the operator, energies, checks and trace.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
-from concurrent.futures import wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
 
@@ -45,10 +46,11 @@ _ADMM_RHO = 1.0
 # ---------------------------------------------------------------------------
 # methods and config
 #
-# A method's `steps(instance, x, px, r_x, config, params)` is a generator
-# that starts at x (px = P x, r_x = r(x)) and yields, once per iteration,
+# A method's `steps(unary, apply, x, px, r_x, config, params)` is a
+# generator that starts at x (px = P x, r_x = r(x)), applies P only as
+# `apply(v) = P v`, and yields, once per iteration,
 #
-#     (x, P x or None, r(x), alpha, s_k, step_norm)
+#     (x, P x, r(x), alpha, s_k, step_norm)
 #
 # keeping its own state (momentum, duals) between iterations.  r(x) is
 # 0.0 for a method without a regularizer.  `params` holds the L_f and
@@ -77,15 +79,15 @@ class _FrankWolfe(_Method):
         r_p = regularizer_value(reg, p)
         return p, _gap(grad, x, p, r_x, r_p), r_p
 
-    def steps(self, instance, x, px, r_x, config, params):
+    def steps(self, unary, apply, x, px, r_x, config, params):
         reg, sched = config.regularizer, config.schedule
         for k in itertools.count():
-            grad = px + instance.unary
+            grad = px + unary
             p, s_k, r_p = self.direction(grad, x, r_x, reg)
             direction = p - x
             dir_sq = float((direction ** 2).sum())
             # the one application of P per iteration; P(p - x) = Pp - Px
-            pp = instance.pairwise.matvec(p)
+            pp = apply(p)
             p_direction = pp - px
 
             alpha = schedules.stepsize(sched, k, s_k, dir_sq, params,
@@ -152,10 +154,10 @@ class FastPGM(_Method):
 
     name = "pgm"
 
-    def steps(self, instance, x, px, r_x, config, params):
+    def steps(self, unary, apply, x, px, r_x, config, params):
         y, py, t = x, px, 1.0  # py = P y
         for k in itertools.count():
-            grad = py + instance.unary
+            grad = py + unary
             s_k = _gap(grad, y, lmo_vanilla(grad))
             alpha = schedules.stepsize(config.schedule, k, s_k, 1.0, params)
             x_new = project_feasible(y - alpha * grad)
@@ -163,8 +165,8 @@ class FastPGM(_Method):
             y = x_new + ((t - 1.0) / t_new) * (x_new - x)
             step_norm = float(np.linalg.norm(x_new - x))
             x, t = x_new, t_new
-            yield x, None, 0.0, alpha, s_k, step_norm
-            py = instance.pairwise.matvec(y)
+            yield x, apply(x), 0.0, alpha, s_k, step_norm
+            py = apply(y)
 
 
 class EMD(_Method):
@@ -176,10 +178,10 @@ class EMD(_Method):
 
     name = "emd"
 
-    def steps(self, instance, x, px, r_x, config, params):
+    def steps(self, unary, apply, x, px, r_x, config, params):
         eps = 1e-10
         for k in itertools.count():
-            grad = px + instance.unary
+            grad = px + unary
             s_k = _gap(grad, x, lmo_vanilla(grad))
             alpha = schedules.stepsize(config.schedule, k, s_k, 1.0, params)
             shift = alpha * grad.min(axis=1, keepdims=True)
@@ -187,7 +189,7 @@ class EMD(_Method):
             x_new = weights / weights.sum(axis=1, keepdims=True)
             step_norm = float(np.linalg.norm(x_new - x))
             x = x_new
-            px = instance.pairwise.matvec(x)
+            px = apply(x)
             yield x, px, 0.0, alpha, s_k, step_norm
 
 
@@ -205,15 +207,15 @@ class ADMM(_Method):
     schedule_types = ()
     default_schedule = None
 
-    def steps(self, instance, point, m, r_x, config, params):
+    def steps(self, unary, apply, point, m, r_x, config, params):
         # m is P at the last yielded point
-        rho, u = _ADMM_RHO, instance.unary
+        rho = _ADMM_RHO
         x, y, z = None, np.zeros_like(point), point
         for k in itertools.count():
-            grad_at = m + u
+            grad_at = m + unary
             s_k = _gap(grad_at, point, lmo_vanilla(grad_at))
             if k % 2 == 0:
-                x = project_feasible(z - (y + 0.5 * m + u) / rho)
+                x = project_feasible(z - (y + 0.5 * m + unary) / rho)
                 new_point = x
             else:
                 z = project_feasible(x - (-y + 0.5 * m) / rho)
@@ -221,7 +223,7 @@ class ADMM(_Method):
                 new_point = z
             step_norm = float(np.linalg.norm(new_point - point))
             point = new_point
-            m = instance.pairwise.matvec(point)
+            m = apply(point)
             yield point, m, 0.0, math.nan, s_k, step_norm
 
 
@@ -282,7 +284,7 @@ def iterate_key(config):
 class IterationRecord:
     """One row of the trace; the trace CSV's columns are these fields, in
     this order.  `time_ms` is the iteration's wall time, which leaves out
-    `e_disc` when `run_generalized_fw` fills that in from a pool."""
+    `e_disc` when `run_generalized_fw` fills that in from its helper."""
 
     k: int
     alpha: float
@@ -416,14 +418,8 @@ def _check_finite(trace, where, **energies):
 # ---------------------------------------------------------------------------
 # the solver loop shared by every method
 
-def _energy_discrete(work, labels):
-    # numpy's error state is per thread: a helper starts at the defaults
-    with np.errstate(all="ignore"):
-        return work.energy_discrete(labels)
-
-
 @np.errstate(all="ignore")
-def run_generalized_fw(instance, config, pool=None):
+def run_generalized_fw(instance, config, helper=False):
     """Run a solver; returns (point, trace).
 
     Raises Diverged (carrying the partial trace) on a non-finite energy
@@ -433,12 +429,11 @@ def run_generalized_fw(instance, config, pool=None):
     F_k - F_{k+1} >= delta_k - 1e-7 for the active schedule/regularizer
     combination.
 
-    `pool`, a one-thread executor, computes each iteration's e_disc
-    beside the loop, which never reads it; the run waits for every call
-    once the loop ends.  The trace, point and error are those of a run
-    without `pool` (the first e_disc error beats any later loop error),
-    but `time_ms` leaves out e_disc, and an e_disc error surfaces only
-    after the later iterations have run.
+    With `helper`, a thread of the run's own computes each iteration's
+    e_disc beside the loop, which never reads it, and is joined when the
+    loop ends.  The trace, point and error are those of a run without it
+    (the first e_disc error beats any later loop error), but `time_ms`
+    leaves out e_disc, and an e_disc error surfaces after the loop.
     """
     method = config.method
     work = convexify(instance) if isinstance(method, ConvexFW) else instance
@@ -458,7 +453,10 @@ def run_generalized_fw(instance, config, pool=None):
                   e_cont=trace.initial_e_cont, e_reg=trace.initial_e_reg)
     f_prev = trace.initial_e_reg
 
-    steps = method.steps(work, x, px, r_x, config, params)
+    steps = method.steps(work.unary, work.pairwise.matvec, x, px, r_x, config, params)
+    # numpy's error state is per thread: the helper sets its own
+    pool = (ThreadPoolExecutor(1, initializer=functools.partial(np.seterr, all="ignore"))
+            if helper else None)
     futures = []  # the helper's e_disc calls, one per iteration
     try:
         for k in range(config.max_iters):
@@ -473,7 +471,7 @@ def run_generalized_fw(instance, config, pool=None):
             if pool is None:
                 e_disc = work.energy_discrete(labels)
             else:
-                futures.append(pool.submit(_energy_discrete, work, labels))
+                futures.append(pool.submit(work.energy_discrete, labels))
                 e_disc = math.nan
             _check_finite(trace, f"at iteration {k}", e_cont=e_cont, e_reg=e_reg)
 
@@ -494,7 +492,8 @@ def run_generalized_fw(instance, config, pool=None):
                     f"F_k - F_k+1 = {f_prev - e_reg:.3e} < delta_k = {delta:.3e}")
             f_prev = e_reg
     finally:
-        wait(futures)
+        if pool is not None:
+            pool.shutdown()
         for record, e_disc in zip(trace.records, [f.result() for f in futures]):
             record.e_disc = e_disc
     return x, trace

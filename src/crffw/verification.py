@@ -430,8 +430,7 @@ def suite_invariants(seed=0):
     for _ in range(1000):
         d = int(rng.integers(2, 8))
         z = random_feasible(rng, 1, d)[0]
-        v = np.zeros(d)
-        v[int(np.argmax(z))] = 1.0
+        v = np.eye(d)[simplex.round_nearest(z[None])[0]]
         worst = max(worst, float(((z - v) ** 2).sum()) - (1.0 - 1.0 / d))
     checks.append(CheckResult("nearest_rounding_distance", worst <= 1e-12,
                               f"max excess over 1 - 1/d = {worst:.2e}"))

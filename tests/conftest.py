@@ -1,9 +1,60 @@
+import ctypes
+import glob
 import itertools
+import os
 
 import numpy as np
 import pytest
 
 from crffw import CrfInstance, DenseMatrix, EdgeList, GaussianKernel, potts_matrix
+
+NUMERIC_ENV = os.path.join(os.path.dirname(__file__), "data", "NUMERIC_ENV")
+
+
+def _openblas_core():
+    """The core OpenBLAS picked on this CPU, from the library numpy
+    bundles (a wheel's numpy.libs or .dylibs), or "unknown"."""
+    root = os.path.dirname(np.__file__)
+    for path in (glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+                 + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in itertools.product(("scipy_openblas_", "openblas_"), ("64_", "")):
+            get_config = getattr(lib, f"{prefix}get_config{suffix}", None)
+            if get_config is not None:
+                # "OpenBLAS <version> <build flags> <core> MAX_THREADS=<n>"
+                get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+                words = get_config().decode().split()
+                return words[-2] if words[-1].startswith("MAX_THREADS=") else words[-1]
+    return "unknown"
+
+
+def _numeric_env():
+    with open(NUMERIC_ENV, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def pytest_report_header(config):
+    """The machine code numpy and OpenBLAS run here, beside the one the
+    goldens were written under: a golden that differs in its last bits
+    on another host may be other code paths, not drift.  Reads only;
+    anything it cannot read shows as "unknown"."""
+    def read(what):
+        try:
+            return what()
+        except Exception:  # a header must not fail the session
+            return "unknown"
+
+    info = read(lambda: np.show_config(mode="dicts"))
+    simd = read(lambda: info["SIMD Extensions"])
+    blas = read(lambda: info["Build Dependencies"]["blas"])
+    lines = [f"numpy {np.__version__}: SIMD baseline {read(lambda: ' '.join(simd['baseline']))}, "
+             f"dispatch found {read(lambda: ' '.join(simd['found']))}",
+             f"BLAS {read(lambda: blas['name'])} {read(lambda: blas['version'])}, "
+             f"OpenBLAS core {read(_openblas_core)}"]
+    lines += [f"{var}={os.environ[var]}" for var in ("OPENBLAS_CORETYPE",
+                                                      "NPY_DISABLE_CPU_FEATURES")
+              if var in os.environ]
+    return lines + read(_numeric_env)
 
 
 def potts_pair(w=1.0):

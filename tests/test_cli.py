@@ -765,11 +765,14 @@ class TestMethodScheduleMatrix:
         assert trace.exists() == (code == 0)
 
 
-def force_workers(monkeypatch, cpus, blas_threads=None):
-    """Let `compare` see `cpus` usable cores and BLAS at `blas_threads`
-    (None: no thread variable set)."""
+def force_workers(monkeypatch, cpus, blas_threads=None, blas="scipy-openblas"):
+    """Let `compare` see `cpus` usable cores and numpy built with `blas`,
+    an OpenBLAS by default, at `blas_threads` (None: no thread variable
+    set)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    monkeypatch.setattr(cli, "_BLAS", blas)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
+                "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     if blas_threads is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
@@ -893,14 +896,31 @@ class TestComparePool:
         (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
         (2, {"OPENBLAS_NUM_THREADS": "3"}, 10, 1),
         (8, {"OMP_NUM_THREADS": "4"}, 10, 2),
+        # OpenBLAS reads OPENBLAS, GOTO, then OMP, and never MKL
         (8, {"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "2",
-             "OMP_NUM_THREADS": "1"}, 10, 4),
+             "OMP_NUM_THREADS": "1"}, 10, 8),
+        (2, {"GOTO_NUM_THREADS": "1"}, 10, 2),
+        (8, {"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 10, 2),
+        (2, {"MKL_NUM_THREADS": "1"}, 10, 1),
     ])
     def test_worker_count(self, monkeypatch, cpus, env, n_tasks, expect):
         force_workers(monkeypatch, cpus)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         assert cli._worker_threads(n_tasks) == expect
+
+    @pytest.mark.parametrize("blas, expect", [
+        ("mkl-sdl", 4),  # MKL reads MKL, then OMP
+        ("", 4),  # numpy names no BLAS: OPENBLAS, MKL, then OMP
+        ("accelerate", 4),
+        ("scipy-openblas", 8),
+    ])
+    def test_worker_count_follows_numpys_blas(self, monkeypatch, blas, expect):
+        force_workers(monkeypatch, 8, blas=blas)
+        for var, value in (("OPENBLAS_NUM_THREADS", "abc"), ("GOTO_NUM_THREADS", "1"),
+                           ("MKL_NUM_THREADS", "2"), ("OMP_NUM_THREADS", "1")):
+            monkeypatch.setenv(var, value)
+        assert cli._worker_threads(10) == expect
 
     def test_worker_count_without_affinity_call(self, monkeypatch):
         force_workers(monkeypatch, 1, 1)
@@ -1053,16 +1073,16 @@ class TestVerify:
         assert "Traceback" not in capsys.readouterr().err
 
 
-def spy_pools(monkeypatch):
-    """Record, for every solver run, whether it got an e_disc executor."""
-    pools, run = [], solvers.run_generalized_fw
+def spy_helpers(monkeypatch):
+    """Record, for every solver run, whether it ran with its e_disc helper."""
+    helpers, run = [], solvers.run_generalized_fw
 
-    def spy(instance, config, pool=None):
-        pools.append(pool is not None)
-        return run(instance, config, pool)
+    def spy(instance, config, helper=False):
+        helpers.append(helper)
+        return run(instance, config, helper)
 
     monkeypatch.setattr(solvers, "run_generalized_fw", spy)
-    return pools
+    return helpers
 
 
 class TestSolveHelper:
@@ -1075,10 +1095,10 @@ class TestSolveHelper:
     def test_helper_only_on_two_free_cores(self, instance_file, monkeypatch, cpus,
                                            blas_threads, helper):
         force_workers(monkeypatch, cpus, blas_threads)
-        pools = spy_pools(monkeypatch)
+        helpers = spy_helpers(monkeypatch)
         assert run_cli("solve", "--instance", str(instance_file), "--method", "mf",
                        "--steps", "2") == 0
-        assert pools == [helper]
+        assert helpers == [helper]
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -1092,7 +1112,7 @@ class TestSolveHelper:
     @pytest.mark.parametrize("method", list(solvers.METHODS))
     def test_outputs_match_at_one_and_two_threads(self, files, tmp_path, monkeypatch,
                                                   method):
-        pools = spy_pools(monkeypatch)
+        helpers = spy_helpers(monkeypatch)
         interval = sys.getswitchinterval()
         for path in files:
             outputs = []
@@ -1108,13 +1128,13 @@ class TestSolveHelper:
                     sys.setswitchinterval(interval)
                 outputs.append((trace.read_bytes(), labels.read_bytes()))
             assert outputs[0] == outputs[1], path.name
-        assert pools == [False, True] * len(files)
+        assert helpers == [False, True] * len(files)
 
     @pytest.mark.parametrize("case", ["returns", "diverges", "fails"])
     def test_no_helper_thread_outlives_solve(self, instance_file, tmp_path, monkeypatch,
                                              case):
         force_workers(monkeypatch, 2, 1)
-        pools = spy_pools(monkeypatch)
+        helpers = spy_helpers(monkeypatch)
         path, flags = instance_file, ("--method", "fw")
         if case == "diverges":
             path, flags = write_diverging(tmp_path)[1], ("--method", "fw", "--stepsize",
@@ -1131,5 +1151,5 @@ class TestSolveHelper:
                 run_cli(*argv)
         else:
             assert run_cli(*argv) == (1 if case == "diverges" else 0)
-        assert pools == [True]
+        assert helpers == [True]
         assert threading.enumerate() == before

@@ -20,8 +20,8 @@ from crffw import (ADMM, EMD, METHODS, PGD, Adaptive, Constant, ConvexFW,
                    RandomDense, RandomGrid, SolverConfig, VanillaFW, brute_force_map,
                    conditional_gradient_norm, convergence_params, convexify,
                    direction_point, generate,
-                   is_feasible, lmo_vanilla, project_feasible, round_bcd, round_nearest,
-                   run_generalized_fw, schedules, softmax_rows)
+                   is_feasible, lmo_vanilla, project_feasible, regularizer_value, round_bcd,
+                   round_nearest, run_generalized_fw, schedules, softmax_rows)
 from crffw.schedules import _segment_error
 from crffw.verification import mean_field_iterates
 
@@ -395,6 +395,41 @@ class TestOperatorWork:
                 assert e_cont.hex() == fresh.hex()
             else:
                 assert math.isclose(e_cont, fresh, rel_tol=1e-12, abs_tol=1e-12)
+
+
+class TestStepProtocol:
+    """A step generator sees the operator only as the `apply` it is
+    handed: driven by hand, it gives the loop's iterates bit for bit."""
+
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_steps_need_only_unary_and_apply(self, name):
+        method = METHODS[name]()
+        lam = None if method.regularizer is None or isinstance(method, MeanField) else 0.5
+        schedule = LineSearch() if LineSearch in method.schedule_types else None
+        config = SolverConfig(method, lam=lam, schedule=schedule, max_iters=5,
+                              record_iterates=True)
+        instance = generate(RandomDense(n=12, d=3, seed=4))
+        _, trace = run_generalized_fw(instance, config)
+        work = convexify(instance) if isinstance(method, ConvexFW) else instance
+        params = None if schedule is None else convergence_params(work, config.regularizer)
+        x, px = work.start()
+        counts = []
+
+        def apply(v):
+            counts[-1] += 1
+            return work.pairwise.matvec(v)
+
+        steps = method.steps(work.unary.copy(), apply, x, px,
+                             regularizer_value(config.regularizer, x), config, params)
+        iterates = []
+        for _ in range(config.max_iters):
+            counts.append(0)
+            x, px, *_ = next(steps)
+            iterates.append(x.tobytes())
+            np.testing.assert_allclose(px, work.pairwise.matvec(x), rtol=1e-12, atol=1e-12)
+        assert iterates == [it.tobytes() for it in trace.iterates[1:]]
+        # pgm also applies P at its gradient point, from its second iteration
+        assert counts == [1] + [2 if name == "pgm" else 1] * (config.max_iters - 1)
 
 
 def _segment_values(reg, x, direction, quad_a, quad_b, base, alphas):
@@ -787,14 +822,14 @@ class TestDecreaseBounds:
                 assert running_min <= f0_excess / (omega * (k + 1)) + 1e-7
 
 
-def _outcome(instance, config, pool=None):
+def _outcome(instance, config, helper=False):
     """Everything a run shows but `time_ms`: the point, every record and
     iterate, or the error and its partial trace."""
     def rows(trace):
         return [repr(dataclasses.astuple(r)[:-1]) for r in trace.records]
 
     try:
-        x, trace = run_generalized_fw(instance, config, pool)
+        x, trace = run_generalized_fw(instance, config, helper)
     except Diverged as exc:
         return "diverged", str(exc), rows(exc.trace)
     except AssertionError as exc:
@@ -806,8 +841,8 @@ def _outcome(instance, config, pool=None):
 class _StepFails(VanillaFW):
     """Vanilla FW whose step raises Diverged at iteration 2."""
 
-    def steps(self, instance, x, px, r_x, config, params):
-        yield from itertools.islice(super().steps(instance, x, px, r_x, config, params), 2)
+    def steps(self, unary, apply, x, px, r_x, config, params):
+        yield from itertools.islice(super().steps(unary, apply, x, px, r_x, config, params), 2)
         raise Diverged("step failed")
 
 
@@ -815,8 +850,9 @@ class _EnergyFails(VanillaFW):
     """Vanilla FW that yields P x as nan at iteration 2, so that e_cont
     is not finite there while e_disc is."""
 
-    def steps(self, instance, x, px, r_x, config, params):
-        for k, (x, px, *rest) in enumerate(super().steps(instance, x, px, r_x, config, params)):
+    def steps(self, unary, apply, x, px, r_x, config, params):
+        steps = super().steps(unary, apply, x, px, r_x, config, params)
+        for k, (x, px, *rest) in enumerate(steps):
             yield (x, np.full_like(px, np.nan) if k == 2 else px, *rest)
 
 
@@ -825,17 +861,18 @@ CHANGING_E_DISC = RandomDense(n=12, d=3, seed=0)
 
 
 class TestDiscreteEnergyHelper:
-    """A one-thread executor computes e_disc beside the next step; the
-    run is otherwise the same, bit for bit."""
+    """With `helper`, the run's own thread computes e_disc beside the next
+    step; the run is otherwise the same, bit for bit, and leaves no
+    thread behind."""
 
     @pytest.fixture
-    def pool(self):
-        pool = ThreadPoolExecutor(1)
+    def interleaved(self):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the two threads often
-        yield pool
+        before = threading.enumerate()
+        yield
         sys.setswitchinterval(interval)
-        pool.shutdown()
+        assert threading.enumerate() == before
 
     @staticmethod
     def _configs():
@@ -850,19 +887,19 @@ class TestDiscreteEnergyHelper:
                                    decrease_bound_check=method.bounded)
 
     @pytest.mark.parametrize("kind", ["gaussian", "edges", "dense"])
-    def test_traces_match_the_inline_run(self, pool, kind):
+    def test_traces_match_the_inline_run(self, interleaved, kind):
         rng = np.random.default_rng(5)
         instance = random_instance(rng, n=7, d=3, kind=kind)
         for config in self._configs():
             inline = _outcome(instance, config)
             assert inline[0] == "ok", (config.method.name, inline)
-            assert _outcome(instance, config, pool) == inline, config.method.name
+            assert _outcome(instance, config, helper=True) == inline, config.method.name
 
     @pytest.mark.parametrize("method, message", [
         (_EnergyFails(), "non-finite e_cont at iteration 2"),
         (_StepFails(), "step failed at iteration 2"),
     ])
-    def test_partial_trace_matches_and_holds_floats(self, pool, method, message):
+    def test_partial_trace_matches_and_holds_floats(self, interleaved, method, message):
         instance = generate(CHANGING_E_DISC)
         config = SolverConfig(method, schedule=Constant(0.5), max_iters=6)
         _, full = run_generalized_fw(instance, SolverConfig(
@@ -870,15 +907,15 @@ class TestDiscreteEnergyHelper:
         assert len(set(full.e_disc)) == 3  # a misplaced e_disc would show
         inline = _outcome(instance, config)
         assert inline[:2] == ("diverged", message)
-        assert _outcome(instance, config, pool) == inline
+        assert _outcome(instance, config, helper=True) == inline
         with pytest.raises(Diverged) as exc_info:
-            run_generalized_fw(instance, config, pool)
+            run_generalized_fw(instance, config, helper=True)
         records = exc_info.value.trace.records
         assert [r.e_disc for r in records] == list(full.e_disc[:2])
         assert all(type(r.e_disc) is float for r in records)
 
     @pytest.mark.parametrize("case", ["return", "check", "step", "bound"])
-    def test_energy_discrete_error_surfaces(self, pool, monkeypatch, case):
+    def test_energy_discrete_error_surfaces(self, interleaved, monkeypatch, case):
         # the error comes from the last e_disc computed before the run
         # ends, or before the loop's own error, which it beats
         method, fail_at = {"return": (VanillaFW(), 5), "check": (_EnergyFails(), 3),
@@ -898,10 +935,10 @@ class TestDiscreteEnergyHelper:
             return energy(self, labels)
 
         monkeypatch.setattr(CrfInstance, "energy_discrete", failing)
-        for use in (None, pool):
+        for helper in (False, True):
             calls.clear()
             with pytest.raises(RuntimeError, match="e_disc failed"):
-                run_generalized_fw(instance, config, use)
+                run_generalized_fw(instance, config, helper)
             assert len(calls) == fail_at
 
     def test_energy_discrete_error_after_the_loop(self, monkeypatch):
@@ -928,14 +965,14 @@ class TestDiscreteEnergyHelper:
         started.clear()
         finished.clear()
         before = threading.enumerate()
-        with ThreadPoolExecutor(1) as pool:
-            with pytest.raises(RuntimeError, match="e_disc failed") as helper:
-                run_generalized_fw(instance, config, pool)
-            assert len(started) == len(finished) == config.max_iters
+        with pytest.raises(RuntimeError, match="e_disc failed") as helper:
+            run_generalized_fw(instance, config, helper=True)
+        # the run joined its helper before it raised
+        assert len(started) == len(finished) == config.max_iters
         assert threading.enumerate() == before
         assert (helper.type, str(helper.value)) == (inline.type, str(inline.value))
 
-    def test_overflow_on_the_helper_warns_nothing(self, pool, monkeypatch):
+    def test_overflow_on_the_helper_warns_nothing(self, interleaved, monkeypatch):
         def overflowing(self, labels):
             return float(np.array([1e308, 1e308]).sum())
 
@@ -944,11 +981,11 @@ class TestDiscreteEnergyHelper:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             # a new thread does not inherit the caller's errstate
-            with np.errstate(all="ignore"):
+            with np.errstate(all="ignore"), ThreadPoolExecutor(1) as pool:
                 pool.submit(overflowing, instance, None).result()
             assert [w.category for w in caught] == [RuntimeWarning]
             caught.clear()
-            _, trace = run_generalized_fw(instance, SolverConfig(MeanField()), pool)
+            _, trace = run_generalized_fw(instance, SolverConfig(MeanField()), helper=True)
         assert caught == []
         assert all(r.e_disc == math.inf for r in trace.records)
 

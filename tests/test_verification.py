@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import potts_pair, random_feasible, random_instance, zero_instance
 from crffw import (CapacityError, CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
-                   EntropyRegularizer, L2Regularizer, brute_force_map, convexify,
+                   EntropyRegularizer, GaussianKernel, L2Regularizer, brute_force_map, convexify,
                    finite_diff_gradient, project_feasible, schedules, simplex, solvers,
                    tightness_report, verification, vertex_regularizer_constancy)
 
@@ -219,3 +220,80 @@ class TestBoundsSuiteDefects:
         results = {c.name: c.passed for c in verification.suite_bounds(0)}
         assert set(results) == {case[0] for case in _BOUNDS_DEFECTS}
         assert results[check] is False
+
+
+_BATCH_ENERGIES, _WRITE_JSON, _READ_UAI = (verification._batch_energies,
+                                           verification.write_json, verification.read_uai)
+_SPECTRAL_NORM_BOUND = GaussianKernel.spectral_norm_bound
+
+
+def _transposed_pair_energy(self, labels):
+    # each edge's block read as Theta[l_j, l_i]
+    ii, jj = self.edges[:, 0], self.edges[:, 1]
+    return float(self.thetas[np.arange(len(self.edges)), labels[jj], labels[ii]].sum())
+
+
+def _transposed_batch_energies(unary, blocks, labelings):
+    # the brute-force search reads each block transposed
+    return _BATCH_ENERGIES(unary, [(i, j, blk.T) for i, j, blk in blocks], labelings)
+
+
+def _untransposed_matvec(self, x):
+    # row j takes Theta x_i where it needs Theta^T x_i
+    out = np.zeros((self.n_nodes, self.n_labels))
+    for (i, j), theta in zip(self.edges, self.thetas):
+        out[i] += theta @ x[j]
+        out[j] += theta @ x[i]
+    return out
+
+
+def _rounding_write_json(instance, path):
+    # every number written to 6 significant digits
+    _WRITE_JSON(instance, path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh, parse_float=lambda text: float(f"{float(text):.6g}"))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def _plus_log_read_uai(path):
+    # potentials taken as +log(phi): the energy's minimizer minimizes the product
+    inst = _READ_UAI(path)
+    pair = inst.pairwise
+    return CrfInstance(-inst.unary, EdgeList(pair.n_nodes, pair.n_labels, pair.edges,
+                                             -pair.thetas))
+
+
+# each `oracle` check, and a defect in what it guards: owner, name, stand-in
+_ORACLE_DEFECTS = [
+    ("one_hot_energy_equality", EdgeList, "pair_energy", _transposed_pair_energy),
+    ("brute_force_vs_reenumeration", verification, "_batch_energies",
+     _transposed_batch_energies),
+    # the energy's factor 1/2 carried into its gradient
+    ("gradient_finite_differences", CrfInstance, "gradient",
+     lambda self, x: 0.5 * self.pairwise.matvec(x) + self.unary),
+    ("gaussian_vs_dense_backend", GaussianKernel, "to_dense",
+     lambda self: np.kron(self.compat, self.kernel_matrix)),
+    ("operator_symmetry", EdgeList, "matvec", _untransposed_matvec),
+    ("spectral_norm_bound", GaussianKernel, "spectral_norm_bound",
+     lambda self: 0.5 * _SPECTRAL_NORM_BOUND(self)),
+    ("json_round_trip", verification, "write_json", _rounding_write_json),
+    ("uai_map_matches_product_maximization", verification, "read_uai", _plus_log_read_uai),
+]
+
+
+class TestOracleSuiteDefects:
+    @pytest.mark.parametrize("check, owner, name, defect", _ORACLE_DEFECTS,
+                             ids=[case[0] for case in _ORACLE_DEFECTS])
+    def test_defect_fails_its_check(self, monkeypatch, check, owner, name, defect):
+        monkeypatch.setattr(owner, name, defect)
+        results = {c.name: c.passed for c in verification.suite_oracle(0)}
+        assert set(results) == {case[0] for case in _ORACLE_DEFECTS}
+        assert results[check] is False
+
+
+def test_nearest_rounding_distance_fails_on_a_rounding_defect(monkeypatch):
+    monkeypatch.setattr(simplex, "round_nearest",
+                        lambda x: np.argmin(np.asarray(x, dtype=float), axis=1))
+    results = {c.name: c.passed for c in verification.suite_invariants(0)}
+    assert results["nearest_rounding_distance"] is False
