@@ -6,15 +6,17 @@ usage errors.  All outputs are byte-deterministic given the same flags;
 pass --times to `solve` to include real wall times in the trace CSV.
 
 The free threads are the usable cores (`taskset` limits them) divided
-by BLAS's threads (the first positive integer among the thread
-variables that numpy's BLAS reads, else every core), so unpinned BLAS
-leaves one.  `compare` solves its instances on that many threads, one
-instance per task; each task holds the only reference to its instance,
-so peak memory is the parsed instances plus one kernel (n^2 doubles)
-and one build (2 n^2) per thread.  `solve` runs with the solver's
-e_disc helper thread when there are two free.  Outputs and the reported
-error are those of the serial order, whatever the thread count (an
-e_disc error surfaces late); --times' time_ms then leaves out e_disc.
+by BLAS's threads (the first positive value among the thread variables
+that numpy's BLAS reads, each read as C's `atoi` reads it, else every
+core), so unpinned BLAS leaves one.  `compare` solves its instances on
+that many threads, one instance per task; each task holds the only
+reference to its instance, so peak memory is the parsed instances plus
+one kernel (n^2 doubles) and one build (2 n^2) per thread.  `solve`
+runs with the solver's helper thread when there are two free: it
+shares the dense set-up (the kernel build and the L_f products), then
+computes e_disc beside the loop.  Outputs and the reported error are
+those of the serial order, whatever the thread count (an e_disc error
+surfaces late); --times' time_ms then leaves out e_disc.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
@@ -172,20 +175,19 @@ def _lambda_grid(lo, hi, step):
 
 def _worker_threads(n_tasks):
     """Threads to use: the cores left free by BLAS's own threads, at
-    most one per task.  BLAS takes the first positive integer among
-    its thread variables, and every usable core when there is none."""
+    most one per task.  BLAS takes the first positive leading integer
+    among its thread variables, and every usable core when there is none."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     blas = cpus
     for var in next(names for blas_kind, names in _THREAD_VARS.items() if blas_kind in _BLAS):
-        try:
-            threads = int(os.environ.get(f"{var}_NUM_THREADS", ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            blas = threads
+        # as C's atoi: blanks, a sign and digits; OpenBLAS reads "1abc" as 1
+        # and a value without leading digits as 0, which leaves it unset
+        lead = re.match(r"[ \t\n\v\f\r]*[+-]?[0-9]+", os.environ.get(f"{var}_NUM_THREADS", ""))
+        if lead and int(lead.group()) > 0:
+            blas = int(lead.group())
             break
     return max(1, min(n_tasks, cpus // blas))
 

@@ -17,10 +17,20 @@ A backend is the operator P and nothing else: `n_nodes`, `n_labels`,
 `matvec`, `matvec_row`, `pair_energy`, `to_dense` (refused when large)
 and `spectral_norm_bound`, a certified upper bound on ||P||_2, the
 Lipschitz constant L_f of the energy's gradient.
+
+The Gaussian backend's set-up (the kernel build and the Collatz-Wielandt
+products behind its L_f) maps its fixed row partitions through
+`SETUP_MAP`, a per-thread map that defaults to the builtin one; a solver
+run with a helper thread sets it to share them between two threads.
+The partitions never depend on the map, so neither do the bits: the
+kernel is built by `BLOCK`-entry row blocks, and each product `K v` is
+taken as two row blocks split at the largest multiple of 8 rows at or
+below n / 2 (the first is empty below 16 rows).
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
@@ -34,6 +44,14 @@ MAX_DENSE_ENTRIES = 1 << 26  # to_dense() refuses larger operators (512 MiB)
 MAX_ENTRIES = 1 << 28
 BLOCK = 1 << 16  # entries per row block (one row if a row is longer)
 CW_RTOL, CW_MAX_PRODUCTS = 1e-3, 100  # when the Collatz-Wielandt bound stops
+# fewest entries per half of a K v product worth handing to a helper
+# thread.  A hand-off costs 20-35 us, a half 0.3 ns per entry, so 10^5
+# entries would repay it, but on a 2-core x86-64 VM (BLAS on one thread)
+# sharing lost up to 25% at n = 700-1024 and won 25-45% from n = 1032
+SHARE_ENTRIES = 600_000
+# map(fn, items) for the set-up's row partitions; per thread, so only
+# the thread that set it shares its set-up
+SETUP_MAP = contextvars.ContextVar("SETUP_MAP", default=map)
 
 
 def check_entries(count, budget, what):
@@ -262,21 +280,35 @@ class GaussianKernel:
     def kernel_matrix(self):
         """n x n kernel values with zeroed diagonal, computed once.
 
-        Both Gram products are taken whole (row-blocked ones can differ in
-        the last bits) and turned in place, by row blocks, into squared
-        distances and kernel values: the build holds 2 n^2 doubles.
+        Both Gram products are taken whole, one after the other (row-blocked
+        ones can differ in the last bits), and turned in place, by row
+        blocks mapped through `SETUP_MAP`, into squared distances and kernel
+        values: the build holds 2 n^2 doubles and a scratch block per
+        thread.
         """
         if self._kernel is None:
             n, feats = self.n_nodes, (self.positions, self.colors)
             check_entries(2 * n * n, MAX_ENTRIES, f"a Gaussian kernel over {n} nodes")
             sq_pos, sq_col = ((f ** 2).sum(axis=1) for f in feats)
             pos_sq, K = (f @ f.T for f in feats)
-            for rows in _row_blocks(n):
+            w1, w2 = self.w1, self.w2
+            two_a2, two_b2, two_g2 = (2.0 * v ** 2 for v in (self.alpha, self.beta, self.gamma))
+
+            def finish(rows):
+                # in place, with the operations and order of the one-shot
+                # formula; -p / x is p / -x to the bit
                 p, c = pos_sq[rows], K[rows]
-                np.maximum(sq_pos[rows, None] + sq_pos - 2.0 * p, 0.0, out=p)
-                np.maximum(sq_col[rows, None] + sq_col - 2.0 * c, 0.0, out=c)
-                c[...] = self.w1 * np.exp(-p / (2.0 * self.alpha ** 2) - c / (2.0 * self.beta ** 2))
-                c += self.w2 * np.exp(-p / (2.0 * self.gamma ** 2))
+                s = np.empty_like(p)
+                for dist, sq in ((p, sq_pos), (c, sq_col)):
+                    np.multiply(dist, 2.0, out=s)
+                    np.subtract(np.add(sq[rows, None], sq, out=dist), s, out=dist)
+                    np.maximum(dist, 0.0, out=dist)
+                np.subtract(np.divide(p, -two_a2, out=s), np.divide(c, two_b2, out=c), out=c)
+                np.multiply(w1, np.exp(c, out=c), out=c)
+                np.multiply(w2, np.exp(np.divide(p, -two_g2, out=s), out=s), out=s)
+                np.add(c, s, out=c)
+
+            list(SETUP_MAP.get()(finish, _row_blocks(n)))
             np.fill_diagonal(K, 0.0)
             self._kernel = K
         return self._kernel
@@ -320,7 +352,9 @@ class GaussianKernel:
         (Kv)_i / v_i bracket rho(K) = ||K||_2 for every v > 0.  v takes
         shifted power steps v <- Kv + s v from v = 1: K's spectrum lies in
         [-min(w1 + w2, rho), rho], and s = min((w1 + w2) / 2, bound / 8)
-        keeps its negative end from dominating at any kernel scale.
+        keeps its negative end from dominating at any kernel scale.  Each
+        Kv is two row blocks (see the module docstring), mapped through
+        `SETUP_MAP` when a half holds at least SHARE_ENTRIES entries.
         """
         n, d = self.n_nodes, self.n_labels
         if n == 0 or d == 0:
@@ -330,9 +364,13 @@ class GaussianKernel:
         scale = np.linalg.norm(self.compat, 2) * (1.0 + 4.0 * (n + d * d) * np.finfo(float).eps)
         if min(self.w1, self.w2) < 0.0:  # ||K||_2 <= ||K||_inf, by row blocks
             return float(max(np.abs(K[r]).sum(axis=1).max() for r in _row_blocks(n)) * scale)
-        v, bound = np.ones(n), np.inf
+        h = n // 2 - n // 2 % 8
+        halves = slice(0, h), slice(h, n)  # the first is empty below 16 rows
+        # a product too small to repay the hand-off stays on this thread
+        share = SETUP_MAP.get() if h * n >= SHARE_ENTRIES else map
+        v, bound, kv = np.ones(n), np.inf, np.empty(n)
         for _ in range(CW_MAX_PRODUCTS):
-            kv = K @ v
+            list(share(lambda rows: np.matmul(K[rows], v, out=kv[rows]), halves))
             ratios = kv / v
             bound = min(bound, float(ratios.max()))
             if ratios.max() <= (1.0 + CW_RTOL) * ratios.min():

@@ -27,13 +27,13 @@ import functools
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from . import schedules
+from . import model, schedules
 from .errors import Diverged
 from .model import CrfInstance, DiagonalShift
 from .regularizers import EntropyRegularizer, L2Regularizer, regularizer_value
@@ -418,6 +418,22 @@ def _check_finite(trace, where, **energies):
 # ---------------------------------------------------------------------------
 # the solver loop shared by every method
 
+def _shared_map(pool):
+    """A map for `model.SETUP_MAP`: this thread runs the first half of
+    the items while `pool`'s one thread runs the second; the results
+    come back in order once both halves are done."""
+    def shared(fn, items):
+        items = list(items)
+        half = (len(items) + 1) // 2
+        rest = pool.submit(list, map(fn, items[half:]))
+        try:
+            first = list(map(fn, items[:half]))
+        finally:  # the helper's half may still write to shared arrays
+            wait([rest])
+        return first + rest.result()
+    return shared
+
+
 @np.errstate(all="ignore")
 def run_generalized_fw(instance, config, helper=False):
     """Run a solver; returns (point, trace).
@@ -429,36 +445,42 @@ def run_generalized_fw(instance, config, helper=False):
     F_k - F_{k+1} >= delta_k - 1e-7 for the active schedule/regularizer
     combination.
 
-    With `helper`, a thread of the run's own computes each iteration's
+    With `helper`, a thread of the run's own first shares the dense
+    set-up (the kernel build and the Collatz-Wielandt products behind
+    L_f, through `model.SETUP_MAP`), then computes each iteration's
     e_disc beside the loop, which never reads it, and is joined when the
     loop ends.  The trace, point and error are those of a run without it
-    (the first e_disc error beats any later loop error), but `time_ms`
-    leaves out e_disc, and an e_disc error surfaces after the loop.
+    (the set-up's row partitions are fixed, and the first e_disc error
+    beats any later loop error), but `time_ms` leaves out e_disc, and an
+    e_disc error surfaces after the loop.
     """
     method = config.method
-    work = convexify(instance) if isinstance(method, ConvexFW) else instance
     reg = config.regularizer
-    # L_f is estimated here, outside the iteration times
-    params = None if config.schedule is None else schedules.convergence_params(work, reg)
-
-    # builds every cache e_disc reads (the kernel), so the helper builds none
-    x, px = work.start()
-    r_x = regularizer_value(reg, x)
-    trace = IterationTrace()
-    trace.initial_e_cont = work.energy_relaxed(x, px)
-    trace.initial_e_reg = trace.initial_e_cont + r_x
-    if config.record_iterates:
-        trace.iterates = [x.copy()]
-    _check_finite(trace, "at the starting point",
-                  e_cont=trace.initial_e_cont, e_reg=trace.initial_e_reg)
-    f_prev = trace.initial_e_reg
-
-    steps = method.steps(work.unary, work.pairwise.matvec, x, px, r_x, config, params)
     # numpy's error state is per thread: the helper sets its own
     pool = (ThreadPoolExecutor(1, initializer=functools.partial(np.seterr, all="ignore"))
             if helper else None)
+    trace = IterationTrace()
     futures = []  # the helper's e_disc calls, one per iteration
     try:
+        setup = model.SETUP_MAP.set(map if pool is None else _shared_map(pool))
+        try:
+            work = convexify(instance) if isinstance(method, ConvexFW) else instance
+            # L_f is estimated here, outside the iteration times
+            params = None if config.schedule is None else schedules.convergence_params(work, reg)
+            # builds every cache e_disc reads (the kernel), so the helper builds none
+            x, px = work.start()
+        finally:
+            model.SETUP_MAP.reset(setup)
+        r_x = regularizer_value(reg, x)
+        trace.initial_e_cont = work.energy_relaxed(x, px)
+        trace.initial_e_reg = trace.initial_e_cont + r_x
+        if config.record_iterates:
+            trace.iterates = [x.copy()]
+        _check_finite(trace, "at the starting point",
+                      e_cont=trace.initial_e_cont, e_reg=trace.initial_e_reg)
+        f_prev = trace.initial_e_reg
+
+        steps = method.steps(work.unary, work.pairwise.matvec, x, px, r_x, config, params)
         for k in range(config.max_iters):
             t0 = time.perf_counter()
             try:

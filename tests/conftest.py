@@ -8,6 +8,7 @@ import pytest
 
 from crffw import CrfInstance, DenseMatrix, EdgeList, GaussianKernel, potts_matrix
 
+pytest_plugins = ("pytester",)  # tests/test_conftest.py runs sessions of its own
 NUMERIC_ENV = os.path.join(os.path.dirname(__file__), "data", "NUMERIC_ENV")
 
 
@@ -38,11 +39,11 @@ def pytest_report_header(config):
     goldens were written under: a golden that differs in its last bits
     on another host may be other code paths, not drift.  Reads only;
     anything it cannot read shows as "unknown"."""
-    def read(what):
+    def read(what, default="unknown"):
         try:
             return what()
         except Exception:  # a header must not fail the session
-            return "unknown"
+            return default
 
     info = read(lambda: np.show_config(mode="dicts"))
     simd = read(lambda: info["SIMD Extensions"])
@@ -54,7 +55,17 @@ def pytest_report_header(config):
     lines += [f"{var}={os.environ[var]}" for var in ("OPENBLAS_CORETYPE",
                                                       "NPY_DISABLE_CPU_FEATURES")
               if var in os.environ]
-    return lines + read(_numeric_env)
+    return lines + read(_numeric_env, [f"{NUMERIC_ENV}: unknown"])
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """On a run with a failed test, the header's lines again at the end:
+    `-q` hides the header, and a golden that moved in its last bits may
+    be other machine code, not drift.  Reads only."""
+    if terminalreporter.stats.get("failed") or terminalreporter.stats.get("error"):
+        terminalreporter.section("numeric environment")
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
 
 
 def potts_pair(w=1.0):

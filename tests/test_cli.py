@@ -902,6 +902,14 @@ class TestComparePool:
         (2, {"GOTO_NUM_THREADS": "1"}, 10, 2),
         (8, {"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 10, 2),
         (2, {"MKL_NUM_THREADS": "1"}, 10, 1),
+        # each value read as C's atoi reads it, as OpenBLAS does
+        (2, {"OPENBLAS_NUM_THREADS": "1abc"}, 10, 2),
+        (8, {"OPENBLAS_NUM_THREADS": " 2"}, 10, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "4"}, 10, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "4"}, 10, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "+4"}, 10, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "2_0"}, 10, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "\u0662"}, 10, 1),  # a non-ASCII digit is no digit
     ])
     def test_worker_count(self, monkeypatch, cpus, env, n_tasks, expect):
         force_workers(monkeypatch, cpus)

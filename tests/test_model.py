@@ -1,6 +1,9 @@
+import contextlib
 import math
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from conftest import (all_labelings, potts_pair, random_dense_backend,
                       random_edge_backend, random_feasible, random_instance,
                       zero_instance)
 from crffw import (CapacityError, CrfInstance, DenseMatrix, DiagonalShift, EdgeList,
-                   GaussianKernel, finite_diff_gradient, model, potts_matrix)
+                   GaussianKernel, finite_diff_gradient, model, potts_matrix, schedules,
+                   solvers)
 
 
 class TestEnergyDiscrete:
@@ -291,25 +295,69 @@ def _one_shot_kernel(backend):
     return K
 
 
+@contextlib.contextmanager
+def _set_up_on(threads):
+    """Within it, the dense set-up maps its row partitions as a run on
+    `threads` threads does: the builtin map, or shared with a helper,
+    with the interpreter switching threads every microsecond."""
+    if threads == 1:
+        yield
+        return
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(1) as pool:
+        token = model.SETUP_MAP.set(solvers._shared_map(pool))
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+            model.SETUP_MAP.reset(token)
+
+
 class TestKernelBuild:
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([*range(1, 9), 63, 64, 65, 300, 500, 700, 1000]),
            w1=st.sampled_from([0.0, 1.0, 3.5, -0.7]), w2=st.sampled_from([0.0, 1.0, 0.4]),
            layout=st.sampled_from(["spread", "coincident", "near", "far", "clusters"]),
-           block=st.sampled_from([1, 1000, model.BLOCK]), seed=st.integers(0, 2 ** 32 - 1))
-    def test_bitwise_equal_to_one_shot_formula(self, n, w1, w2, layout, block, seed):
+           block=st.sampled_from([1, 1000, model.BLOCK]), threads=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_to_one_shot_formula(self, n, w1, w2, layout, block, threads, seed):
         rng = np.random.default_rng(seed)
         backend = GaussianKernel(*_features(rng, n, layout), potts_matrix(3), w1=w1, w2=w2)
-        with pytest.MonkeyPatch.context() as mp:  # block of one row, and a short tail
-            mp.setattr(model, "BLOCK", block)
+        with pytest.MonkeyPatch.context() as mp, _set_up_on(threads):
+            mp.setattr(model, "BLOCK", block)  # block of one row, and a short tail
             K = backend.kernel_matrix
         assert K.tobytes() == _one_shot_kernel(backend).tobytes()
 
     def test_build_holds_two_n_by_n_arrays(self, rng):
         n = 1000
-        backend = GaussianKernel(rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3)),
-                                 potts_matrix(21))
-        assert _traced_peak(lambda: backend.kernel_matrix) <= 2.2 * 8 * n * n
+        features = rng.uniform(0, 32, (n, 2)), rng.uniform(0, 255, (n, 3))
+        for threads in (1, 2):
+            backend = GaussianKernel(*features, potts_matrix(21))
+            with _set_up_on(threads):
+                peak = _traced_peak(lambda: backend.kernel_matrix)
+            assert peak <= 2.2 * 8 * n * n, threads
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([12, 40, 300, 1000, 2001]),
+           layout=st.sampled_from(["spread", "coincident", "near", "far", "clusters"]),
+           share_entries=st.sampled_from([0, model.SHARE_ENTRIES]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_set_up_bits_do_not_depend_on_the_helper(self, n, layout, share_entries, seed):
+        """A run's kernel and L_f are bitwise equal with and without the
+        helper thread that shares the set-up (every K v product shared
+        when `share_entries` is 0)."""
+        features = _features(np.random.default_rng(seed), n, layout)
+        config = solvers.SolverConfig(solvers.VanillaFW(), schedule=schedules.LineSearch(),
+                                      max_iters=1)
+        runs = []
+        for helper in (False, True):
+            inst = CrfInstance(np.zeros((n, 3)), GaussianKernel(*features, potts_matrix(3)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model, "SHARE_ENTRIES", share_entries)
+                solvers.run_generalized_fw(inst, config, helper=helper)
+            runs.append((inst.pairwise.kernel_matrix.tobytes(), inst.lipschitz_upper_bound()))
+        assert runs[0] == runs[1]
 
     def test_guard_refuses_before_allocating(self, monkeypatch):
         n = 1000

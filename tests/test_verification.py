@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -292,8 +293,52 @@ class TestOracleSuiteDefects:
         assert results[check] is False
 
 
-def test_nearest_rounding_distance_fails_on_a_rounding_defect(monkeypatch):
-    monkeypatch.setattr(simplex, "round_nearest",
-                        lambda x: np.argmin(np.asarray(x, dtype=float), axis=1))
-    results = {c.name: c.passed for c in verification.suite_invariants(0)}
-    assert results["nearest_rounding_distance"] is False
+_PROJECT_SIMPLEX, _SOFTMAX_ROWS, _GAP = simplex.project_simplex, simplex.softmax_rows, solvers._gap
+
+
+def _whole_array_softmax(v):
+    # exponentials normalized over the whole array, not per row
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    return e / e.sum()
+
+
+# each `invariants` check, and a defect in what it guards: owner, name, stand-in
+_INVARIANTS_DEFECTS = [
+    ("projection_grid_search", simplex, "project_simplex",
+     lambda v: np.full(len(v), 1.0 / len(v))),
+    # off the simplex by a relative 1e-6, closer to the grid's answer than its step
+    ("projection_kkt", simplex, "project_simplex", lambda v: _PROJECT_SIMPLEX(v) * (1.0 + 1e-6)),
+    # feasible, but neither idempotent nor a projection
+    ("projection_idempotent_nonexpansive", simplex, "project_feasible",
+     lambda v: _SOFTMAX_ROWS(np.asarray(v, dtype=float))),
+    ("softmax_rows_properties", simplex, "softmax_rows", _whole_array_softmax),
+    ("nearest_rounding_distance", simplex, "round_nearest",
+     lambda x: np.argmin(np.asarray(x, dtype=float), axis=1)),
+    ("bcd_rounding_non_increase", simplex, "round_bcd",
+     lambda instance, x: np.argmax(instance.unary, axis=1)),
+    # the entropy's lower bound halved: a bound the feasible set breaks
+    ("regularizer_bounds_and_vertex_values", EntropyRegularizer, "bounds",
+     lambda self, n, d: (-0.5 * self.lam * n * math.log(d), 0.0)),
+    # the vertex of each row's second-smallest entry
+    ("lmo_piecewise_constant", solvers, "lmo_vanilla",
+     lambda g: np.eye(g.shape[1])[np.argsort(g, axis=1, kind="stable")[:, 1]]),
+    # the solvers' projection dropped
+    ("solver_iterates_feasible", solvers, "project_feasible",
+     lambda v: np.asarray(v, dtype=float)),
+    # the solvers' entropic direction at temperature lam / 0.999
+    ("mean_field_equals_entropic_fw", solvers, "softmax_rows",
+     lambda v: _SOFTMAX_ROWS(0.999 * v)),
+    # S(x) without r(x) - r(p)
+    ("stationarity_measure_lower_bound", solvers, "_gap",
+     lambda grad, x, p, r_x=0.0, r_p=0.0: _GAP(grad, x, p)),
+]
+
+
+class TestInvariantsSuiteDefects:
+    @pytest.mark.parametrize("check, owner, name, defect", _INVARIANTS_DEFECTS,
+                             ids=[case[0] for case in _INVARIANTS_DEFECTS])
+    def test_defect_fails_its_check(self, monkeypatch, check, owner, name, defect):
+        monkeypatch.setattr(owner, name, defect)
+        results = {c.name: c.passed for c in verification.suite_invariants(0)}
+        assert set(results) == {case[0] for case in _INVARIANTS_DEFECTS}
+        assert results[check] is False
