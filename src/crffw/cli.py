@@ -11,10 +11,10 @@ that numpy's BLAS reads, each read as C's `atoi` reads it, else every
 core), so unpinned BLAS leaves one.  `compare` solves its instances on
 that many threads, one instance per task; each task holds the only
 reference to its instance, so peak memory is the parsed instances plus
-one kernel (n^2 doubles) and one build (2 n^2) per thread.  `solve`
-runs with the solver's helper thread when there are two free: it
-shares the dense set-up (the kernel build and the L_f products), then
-computes e_disc beside the loop.  Outputs and the reported error are
+one kernel (n^2 doubles, which its build holds with a few row blocks of
+scratch) per thread.  `solve` runs with the solver's helper thread when
+there are two free: it shares the dense kernel build, then computes
+e_disc beside the loop.  Outputs and the reported error are
 those of the serial order, whatever the thread count (an e_disc error
 surfaces late); --times' time_ms then leaves out e_disc.
 """

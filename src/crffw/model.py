@@ -18,14 +18,10 @@ A backend is the operator P and nothing else: `n_nodes`, `n_labels`,
 and `spectral_norm_bound`, a certified upper bound on ||P||_2, the
 Lipschitz constant L_f of the energy's gradient.
 
-The Gaussian backend's set-up (the kernel build and the Collatz-Wielandt
-products behind its L_f) maps its fixed row partitions through
-`SETUP_MAP`, a per-thread map that defaults to the builtin one; a solver
-run with a helper thread sets it to share them between two threads.
-The partitions never depend on the map, so neither do the bits: the
-kernel is built by `BLOCK`-entry row blocks, and each product `K v` is
-taken as two row blocks split at the largest multiple of 8 rows at or
-below n / 2 (the first is empty below 16 rows).
+The Gaussian backend builds its kernel by `BLOCK`-entry row blocks mapped
+through `SETUP_MAP`, a per-thread map that defaults to the builtin one; a
+solver run with a helper thread sets it to share the blocks between two
+threads.  The partition never depends on the map, so neither do the bits.
 """
 
 from __future__ import annotations
@@ -40,17 +36,12 @@ from .simplex import softmax_rows
 
 MAX_DENSE_ENTRIES = 1 << 26  # to_dense() refuses larger operators (512 MiB)
 # arrays sized by a count (a file header, a generator flag), not by data,
-# such as a kernel build's 2 n^2 doubles: at most 2 GiB
+# such as a Gaussian kernel's n^2 doubles: at most 2 GiB
 MAX_ENTRIES = 1 << 28
 BLOCK = 1 << 16  # entries per row block (one row if a row is longer)
 CW_RTOL, CW_MAX_PRODUCTS = 1e-3, 100  # when the Collatz-Wielandt bound stops
-# fewest entries per half of a K v product worth handing to a helper
-# thread.  A hand-off costs 20-35 us, a half 0.3 ns per entry, so 10^5
-# entries would repay it, but on a 2-core x86-64 VM (BLAS on one thread)
-# sharing lost up to 25% at n = 700-1024 and won 25-45% from n = 1032
-SHARE_ENTRIES = 600_000
-# map(fn, items) for the set-up's row partitions; per thread, so only
-# the thread that set it shares its set-up
+# map(fn, items) for the kernel build's row blocks; per thread, so only
+# the thread that set it shares its build
 SETUP_MAP = contextvars.ContextVar("SETUP_MAP", default=map)
 
 
@@ -280,24 +271,26 @@ class GaussianKernel:
     def kernel_matrix(self):
         """n x n kernel values with zeroed diagonal, computed once.
 
-        Both Gram products are taken whole, one after the other (row-blocked
-        ones can differ in the last bits), and turned in place, by row
-        blocks mapped through `SETUP_MAP`, into squared distances and kernel
-        values: the build holds 2 n^2 doubles and a scratch block per
-        thread.
+        One pass over the row blocks, mapped through `SETUP_MAP`: each
+        block takes its rows of both Gram products (the color rows in the
+        kernel's own rows, the position rows in a scratch block) and turns
+        them in place into squared distances and kernel values.  The build
+        holds the kernel and a few scratch blocks per thread.  A block's
+        Gram rows can differ in the last bits from those of one whole
+        product; where one block holds the array, the product is the same.
         """
         if self._kernel is None:
-            n, feats = self.n_nodes, (self.positions, self.colors)
-            check_entries(2 * n * n, MAX_ENTRIES, f"a Gaussian kernel over {n} nodes")
-            sq_pos, sq_col = ((f ** 2).sum(axis=1) for f in feats)
-            pos_sq, K = (f @ f.T for f in feats)
+            n, pos, col = self.n_nodes, self.positions, self.colors
+            check_entries(n * n, MAX_ENTRIES, f"a Gaussian kernel over {n} nodes")
+            sq_pos, sq_col = ((f ** 2).sum(axis=1) for f in (pos, col))
+            K = np.empty((n, n))
             w1, w2 = self.w1, self.w2
             two_a2, two_b2, two_g2 = (2.0 * v ** 2 for v in (self.alpha, self.beta, self.gamma))
 
-            def finish(rows):
+            def build(rows):
                 # in place, with the operations and order of the one-shot
                 # formula; -p / x is p / -x to the bit
-                p, c = pos_sq[rows], K[rows]
+                p, c = pos[rows] @ pos.T, np.matmul(col[rows], col.T, out=K[rows])
                 s = np.empty_like(p)
                 for dist, sq in ((p, sq_pos), (c, sq_col)):
                     np.multiply(dist, 2.0, out=s)
@@ -308,7 +301,7 @@ class GaussianKernel:
                 np.multiply(w2, np.exp(np.divide(p, -two_g2, out=s), out=s), out=s)
                 np.add(c, s, out=c)
 
-            list(SETUP_MAP.get()(finish, _row_blocks(n)))
+            list(SETUP_MAP.get()(build, _row_blocks(n)))
             np.fill_diagonal(K, 0.0)
             self._kernel = K
         return self._kernel
@@ -353,8 +346,7 @@ class GaussianKernel:
         shifted power steps v <- Kv + s v from v = 1: K's spectrum lies in
         [-min(w1 + w2, rho), rho], and s = min((w1 + w2) / 2, bound / 8)
         keeps its negative end from dominating at any kernel scale.  Each
-        Kv is two row blocks (see the module docstring), mapped through
-        `SETUP_MAP` when a half holds at least SHARE_ENTRIES entries.
+        Kv is one whole product, on the calling thread.
         """
         n, d = self.n_nodes, self.n_labels
         if n == 0 or d == 0:
@@ -364,13 +356,9 @@ class GaussianKernel:
         scale = np.linalg.norm(self.compat, 2) * (1.0 + 4.0 * (n + d * d) * np.finfo(float).eps)
         if min(self.w1, self.w2) < 0.0:  # ||K||_2 <= ||K||_inf, by row blocks
             return float(max(np.abs(K[r]).sum(axis=1).max() for r in _row_blocks(n)) * scale)
-        h = n // 2 - n // 2 % 8
-        halves = slice(0, h), slice(h, n)  # the first is empty below 16 rows
-        # a product too small to repay the hand-off stays on this thread
-        share = SETUP_MAP.get() if h * n >= SHARE_ENTRIES else map
         v, bound, kv = np.ones(n), np.inf, np.empty(n)
         for _ in range(CW_MAX_PRODUCTS):
-            list(share(lambda rows: np.matmul(K[rows], v, out=kv[rows]), halves))
+            np.matmul(K, v, out=kv)
             ratios = kv / v
             bound = min(bound, float(ratios.max()))
             if ratios.max() <= (1.0 + CW_RTOL) * ratios.min():

@@ -446,13 +446,12 @@ def run_generalized_fw(instance, config, helper=False):
     combination.
 
     With `helper`, a thread of the run's own first shares the dense
-    set-up (the kernel build and the Collatz-Wielandt products behind
-    L_f, through `model.SETUP_MAP`), then computes each iteration's
-    e_disc beside the loop, which never reads it, and is joined when the
-    loop ends.  The trace, point and error are those of a run without it
-    (the set-up's row partitions are fixed, and the first e_disc error
-    beats any later loop error), but `time_ms` leaves out e_disc, and an
-    e_disc error surfaces after the loop.
+    kernel build (its row blocks, through `model.SETUP_MAP`), then
+    computes each iteration's e_disc beside the loop, which never reads
+    it, and is joined when the loop ends.  The trace, point and error are
+    those of a run without it (the build's row blocks are fixed, and the
+    first e_disc error beats any later loop error), but `time_ms` leaves
+    out e_disc, and an e_disc error surfaces after the loop.
     """
     method = config.method
     reg = config.regularizer

@@ -402,7 +402,7 @@ class TestCapacity:
 
     @pytest.fixture(autouse=True)
     def small_cap(self, monkeypatch):
-        monkeypatch.setattr(model, "MAX_ENTRIES", 2 * 29 * 29)
+        monkeypatch.setattr(model, "MAX_ENTRIES", 29 * 29)
 
     def test_solve(self, instance_file, tmp_path, capsys):
         trace, labels = tmp_path / "t.csv", tmp_path / "labels.json"
